@@ -9,9 +9,13 @@ Subcommands::
     modgal product <a> <b> -o <out>
     modgal fixture <name> -o <out>
 
-Exit codes: 0 pass, 1 check failure, 2 input error.  The environment
-variable MODGAL_PRECISION sets the starting bit precision of the
-certified numeric sign oracle.
+Exit codes: 0 pass, 1 check failure, 2 input error.  Input errors
+include a missing or malformed ``.mtc`` file (the message names the
+file) and a ``tables --check N`` with N < 1 or with N divisible by a
+level outside the verified t-spectra scope (2^lam with lam >= 8, p^lam
+with p odd and lam >= 4).  Data that loads but breaks the modular-data
+contract is a check failure.  The environment variable MODGAL_PRECISION
+sets the starting bit precision of the certified numeric sign oracle.
 """
 
 from __future__ import annotations
@@ -129,16 +133,10 @@ def _cmd_tables(args) -> int:
         print(f"no encoded rows at levels dividing {args.check}")
         return USAGE
     verification = verify_rows(rows)
-    bad = set(verification.failures)
-    shown = 0
-    for row in rows:
-        status = "pass"
-        for failure in bad:
-            if failure.startswith(row.describe()):
-                status = "FAIL: " + failure.split(": ", 1)[1]
-        print(f"{row.describe()}: {status}")
-        shown += 1
-    print(f"{shown} rows checked, {len(verification.failures)} failure(s)")
+    for result in verification.results:
+        status = "pass" if result.ok else "FAIL: " + "; ".join(result.failures)
+        print(f"{result.row.describe()}: {status}")
+    print(f"{verification.checked} rows checked, {len(verification.failures)} failure(s)")
     return PASS if verification.ok else FAIL
 
 

@@ -21,6 +21,10 @@ precision until the enclosure excludes zero.
 Phi_N is computed by iterated exact division of x^N - 1 by Phi_d over
 the proper divisors d and memoized per process (thread-safe: the memo
 is an initialize-once cache and all values are immutable).
+
+The integer number theory (``divisors``, ``euler_phi``, ``units_mod``,
+``unit_group_generators``) lives in ``modgal._numtheory`` and is
+re-exported here.
 """
 
 from __future__ import annotations
@@ -32,13 +36,14 @@ from fractions import Fraction
 
 import mpmath
 
+from ._numtheory import divisors, euler_phi, unit_group_generators, units_mod
+
 __all__ = [
     "ConductorMismatch",
     "CycNum",
     "cyclotomic_polynomial",
     "divisors",
     "euler_phi",
-    "is_unit",
     "reduce_conductor",
     "root_of_unity",
     "root_of_unity_order",
@@ -53,52 +58,6 @@ _ONE = Fraction(1)
 
 class ConductorMismatch(ValueError):
     """Binary operation on elements of different ambient fields."""
-
-
-def euler_phi(n: int) -> int:
-    if n < 1:
-        raise ValueError("euler_phi needs n >= 1")
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            result -= result // p
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
-
-
-def divisors(n: int) -> list[int]:
-    """All positive divisors of n, sorted ascending."""
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
-def _factorize(n: int) -> list[tuple[int, int]]:
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-        p += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
 
 
 def _poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
@@ -390,10 +349,6 @@ class CycNum:
     def conjugate(self) -> "CycNum":
         return self.galois_apply(self.conductor - 1 if self.conductor > 1 else 0)
 
-    @property
-    def is_real(self) -> bool:
-        return self.conjugate() == self
-
     def embed(self, conductor: int) -> "CycNum":
         """The same element viewed in Q(zeta_M) for N | M."""
         n = self.conductor
@@ -509,69 +464,6 @@ def numeric_value(a: CycNum, dps: int = 30) -> complex:
                     2j * mpmath.pi * j / a.conductor
                 )
         return complex(z)
-
-
-# -- unit groups (Z/NZ)^x ----------------------------------------------
-
-
-def is_unit(k: int, n: int) -> bool:
-    return math.gcd(k, n) == 1
-
-
-@functools.lru_cache(maxsize=None)
-def units_mod(n: int) -> tuple[int, ...]:
-    """Canonical residues of (Z/nZ)^x; (0,) for n = 1."""
-    if n == 1:
-        return (0,)
-    return tuple(k for k in range(1, n) if math.gcd(k, n) == 1)
-
-
-def _primitive_root(q: int, p: int) -> int:
-    # q = p^a with p odd; a generator of the cyclic group (Z/qZ)^x
-    phi_p = p - 1
-    prime_parts = [f for f, _ in _factorize(phi_p)]
-    g = None
-    for cand in range(2, p):
-        if all(pow(cand, phi_p // f, p) != 1 for f in prime_parts):
-            g = cand
-            break
-    assert g is not None
-    if q == p:
-        return g
-    # lift: g generates mod p^a unless g^(p-1) = 1 mod p^2
-    if pow(g, p - 1, p * p) == 1:
-        g += p
-    return g % q
-
-
-@functools.lru_cache(maxsize=None)
-def unit_group_generators(n: int) -> tuple[int, ...]:
-    """A generating set of (Z/nZ)^x, via CRT over the prime powers of n."""
-    if n <= 2:
-        return ()
-    gens = []
-    for p, a in _factorize(n):
-        q = p**a
-        rest = n // q
-        local: list[int]
-        if p == 2:
-            if a == 1:
-                local = []
-            elif a == 2:
-                local = [3]
-            else:
-                local = [q - 1, 5]
-        else:
-            local = [_primitive_root(q, p)]
-        for g in local:
-            if rest == 1:
-                gens.append(g % n)
-            else:
-                # x = g mod q, x = 1 mod rest
-                inv = pow(q % rest, -1, rest)
-                x = (g + q * ((1 - g) * inv % rest)) % n
-                gens.append(x)
-    return tuple(gens)
 
 
 # -- minimal conductor ---------------------------------------------------

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 
+from ._numtheory import is_prime
 from .cyclotomic import CycNum, root_of_unity
 from .galois_action import is_transitive, orbit_partition
 from .modular_data import ModularData, deligne_product
@@ -29,7 +30,6 @@ __all__ = [
     "fixture",
     "fixture_names",
     "ising",
-    "paper_fixture",
     "sl2_level_adjoint",
     "transitive_square_orbit_count",
 ]
@@ -76,7 +76,7 @@ def sl2_level_adjoint(p: int, galois_variant: int = 1) -> ModularData:
     are zeta_p^{m(m+1)}.  galois_variant k conjugates the data by
     sigma_k.
     """
-    if p < 5 or not _is_prime(p):
+    if p < 5 or not is_prime(p):
         raise ValueError("p must be a prime >= 5")
     if math.gcd(galois_variant, p) != 1:
         raise ValueError(f"{galois_variant} is not a unit mod {p}")
@@ -154,24 +154,6 @@ def _sl2_12_A0() -> ModularData:
     return ModularData(n, 5, tuple(f"X{i}" for i in range(5)), rows, (0, 1, 3, 6, 6))
 
 
-_PAPER_FIXTURES = {
-    "fib_x_fib": _fib_x_fib,
-    "fib_x_fib_conj": _fib_x_fib_conj,
-    "so5_3half_ad": _so5_3half_ad,
-    "sl2_12_A0": _sl2_12_A0,
-}
-
-
-def paper_fixture(name: str) -> ModularData:
-    """One of the transcribed matrices, by name."""
-    try:
-        return _PAPER_FIXTURES[name]()
-    except KeyError:
-        raise KeyError(
-            f"unknown fixture {name!r}; choose from {sorted(_PAPER_FIXTURES)}"
-        ) from None
-
-
 def _pointed(*factors: int) -> ModularData:
     return build_pointed(FiniteAbelianGroup(tuple(factors)))
 
@@ -224,14 +206,3 @@ def transitive_square_orbit_count(data: ModularData) -> int:
             f"square of a transitive category has {count} orbits, rank is {data.rank}"
         )
     return count
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            return False
-        p += 1
-    return True

@@ -18,11 +18,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cyclotomic import (
-    CycNum,
-    unit_group_generators,
-    units_mod,
-)
+from ._numtheory import permutation_orbits, unit_group_generators, units_mod
 from .modular_data import InvalidModularData, ModularData
 
 __all__ = [
@@ -85,11 +81,6 @@ def galois_permutation(data: ModularData, k: int) -> tuple[int, ...]:
     return tuple(perm)
 
 
-def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    # (p o q)(i) = p[q[i]]
-    return tuple(p[i] for i in q)
-
-
 @lru_cache(maxsize=256)
 def orbit_partition(data: ModularData) -> GaloisOrbitPartition:
     n = data.conductor
@@ -108,29 +99,12 @@ def orbit_partition(data: ModularData) -> GaloisOrbitPartition:
             for g, gp in gen_perms.items():
                 kk = (k * g) % n
                 if kk not in perms:
-                    perms[kk] = _compose(gp, base)
+                    perms[kk] = tuple(gp[i] for i in base)  # sigma_g o sigma_k
                     nxt.append(kk)
         frontier = nxt
     assert set(perms) == set(units_mod(n))
 
-    # orbits: union of cycles of the generator permutations
-    parent = list(range(r))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for perm in gen_perms.values():
-        for i, j in enumerate(perm):
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[rj] = ri
-    groups: dict[int, list[int]] = {}
-    for i in range(r):
-        groups.setdefault(find(i), []).append(i)
-    orbits = tuple(tuple(sorted(g)) for g in sorted(groups.values(), key=min))
+    orbits = permutation_orbits(r, gen_perms.values())
 
     stabilizers = tuple(
         tuple(k for k in sorted(perms) if perms[k][i] == i) for i in range(r)

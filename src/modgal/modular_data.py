@@ -168,15 +168,9 @@ class ModularData:
         return total
 
     def central_charge_squared(self) -> CycNum:
-        """xi^2 = tau^2 / dim(C), exact.  xi itself is only available
-        numerically (``central_charge_approx``)."""
+        """xi^2 = tau^2 / dim(C), exact."""
         t = self.tau()
         return t * t * self.global_dim.inverse()
-
-    def central_charge_approx(self, dps: int = 30) -> complex:
-        t = numeric_value(self.tau(), dps)
-        d = numeric_value(self.global_dim, dps)
-        return t / (d.real**0.5)
 
     # -- charge conjugation and fusion -----------------------------------
 
@@ -352,12 +346,6 @@ class ModularData:
             failures.append(str(exc))
         return ValidationReport(tuple(failures), tuple(skipped))
 
-    def require_valid(self, full_rank_bound: int = 24) -> "ModularData":
-        report = self.validate(full_rank_bound)
-        if not report.ok:
-            raise InvalidModularData(report.summary())
-        return self
-
 
 # -- Deligne product -------------------------------------------------------
 
@@ -419,18 +407,31 @@ def loads_modular_data(text: str) -> ModularData:
         rows = doc["s"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidModularData(f"missing or malformed field: {exc}") from exc
-    if len(rows) != rank or any(len(row) != rank for row in rows):
+    if n < 1:
+        raise InvalidModularData(f"conductor must be >= 1, got {n}")
+    if not isinstance(rows, list) or len(rows) != rank or any(
+        not isinstance(row, list) or len(row) != rank for row in rows
+    ):
         raise InvalidModularData("s is not a rank x rank array")
-    s = tuple(
-        tuple(
-            CycNum.from_terms(
-                n, ((Fraction(int(num), int(den)), int(exp)) for num, den, exp in entry)
-            )
-            for entry in row
+    s = tuple(tuple(_loads_entry(n, entry) for entry in row) for row in rows)
+    try:
+        return ModularData(n, rank, labels, s, t)
+    except ValueError as exc:
+        raise InvalidModularData(str(exc)) from exc
+
+
+def _loads_entry(n: int, entry) -> CycNum:
+    """One s-entry from its list of [num, den, exp] integer terms."""
+    if not isinstance(entry, list) or not all(
+        isinstance(term, list) and len(term) == 3 and all(type(v) is int for v in term)
+        for term in entry
+    ):
+        raise InvalidModularData(
+            f"an s-entry must be a list of [num, den, exp] integer terms, got {entry!r}"
         )
-        for row in rows
-    )
-    return ModularData(n, rank, labels, s, t)
+    if any(den == 0 for _, den, _ in entry):
+        raise InvalidModularData(f"zero denominator in s-entry {entry!r}")
+    return CycNum.from_terms(n, ((Fraction(num, den), exp) for num, den, exp in entry))
 
 
 def save_modular_data(data: ModularData, path) -> None:

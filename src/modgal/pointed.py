@@ -33,7 +33,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .cyclotomic import divisors, euler_phi, root_of_unity, unit_group_generators
+from ._numtheory import (
+    divisors,
+    euler_phi,
+    factorize,
+    is_prime,
+    permutation_orbits,
+    unit_group_generators,
+    units_mod,
+)
+from .cyclotomic import root_of_unity
 from .modular_data import ModularData
 
 __all__ = [
@@ -74,18 +83,8 @@ class FiniteAbelianGroup:
         for n in orders:
             if n < 1:
                 raise ValueError("cyclic orders must be positive")
-            m = n
-            p = 2
-            while p * p <= m:
-                if m % p == 0:
-                    e = 0
-                    while m % p == 0:
-                        m //= p
-                        e += 1
-                    primary.setdefault(p, []).append(p**e)
-                p += 1
-            if m > 1:
-                primary.setdefault(m, []).append(m)
+            for p, e in factorize(n):
+                primary.setdefault(p, []).append(p**e)
         k = max((len(v) for v in primary.values()), default=0)
         factors = []
         for i in range(k):
@@ -180,14 +179,6 @@ class QuadraticFormSpec:
         for i, xi in enumerate(x):
             for j, xj in enumerate(x):
                 total += self.gram[i][j] * xi * xj
-        return total % M
-
-    def b_exponent(self, g, h) -> int:
-        M = self.modulus
-        total = 0
-        for i, gi in enumerate(g):
-            for j, hj in enumerate(h):
-                total += 2 * self.gram[i][j] * gi * hj
         return total % M
 
     @cached_property
@@ -341,28 +332,14 @@ def pointed_orbit_partition(group: FiniteAbelianGroup, form: QuadraticFormSpec) 
     col_key = {bmat[:, y].tobytes(): y for y in range(n)}
     if len(col_key) != n:
         raise ValueError("bicharacter columns are not distinct (degenerate form)")
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    gens = unit_group_generators(M) or ()
-    for k in gens:
+    images = []
+    for k in unit_group_generators(M):
         image = (k * bmat) % M
-        for y in range(n):
-            z = col_key.get(image[:, y].tobytes())
-            if z is None:
-                raise ValueError(f"unit {k} does not permute the columns")
-            ri, rj = find(y), find(z)
-            if ri != rj:
-                parent[rj] = ri
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return tuple(tuple(sorted(g)) for g in sorted(groups.values(), key=min))
+        perm = [col_key.get(image[:, y].tobytes()) for y in range(n)]
+        if None in perm:
+            raise ValueError(f"unit {k} does not permute the columns")
+        images.append(perm)
+    return permutation_orbits(n, images)
 
 
 def generator_partition(group: FiniteAbelianGroup) -> tuple[tuple[int, ...], ...]:
@@ -377,7 +354,7 @@ def generator_partition(group: FiniteAbelianGroup) -> tuple[tuple[int, ...], ...
             continue
         m = group.element_order(h)
         orbit = sorted(
-            {index[group.scale(k, h)] for k in range(1, m + 1) if math.gcd(k, m) == 1}
+            {index[group.scale(k, h)] for k in units_mod(m)}
         )
         seen.update(orbit)
         parts.append(tuple(orbit))
@@ -418,7 +395,7 @@ def closed_form_counts(kind: str, p: int | None = None, n: int | None = None) ->
         return len(divisors(n))
     if p is None or n is None or n < 1:
         raise ValueError("need a prime p and n >= 1")
-    if not _is_prime(p):
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if kind == "elementary_abelian":
         return 1 + (p**n - 1) // (p - 1)
@@ -432,17 +409,6 @@ def closed_form_counts(kind: str, p: int | None = None, n: int | None = None) ->
         assert num % 2 == 0
         return num // 2
     raise ValueError(f"unknown kind {kind!r}")
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            return False
-        p += 1
-    return True
 
 
 # -- form independence -----------------------------------------------------------

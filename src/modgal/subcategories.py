@@ -16,7 +16,8 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .cyclotomic import CycNum, units_mod
+from ._numtheory import factorize, is_prime, permutation_orbits, units_mod
+from .cyclotomic import CycNum
 from .galois_action import GaloisOrbitPartition, orbit_partition
 from .modular_data import FusionTable, InvalidModularData, ModularData
 
@@ -252,19 +253,7 @@ def check_orbit_lower_bound(data: ModularData) -> OrbitBoundReport:
     """|Orb| >= 1 + sum a_j where rank of the pointed part is
     prod p_j^a_j."""
     rank_pt = pointed_part(data).rank
-    powers = []
-    m = rank_pt
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            a = 0
-            while m % p == 0:
-                m //= p
-                a += 1
-            powers.append((p, a))
-        p += 1
-    if m > 1:
-        powers.append((m, 1))
+    powers = factorize(rank_pt)
     bound = 1 + sum(a for _, a in powers)
     count = orbit_partition(data).count
     return OrbitBoundReport(rank_pt, tuple(powers), bound, count)
@@ -278,22 +267,6 @@ class Counting2Report:
     @property
     def ok(self) -> bool:
         return not self.failures
-
-
-def _subgroup_closure(n: int, elements) -> frozenset[int]:
-    group = set(elements)
-    group.add(1 % n if n > 1 else 0)
-    frontier = list(group)
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for b in list(group):
-                c = (a * b) % n
-                if c not in group:
-                    group.add(c)
-                    fresh.append(c)
-        frontier = fresh
-    return frozenset(group)
 
 
 def counting2_degree_check(data: ModularData, sub: FusionSubcategory) -> Counting2Report:
@@ -316,7 +289,9 @@ def counting2_degree_check(data: ModularData, sub: FusionSubcategory) -> Countin
     for x in sorted(sub.members):
         orbit = part.orbit_of(x)
         fix_lx = [k for k in units if all(v.galois_apply(k) == v for v in cols[x])]
-        joint = _subgroup_closure(n, set(fix_kd) | set(fix_lx))
+        # the subgroup both fixing sets generate: the orbit of 1 under them
+        images = [[i * k % n for i in range(n)] for k in set(fix_kd) | set(fix_lx)]
+        joint = next(o for o in permutation_orbits(n, images) if 1 % n in o)
         degree = len(units) // len(joint)  # [K_D meet L_X : Q]
         direct = len(set(orbit) & sub.members)
         expected, rem = divmod(len(orbit), degree)
@@ -372,7 +347,7 @@ def two_orbit_diagnosis(data: ModularData, max_rank: int = 64) -> TwoOrbitDiagno
         # (a) pointed factor of prime rank whose complement carries the
         # unit orbit (the whole category with a trivial complement counts)
         for sub, cent in pairs:
-            if all(fp[x] == 1 for x in sub.members) and _is_prime(sub.rank):
+            if all(fp[x] == 1 for x in sub.members) and is_prime(sub.rank):
                 if set(part.orbit_of(0)) == cent.members:
                     return TwoOrbitDiagnosis(
                         "pointed_prime_x_transitive",
@@ -413,14 +388,3 @@ def two_orbit_diagnosis(data: ModularData, max_rank: int = 64) -> TwoOrbitDiagno
     return TwoOrbitDiagnosis(
         "unclassified", "no clause signature matched; see subcategory lattice"
     )
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            return False
-        p += 1
-    return True

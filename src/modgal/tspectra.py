@@ -11,9 +11,13 @@ pairs in lowest terms.  The building blocks are
 
 The classification tables for prime-power levels are encoded as data
 (one ``TableRow`` per instantiated row) carrying the printed dimension,
-spectrum, multiplicity-free flag and square-orbit count.  ``verify_rows``
+spectrum, multiplicity-free flag and square-orbit count.  One registry
+maps each level p^lam to the table that builds its rows.  It covers
+the verified levels only, 2^lam with lam <= 7 and p^lam with p odd and
+lam <= 3; any other level raises ``ValueError``.  ``verify_rows``
 recomputes the orbit count from the spectrum and cross-checks the
-multiplicity-free flag against the cardinality/dimension relation.
+multiplicity-free flag against the cardinality/dimension relation,
+with one result per row.
 
 Three printed rows are internally inconsistent in the source text and
 are encoded with the unique reading consistent with their dimension and
@@ -28,11 +32,13 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 
-from .cyclotomic import CycNum, root_of_unity, unit_group_generators, units_mod
+from ._numtheory import factorize, is_prime, permutation_orbits, unit_group_generators, units_mod
+from .cyclotomic import CycNum, root_of_unity
 
 __all__ = [
     "PsiMatrixReport",
     "RootSet",
+    "RowResult",
     "TableRow",
     "TableVerification",
     "instantiate_rows",
@@ -94,7 +100,7 @@ def make_phi(n: int) -> RootSet:
 
 def make_gamma(n: int) -> RootSet:
     """The primitive n-th roots of unity."""
-    return RootSet.of((n, k) for k in range(n) if math.gcd(k, n) == 1)
+    return RootSet.of((n, k) for k in units_mod(n))
 
 
 def make_gamma_res(p: int, lam: int, r: int) -> RootSet:
@@ -122,28 +128,20 @@ def square_galois_orbit_count(s: RootSet) -> int:
     m = s.level
     elems = sorted(s.elements)
     index = {e: i for i, e in enumerate(elems)}
-    parent = list(range(len(elems)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    gens = unit_group_generators(m)
-    for g in gens:
+    images = []
+    for g in unit_group_generators(m):
         gg = (g * g) % m
-        for (n, e), i in index.items():
+        image = []
+        for n, e in elems:
             img = _reduce_root(n, e * (gg % n))
             j = index.get(img)
             if j is None:
                 raise ValueError(
                     f"set is not closed under the square action: {(n, e)} -> {img}"
                 )
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[rj] = ri
-    return len({find(i) for i in range(len(elems))})
+            image.append(j)
+        images.append(image)
+    return len(permutation_orbits(len(elems), images))
 
 
 # -- table rows -----------------------------------------------------------
@@ -164,6 +162,10 @@ class TableRow:
         return f"Table {self.table}: {self.label} (level {self.level}, dim {self.dim})"
 
 
+_G1 = RootSet.of([(1, 0)])
+_G2 = make_gamma(2)
+
+
 def _least_nonresidue(p: int) -> int:
     for n in range(2, p):
         if pow(n, (p - 1) // 2, p) == p - 1:
@@ -171,27 +173,22 @@ def _least_nonresidue(p: int) -> int:
     raise ValueError(f"{p} has no quadratic non-residue (not an odd prime?)")
 
 
-def _row(table, label, level, dim, spectrum, mf, gal=None, gal_min=None):
-    return TableRow(table, label, level, dim, spectrum, mf, gal, gal_min)
-
-
 def _table1(p: int) -> list[TableRow]:
     rows = []
     qr, qn = 1, _least_nonresidue(p)
     phi_p, gamma_p = make_phi(p), make_gamma(p)
-    g1 = RootSet.of([(1, 0)])
-    rows.append(_row(1, f"D_1(chi) p={p}", p, p + 1, phi_p, False, 3))
-    rows.append(_row(1, f"N_1(chi) p={p}", p, p - 1, gamma_p, True, 2))
+    rows.append(TableRow(1, f"D_1(chi) p={p}", p, p + 1, phi_p, False, 3))
+    rows.append(TableRow(1, f"N_1(chi) p={p}", p, p - 1, gamma_p, True, 2))
     for r in (qr, qn):
         rows.append(
-            _row(1, f"R_1({r},chi_1) p={p}", p, (p + 1) // 2,
-                 g1.union_disjoint(make_gamma_res(p, 1, r)), True, 2)
+            TableRow(1, f"R_1({r},chi_1) p={p}", p, (p + 1) // 2,
+                     _G1.union_disjoint(make_gamma_res(p, 1, r)), True, 2)
         )
         rows.append(
-            _row(1, f"R_1({r},chi_-1) p={p}", p, (p - 1) // 2,
-                 make_gamma_res(p, 1, r), True, 1)
+            TableRow(1, f"R_1({r},chi_-1) p={p}", p, (p - 1) // 2,
+                     make_gamma_res(p, 1, r), True, 1)
         )
-    rows.append(_row(1, f"N_1(chi_1) p={p}", p, p, phi_p, True, 3))
+    rows.append(TableRow(1, f"N_1(chi_1) p={p}", p, p, phi_p, True, 3))
     return rows
 
 
@@ -210,12 +207,12 @@ def _table2(p: int, lam: int) -> list[TableRow]:
     q = p**lam
     qr, qn = 1, _least_nonresidue(p)
     rows.append(
-        _row(2, f"D_{lam}(chi) p={p}", q, (p + 1) * p ** (lam - 1),
-             make_phi(q), False, 2 * lam + 1)
+        TableRow(2, f"D_{lam}(chi) p={p}", q, (p + 1) * p ** (lam - 1),
+                 make_phi(q), False, 2 * lam + 1)
     )
     rows.append(
-        _row(2, f"N_{lam}(chi) p={p}", q, (p - 1) * p ** (lam - 1),
-             make_gamma(q), True, 2)
+        TableRow(2, f"N_{lam}(chi) p={p}", q, (p - 1) * p ** (lam - 1),
+                 make_gamma(q), True, 2)
     )
     dim_r = (p * p - 1) * p ** (lam - 2) // 2
     for sigma in range(1, lam):
@@ -225,16 +222,16 @@ def _table2(p: int, lam: int) -> list[TableRow]:
                     _sigma_set(p, lam, sigma, r, t)
                 )
                 rows.append(
-                    _row(2, f"R_{lam}^{sigma}({r},{t},chi) p={p}", q, dim_r,
-                         spec, sigma == 1, gal_min=sigma + 1)
+                    TableRow(2, f"R_{lam}^{sigma}({r},{t},chi) p={p}", q, dim_r,
+                             spec, sigma == 1, gal_min=sigma + 1)
                 )
     for r in (qr, qn):
         spec = make_gamma_res(p, lam, r).union_disjoint(
             make_phi_res(p ** (lam - 2), r)
         )
         rows.append(
-            _row(2, f"R_{lam}({r},chi_+-)_1 p={p}", q, dim_r, spec,
-                 lam == 2 and p == 3, lam)
+            TableRow(2, f"R_{lam}({r},chi_+-)_1 p={p}", q, dim_r, spec,
+                     lam == 2 and p == 3, lam)
         )
     return rows
 
@@ -245,29 +242,25 @@ def _g(lam: int, r: int) -> RootSet:
 
 def _table3() -> list[TableRow]:
     return [
-        _row(3, "C_2 = N_1(chi)", 2, 1, make_gamma(2), True, 1),
-        _row(3, "N_1(chi_1)", 2, 2, make_phi(2), True, 2),
+        TableRow(3, "C_2 = N_1(chi)", 2, 1, _G2, True, 1),
+        TableRow(3, "N_1(chi_1)", 2, 2, make_phi(2), True, 2),
     ]
 
 
 def _table4() -> list[TableRow]:
-    g1 = RootSet.of([(1, 0)])
-    g2 = make_gamma(2)
     return [
-        _row(4, "R_2^0(1,1,chi_1)", 4, 3, make_phi(2).union_disjoint(_g(2, 1)), True, 3),
-        _row(4, "R_2^0(3,1,chi_1)", 4, 3, make_phi(2).union_disjoint(_g(2, 3)), True, 3),
-        _row(4, "R_2^0(1,3)_1", 4, 3, g1.union_disjoint(make_gamma(4)), True, 3),
-        _row(4, "C_2 x R_2^0(1,3)_1", 4, 3, g2.union_disjoint(make_gamma(4)), True, 3),
-        _row(4, "N_2(chi), chi != 1", 4, 2, make_gamma(4), True, 2),
-        _row(4, "C_3 = R_2^0(3,1,chi)", 4, 1, _g(2, 3), True, 1),
-        _row(4, "C_4 = R_2^0(1,1,chi)", 4, 1, _g(2, 1), True, 1),
+        TableRow(4, "R_2^0(1,1,chi_1)", 4, 3, make_phi(2).union_disjoint(_g(2, 1)), True, 3),
+        TableRow(4, "R_2^0(3,1,chi_1)", 4, 3, make_phi(2).union_disjoint(_g(2, 3)), True, 3),
+        TableRow(4, "R_2^0(1,3)_1", 4, 3, _G1.union_disjoint(make_gamma(4)), True, 3),
+        TableRow(4, "C_2 x R_2^0(1,3)_1", 4, 3, _G2.union_disjoint(make_gamma(4)), True, 3),
+        TableRow(4, "N_2(chi), chi != 1", 4, 2, make_gamma(4), True, 2),
+        TableRow(4, "C_3 = R_2^0(3,1,chi)", 4, 1, _g(2, 3), True, 1),
+        TableRow(4, "C_4 = R_2^0(1,1,chi)", 4, 1, _g(2, 1), True, 1),
     ]
 
 
 def _table5() -> list[TableRow]:
     rows = []
-    g1 = RootSet.of([(1, 0)])
-    g2 = make_gamma(2)
     gamma4 = make_gamma(4)
     # dim 6 with a 4-element spectrum: not multiplicity-free (printed
     # flag contradicts the printed dimension and orbit count)
@@ -275,52 +268,50 @@ def _table5() -> list[TableRow]:
         (1, 1): (1, 3), (1, 3): (1, 7), (3, 3): (3, 5), (5, 1): (5, 7),
     }.items():
         rows.append(
-            _row(5, f"R_3^1({r},{t},chi_1)", 8, 6,
-                 gamma4.union_disjoint(_g(3, a), _g(3, b)), False, 4)
+            TableRow(5, f"R_3^1({r},{t},chi_1)", 8, 6,
+                     gamma4.union_disjoint(_g(3, a), _g(3, b)), False, 4)
         )
     rows.append(
-        _row(5, "R_3^0(1,3,chi_1)_1", 8, 6,
-             make_phi(2).union_disjoint(make_gamma(8)), True, 6)
+        TableRow(5, "R_3^0(1,3,chi_1)_1", 8, 6,
+                 make_phi(2).union_disjoint(make_gamma(8)), True, 6)
     )
     rows.append(
-        _row(5, "C_3 x R_3^0(1,3,chi_1)_1", 8, 6,
-             gamma4.union_disjoint(make_gamma(8)), True, 6)
+        TableRow(5, "C_3 x R_3^0(1,3,chi_1)_1", 8, 6,
+                 gamma4.union_disjoint(make_gamma(8)), True, 6)
     )
     rows.append(
-        _row(5, "N_3(chi), chi^2 != 1", 8, 4,
-             _g(3, 1).union_disjoint(_g(3, 3), _g(3, 5), _g(3, 7)), True, 4)
+        TableRow(5, "N_3(chi), chi^2 != 1", 8, 4,
+                 _g(3, 1).union_disjoint(_g(3, 3), _g(3, 5), _g(3, 7)), True, 4)
     )
     for j, (a, b) in {1: (3, 5), 2: (1, 7), 3: (1, 3), 4: (5, 7)}.items():
         rows.append(
-            _row(5, f"C_{j} x N_3(chi)_+", 8, 2,
-                 _g(3, a).union_disjoint(_g(3, b)), True, 2)
+            TableRow(5, f"C_{j} x N_3(chi)_+", 8, 2,
+                     _g(3, a).union_disjoint(_g(3, b)), True, 2)
         )
-    plus = {1: g2, 2: g1, 3: _g(2, 1), 4: _g(2, 3)}
+    plus = {1: _G2, 2: _G1, 3: _g(2, 1), 4: _g(2, 3)}
     for j, head in plus.items():
         rows.append(
-            _row(5, f"C_{j} x R_3^0(1,3,chi)_+", 8, 3,
-                 head.union_disjoint(_g(3, 1), _g(3, 5)), True, 3)
+            TableRow(5, f"C_{j} x R_3^0(1,3,chi)_+", 8, 3,
+                     head.union_disjoint(_g(3, 1), _g(3, 5)), True, 3)
         )
     for j, head in plus.items():
         rows.append(
-            _row(5, f"C_{j} x R_3^0(1,3,chi)_-", 8, 3,
-                 head.union_disjoint(_g(3, 3), _g(3, 7)), True, 3)
+            TableRow(5, f"C_{j} x R_3^0(1,3,chi)_-", 8, 3,
+                     head.union_disjoint(_g(3, 3), _g(3, 7)), True, 3)
         )
     return rows
 
 
 def _table6() -> list[TableRow]:
     rows = []
-    g1 = RootSet.of([(1, 0)])
-    g2 = make_gamma(2)
-    rows.append(_row(6, "D_4(chi)", 16, 24, make_phi(16), False, 12))
-    rows.append(_row(6, "N_4(chi)", 16, 8, make_gamma(16), True, 4))
+    rows.append(TableRow(6, "D_4(chi)", 16, 24, make_phi(16), False, 12))
+    rows.append(TableRow(6, "N_4(chi)", 16, 8, make_gamma(16), True, 4))
     for r in (1, 3):
         for t in (1, 5):
             tail = (_g(3, r), _g(3, 5 * r)) if t == 1 else (_g(3, 3 * r), _g(3, 7 * r))
             rows.append(
-                _row(6, f"R_4^0({r},{t},chi), chi != 1", 16, 6,
-                     _g(4, r).union_disjoint(_g(4, 5 * r), *tail), True, 4)
+                TableRow(6, f"R_4^0({r},{t},chi), chi != 1", 16, 6,
+                         _g(4, r).union_disjoint(_g(4, 5 * r), *tail), True, 4)
             )
     threes = {
         ("R_4^0(1,1,chi)_+", 1): (5, 1), ("R_4^0(1,1,chi)_+", 2): (1, 1),
@@ -334,80 +325,78 @@ def _table6() -> list[TableRow]:
     }
     for (base, j), (a, b) in threes.items():
         rows.append(
-            _row(6, f"C_{j} x {base}", 16, 3,
-                 _g(3, a).union_disjoint(_g(4, b)), True, 2)
+            TableRow(6, f"C_{j} x {base}", 16, 3,
+                     _g(3, a).union_disjoint(_g(4, b)), True, 2)
         )
     for t in (3, 7):
         tail = (_g(3, 3), _g(3, 5)) if t == 3 else (_g(3, 1), _g(3, 7))
         for sign in "+-":
             rows.append(
-                _row(6, f"R_4^0(1,{t},chi)_{sign}", 16, 6,
-                     _g(4, 1).union_disjoint(_g(4, 7), *tail), True, 4)
+                TableRow(6, f"R_4^0(1,{t},chi)_{sign}", 16, 6,
+                         _g(4, 1).union_disjoint(_g(4, 7), *tail), True, 4)
             )
     quads = {
-        (1, 1): (g2, _g(2, 1)), (1, 3): (g1, _g(2, 3)),
-        (3, 1): (g2, _g(2, 3)), (3, 3): (g1, _g(2, 1)),
+        (1, 1): (_G2, _g(2, 1)), (1, 3): (_G1, _g(2, 3)),
+        (3, 1): (_G2, _g(2, 3)), (3, 3): (_G1, _g(2, 1)),
     }
     for (r, t), (h1, h2) in quads.items():
         rows.append(
-            _row(6, f"R_4^2({r},{t},chi), chi != 1", 16, 6,
-                 h1.union_disjoint(h2, _g(4, r), _g(4, 5 * r)), True, 4)
+            TableRow(6, f"R_4^2({r},{t},chi), chi != 1", 16, 6,
+                     h1.union_disjoint(h2, _g(4, r), _g(4, 5 * r)), True, 4)
         )
     for r in (1, 3):
         rows.append(
-            _row(6, f"C_2 x R_4^2({r},3,chi), chi != 1", 16, 6,
-                 g2.union_disjoint(_g(2, r), _g(4, r), _g(4, 5 * r)), True, 4)
+            TableRow(6, f"C_2 x R_4^2({r},3,chi), chi != 1", 16, 6,
+                     _G2.union_disjoint(_g(2, r), _g(4, r), _g(4, 5 * r)), True, 4)
         )
     for r in (1, 3):
         rows.append(
-            _row(6, f"R_4^2({r},3,chi_1)_1", 16, 6,
-                 g1.union_disjoint(_g(2, 3), _g(4, 1), _g(4, 5)), True, 4)
+            TableRow(6, f"R_4^2({r},3,chi_1)_1", 16, 6,
+                     _G1.union_disjoint(_g(2, 3), _g(4, 1), _g(4, 5)), True, 4)
         )
     rows.append(
-        _row(6, "N_3(chi)_+ x R_4^0(1,7,psi)_+", 16, 12,
-             g2.union_disjoint(make_gamma(4), make_gamma(16)), False, 7)
+        TableRow(6, "N_3(chi)_+ x R_4^0(1,7,psi)_+", 16, 12,
+                 _G2.union_disjoint(make_gamma(4), make_gamma(16)), False, 7)
     )
     return rows
 
 
 def _table7() -> list[TableRow]:
     rows = []
-    g1 = RootSet.of([(1, 0)])
-    g2 = make_gamma(2)
-    rows.append(_row(7, "D_5(chi)", 32, 48, make_phi(32), False, 16))
-    rows.append(_row(7, "N_5(chi)", 32, 16, make_gamma(32), True, 4))
+    rows.append(TableRow(7, "D_5(chi)", 32, 48, make_phi(32), False, 16))
+    rows.append(TableRow(7, "N_5(chi)", 32, 16, make_gamma(32), True, 4))
     for r in (1, 3):
         for t in (1, 5):
             tail = (_g(4, r), _g(4, 5 * r)) if t == 1 else (_g(4, 3 * r), _g(4, 7 * r))
             rows.append(
-                _row(7, f"R_5^0({r},{t},chi)", 32, 12,
-                     _g(5, r).union_disjoint(_g(5, 5 * r), *tail), True, 4)
+                TableRow(7, f"R_5^0({r},{t},chi)", 32, 12,
+                         _g(5, r).union_disjoint(_g(5, 5 * r), *tail), True, 4)
             )
     for t in (3, 7):
         tail = make_gamma(8) if t == 3 else make_phi(4)
         rows.append(
-            _row(7, f"R_5^0(1,{t},chi)", 32, 24,
-                 make_gamma(32).union_disjoint(tail), False, 8)
+            TableRow(7, f"R_5^0(1,{t},chi)", 32, 24,
+                     make_gamma(32).union_disjoint(tail), False, 8)
         )
     for r in (1, 5):
         rows.append(
-            _row(7, f"R_5^1({r},1,chi)", 32, 12,
-                 _g(5, 1).union_disjoint(_g(5, 3), _g(4, r), _g(4, 3 * r)), True, 4)
+            TableRow(7, f"R_5^1({r},1,chi)", 32, 12,
+                     _g(5, 1).union_disjoint(_g(5, 3), _g(4, r), _g(4, 3 * r)), True, 4)
         )
     for r in (1, 3):
         rows.append(
-            _row(7, f"R_5^1({r},3,chi)", 32, 12,
-                 _g(5, 1).union_disjoint(_g(5, 7), _g(4, 3 * r), _g(4, 5 * r)), True, 4)
+            TableRow(7, f"R_5^1({r},3,chi)", 32, 12,
+                     _g(5, 1).union_disjoint(_g(5, 7), _g(4, 3 * r), _g(4, 5 * r)), True, 4)
         )
     for r in (1, 5):
         rows.append(
-            _row(7, f"R_5^1({r},5,chi)", 32, 12,
-                 _g(5, 1).union_disjoint(_g(5, 3), _g(4, 5 * r), _g(4, 7 * r)), True, 4)
+            TableRow(7, f"R_5^1({r},5,chi)", 32, 12,
+                     _g(5, 1).union_disjoint(_g(5, 3), _g(4, 5 * r), _g(4, 7 * r)), True, 4)
         )
     for r in (1, 3):
         rows.append(
-            _row(7, f"R_5^1({r},7,chi)", 32, 12,
-                 _g(5, 1).union_disjoint(_g(5, 7), _g(4, r), _g(4, 7 * r)), True, 4)
+            TableRow(7, f"R_5^1({r},7,chi)", 32, 12,
+                     _g(5, 1).union_disjoint(_g(5, 7), _g(4, r), _g(4, 7 * r)), True, 4)
         )
     # printed spectrum (Gamma_16 u Gamma_32^r) has 12 elements, which a
     # dim-6 representation cannot carry; the unique 6-element shape with
@@ -416,24 +405,24 @@ def _table7() -> list[TableRow]:
         for t in (1, 3, 5, 7):
             for sign in "+-":
                 rows.append(
-                    _row(7, f"R_5^2({r},{t},chi)_{sign}", 32, 6,
-                         _g(5, r).union_disjoint(_g(3, r), g2), True, 3)
+                    TableRow(7, f"R_5^2({r},{t},chi)_{sign}", 32, 6,
+                             _g(5, r).union_disjoint(_g(3, r), _G2), True, 3)
                 )
     for r in (1, 3):
         rows.append(
-            _row(7, f"R_5^2({r},1,chi)_1, chi not in B", 32, 12,
-                 g1.union_disjoint(g2, _g(3, r), _g(3, 5 * r), _g(5, r), _g(5, 5 * r)),
-                 True, 6)
+            TableRow(7, f"R_5^2({r},1,chi)_1, chi not in B", 32, 12,
+                     _G1.union_disjoint(_G2, _g(3, r), _g(3, 5 * r), _g(5, r), _g(5, 5 * r)),
+                     True, 6)
         )
     # trailing columns of this printed row are lost; values derived from
     # the 12-element spectrum (= dim) and its 6 square orbits
     for r in (1, 3):
         rows.append(
-            _row(7, f"C_3 x R_5^2({r},1,chi)_1, chi not in B", 32, 12,
-                 make_gamma(4).union_disjoint(
+            TableRow(7, f"C_3 x R_5^2({r},1,chi)_1, chi not in B", 32, 12,
+                     make_gamma(4).union_disjoint(
                      _g(3, 3 * r), _g(3, 7 * r), _g(5, r), _g(5, 5 * r)
-                 ),
-                 True, 6)
+                     ),
+                     True, 6)
         )
     return rows
 
@@ -450,25 +439,21 @@ def _sigma_set_2(lam: int, sigma: int, r: int) -> RootSet:
 
 
 def _table8(lam: int) -> list[TableRow]:
-    if lam < 6:
-        raise ValueError("this family starts at lam = 6")
     q = 2**lam
     rows = []
-    g1 = RootSet.of([(1, 0)])
-    g2 = make_gamma(2)
     rows.append(
-        _row(8, f"D_{lam}(chi)", q, 3 * 2 ** (lam - 1), make_phi(q), False, 4 * (lam - 1))
+        TableRow(8, f"D_{lam}(chi)", q, 3 * 2 ** (lam - 1), make_phi(q), False, 4 * (lam - 1))
     )
     rows.append(
-        _row(8, f"N_{lam}(chi)", q, 2 ** (lam - 1), make_gamma(q), True, 4)
+        TableRow(8, f"N_{lam}(chi)", q, 2 ** (lam - 1), make_gamma(q), True, 4)
     )
     rows.append(
-        _row(8, f"R_{lam}^0(1,3,chi)", q, 3 * 2 ** (lam - 2),
-             make_gamma(q).union_disjoint(make_gamma(2 ** (lam - 2))), False, 8)
+        TableRow(8, f"R_{lam}^0(1,3,chi)", q, 3 * 2 ** (lam - 2),
+                 make_gamma(q).union_disjoint(make_gamma(2 ** (lam - 2))), False, 8)
     )
     rows.append(
-        _row(8, f"R_{lam}^0(1,7,chi)", q, 3 * 2 ** (lam - 2),
-             make_gamma(q).union_disjoint(make_phi(2 ** (lam - 3))), False, 4 * (lam - 3))
+        TableRow(8, f"R_{lam}^0(1,7,chi)", q, 3 * 2 ** (lam - 2),
+                 make_gamma(q).union_disjoint(make_phi(2 ** (lam - 3))), False, 4 * (lam - 3))
     )
     dim8 = 3 * 2 ** (lam - 3)
     for r in (1, 3):
@@ -479,67 +464,67 @@ def _table8(lam: int) -> list[TableRow]:
                 else (_g(lam - 1, 3 * r), _g(lam - 1, 7 * r))
             )
             rows.append(
-                _row(8, f"R_{lam}^0({r},{t},chi)", q, dim8,
-                     _g(lam, r).union_disjoint(_g(lam, 5 * r), *tail), True, 4)
+                TableRow(8, f"R_{lam}^0({r},{t},chi)", q, dim8,
+                         _g(lam, r).union_disjoint(_g(lam, 5 * r), *tail), True, 4)
             )
     for r in (1, 3):
         for t in (3, 7):
             rows.append(
-                _row(8, f"R_{lam}^1({r},{t},chi)", q, dim8,
-                     _g(lam, r).union_disjoint(
+                TableRow(8, f"R_{lam}^1({r},{t},chi)", q, dim8,
+                         _g(lam, r).union_disjoint(
                          _g(lam, 5 * r), _g(lam - 1, r * t), _g(lam - 1, 7 * r * t)
-                     ), True, 4)
+                         ), True, 4)
             )
     for r in (1, 5):
         for t in (1, 5):
             rows.append(
-                _row(8, f"R_{lam}^1({r},{t},chi)", q, dim8,
-                     _g(lam, r).union_disjoint(
+                TableRow(8, f"R_{lam}^1({r},{t},chi)", q, dim8,
+                         _g(lam, r).union_disjoint(
                          _g(lam, 5 * r), _g(lam - 1, r * t), _g(lam - 1, 3 * r * t)
-                     ), True, 4)
+                         ), True, 4)
             )
     for r in (1, 3):
         rows.append(
-            _row(8, f"R_{lam}^2({r},1,chi)", q, dim8,
-                 _g(lam, r).union_disjoint(
+            TableRow(8, f"R_{lam}^2({r},1,chi)", q, dim8,
+                     _g(lam, r).union_disjoint(
                      _g(lam, 5 * r), _g(lam - 2, r), _g(lam - 2, 5 * r),
                      _g(lam - 3, r), _g(lam - 3, 5 * r)
-                 ), False, 6)
+                     ), False, 6)
         )
     if lam >= 7:
         # Gamma_{2^(lam-4)} needs level >= 8 for the printed count of 8
         for r in (1, 3):
             rows.append(
-                _row(8, f"R_{lam}^2({r},3,chi)", q, dim8,
-                     _g(lam, r).union_disjoint(
+                TableRow(8, f"R_{lam}^2({r},3,chi)", q, dim8,
+                         _g(lam, r).union_disjoint(
                          _g(lam, 5 * r), _g(lam - 2, 3 * r), _g(lam - 2, 15 * r),
                          make_gamma(2 ** (lam - 4))
-                     ), False, 8)
+                         ), False, 8)
             )
     for r in (1, 3):
         rows.append(
-            _row(8, f"R_{lam}^2({r},5,chi)", q, dim8,
-                 _g(lam, r).union_disjoint(
+            TableRow(8, f"R_{lam}^2({r},5,chi)", q, dim8,
+                     _g(lam, r).union_disjoint(
                      _g(lam, 5 * r), _g(lam - 2, 5 * r), _g(lam - 2, 25 * r),
                      _g(lam - 3, 3 * r), _g(lam - 3, 7 * r)
-                 ), False, 6)
+                     ), False, 6)
         )
     for r in (1, 3):
         # printed count 4(lam-6) drops the four Gamma orbits; the
         # spectrum itself forces 4 + |orbits of Phi_{2^(lam-5)}|
         rows.append(
-            _row(8, f"R_{lam}^2({r},7,chi)", q, dim8,
-                 _g(lam, r).union_disjoint(
+            TableRow(8, f"R_{lam}^2({r},7,chi)", q, dim8,
+                     _g(lam, r).union_disjoint(
                      _g(lam, 5 * r), _g(lam - 2, 7 * r), _g(lam - 2, 35 * r),
                      make_phi(2 ** (lam - 5))
-                 ), False, 6 if lam == 6 else 4 * (lam - 5))
+                     ), False, 6 if lam == 6 else 4 * (lam - 5))
         )
     dim_s = 3 * 2 ** (lam - 4)
     for sigma in range(3, lam - 2):
         for r in (1, 3, 5, 7):
             rows.append(
-                _row(8, f"R_{lam}^{sigma}({r},t,chi)", q, dim_s,
-                     _sigma_set_2(lam, sigma, r), None, gal_min=sigma + 1)
+                TableRow(8, f"R_{lam}^{sigma}({r},t,chi)", q, dim_s,
+                         _sigma_set_2(lam, sigma, r), None, gal_min=sigma + 1)
             )
     if lam >= 7:
         for r in (1, 3, 5, 7):
@@ -548,48 +533,80 @@ def _table8(lam: int) -> list[TableRow]:
                     _g(lam - 2, r), _g(lam - 4, r), make_phi_res(2 ** (lam - 6), r)
                 )
                 rows.append(
-                    _row(8, f"R_{lam}^{lam-2}({r},{t},chi)", q, dim_s, spec,
-                         False, lam - 2)
+                    TableRow(8, f"R_{lam}^{lam-2}({r},{t},chi)", q, dim_s, spec,
+                             False, lam - 2)
                 )
                 rows.append(
-                    _row(8, f"R_{lam}^{lam-3}({r},{t},chi_+-1)_1", q, dim_s, spec,
-                         False, lam - 2)
+                    TableRow(8, f"R_{lam}^{lam-3}({r},{t},chi_+-1)_1", q, dim_s, spec,
+                             False, lam - 2)
                 )
     if lam == 6:
         for r in (1, 3, 5, 7):
             rows.append(
-                _row(8, f"R_6^4({r},1,chi_1)_1", q, 12,
-                     g1.union_disjoint(_g(2, r), _g(4, 5 * r), _g(6, r)), True, 4)
+                TableRow(8, f"R_6^4({r},1,chi_1)_1", q, 12,
+                         _G1.union_disjoint(_g(2, r), _g(4, 5 * r), _g(6, r)), True, 4)
             )
             for t in (1, 3):
                 rows.append(
-                    _row(8, f"C_2 x R_6^4({r},{t},chi_1)_1", q, 12,
-                         g2.union_disjoint(_g(2, 3 * r), _g(4, 5 * r), _g(6, r)),
-                         True, 4)
+                    TableRow(8, f"C_2 x R_6^4({r},{t},chi_1)_1", q, 12,
+                             _G2.union_disjoint(_g(2, 3 * r), _g(4, 5 * r), _g(6, r)),
+                             True, 4)
                 )
     return rows
 
 
+# -- the table registry ------------------------------------------------------
+
+# (table, level is a power of 2, its lams, builder(p, lam)).  These are
+# the verified levels: every row at 2^lam with lam <= 7 and at p^lam
+# with p odd and lam <= 3 passes verify_rows.  The row formulas carried
+# past them fail (20 of 52 rows at 2^8, 6 of 16 at p^4), so those
+# levels are refused rather than checked.
+_TABLES = (
+    (1, False, (1,), lambda p, lam: _table1(p)),
+    (2, False, (2, 3), _table2),
+    (3, True, (1,), lambda p, lam: _table3()),
+    (4, True, (2,), lambda p, lam: _table4()),
+    (5, True, (3,), lambda p, lam: _table5()),
+    (6, True, (4,), lambda p, lam: _table6()),
+    (7, True, (5,), lambda p, lam: _table7()),
+    (8, True, (6, 7), lambda p, lam: _table8(lam)),
+)
+_BY_TABLE = {entry[0]: entry for entry in _TABLES}
+_BY_LEVEL = {(two, lam): build for _, two, lams, build in _TABLES for lam in lams}
+
+
+def _rows_at(levels) -> list[TableRow]:
+    """The rows at each prime-power level (p, lam), in the given order.
+    Every level is looked up before any row is built."""
+    builds = []
+    for p, lam in levels:
+        build = _BY_LEVEL.get((p == 2, lam))
+        if build is None:
+            raise ValueError(
+                f"level {p**lam} = {p}^{lam} is outside the verified t-spectra "
+                "scope (2^lam with lam <= 7, p^lam with p odd and lam <= 3)"
+            )
+        builds.append((build, p, lam))
+    rows: list[TableRow] = []
+    for build, p, lam in builds:
+        rows += build(p, lam)
+    return rows
+
+
 def table_rows(table: int, **params) -> list[TableRow]:
-    """Instantiated rows of one table.  Tables 1-2 need p (and lam for
-    table 2); table 8 needs lam >= 6."""
-    if table == 1:
-        return _table1(params["p"])
-    if table == 2:
-        return _table2(params["p"], params.get("lam", 2))
-    if table == 3:
-        return _table3()
-    if table == 4:
-        return _table4()
-    if table == 5:
-        return _table5()
-    if table == 6:
-        return _table6()
-    if table == 7:
-        return _table7()
-    if table == 8:
-        return _table8(params["lam"])
-    raise ValueError(f"no table {table}")
+    """Instantiated rows of one table.  Tables 1-2 need an odd prime p;
+    table 2 takes lam in (2, 3), default 2; table 8 takes lam in (6, 7)."""
+    if table not in _BY_TABLE:
+        raise ValueError(f"no table {table}")
+    _, two, lams, _ = _BY_TABLE[table]
+    p = 2 if two else params["p"]
+    lam = params.get("lam", lams[0])
+    if not two and (p == 2 or not is_prime(p)):
+        raise ValueError(f"table {table} needs an odd prime p, got {p}")
+    if lam not in lams:
+        raise ValueError(f"table {table} has no rows at level {p}^{lam}; lam must be in {lams}")
+    return _rows_at([(p, lam)])
 
 
 def instantiate_rows(
@@ -597,74 +614,24 @@ def instantiate_rows(
     odd_lambdas=(2, 3),
     two_lambdas=(1, 2, 3, 4, 5, 6),
 ) -> list[TableRow]:
-    """The default verification scope: tables 1-2 over the given odd
-    primes, tables 3-7 (levels 2..32), table 8 for the given lambdas > 5."""
-    rows: list[TableRow] = []
-    if 1 in two_lambdas:
-        rows += _table3()
-    if 2 in two_lambdas:
-        rows += _table4()
-    if 3 in two_lambdas:
-        rows += _table5()
-    if 4 in two_lambdas:
-        rows += _table6()
-    if 5 in two_lambdas:
-        rows += _table7()
-    for lam in two_lambdas:
-        if lam >= 6:
-            rows += _table8(lam)
-    for p in odd_primes:
-        rows += _table1(p)
-        for lam in odd_lambdas:
-            rows += _table2(p, lam)
-    return rows
+    """The default verification scope: tables 3-8 at 2^lam for the given
+    lambdas, then tables 1-2 over the given odd primes."""
+    levels = [(2, lam) for lam in sorted(set(two_lambdas))]
+    levels += [(p, lam) for p in odd_primes for lam in (1, *odd_lambdas)]
+    return _rows_at(levels)
 
 
 def rows_for_levels(bound: int) -> list[TableRow]:
-    """All encoded rows whose level divides the bound."""
-    two_lams = [a for a in range(1, bound.bit_length()) if bound % (2**a) == 0]
-    odd_ps = []
-    odd_lams = set()
-    m = bound
-    while m % 2 == 0:
-        m //= 2
-    p = 3
-    while p * p <= m:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            odd_ps.append(p)
-            odd_lams.update(range(2, e + 1))
-        p += 2
-    if m > 1:
-        odd_ps.append(m)
-    rows: list[TableRow] = []
-    for lam in two_lams:
-        if lam == 1:
-            rows += _table3()
-        elif lam == 2:
-            rows += _table4()
-        elif lam == 3:
-            rows += _table5()
-        elif lam == 4:
-            rows += _table6()
-        elif lam == 5:
-            rows += _table7()
-        else:
-            rows += _table8(lam)
-    for p in odd_ps:
-        rows += _table1(p)
-        for lam in sorted(odd_lams):
-            if bound % p**lam == 0:
-                rows += _table2(p, lam)
-    return rows
+    """All encoded rows whose level divides the bound.  A bound below 1,
+    or one divisible by a level outside the verified scope, raises."""
+    if bound < 1:
+        raise ValueError(f"level {bound}: N must be >= 1")
+    return _rows_at((p, lam) for p, e in factorize(bound) for lam in range(1, e + 1))
 
 
 @dataclass(frozen=True)
-class TableVerification:
-    checked: int
+class RowResult:
+    row: TableRow
     failures: tuple[str, ...]
 
     @property
@@ -672,37 +639,53 @@ class TableVerification:
         return not self.failures
 
 
+@dataclass(frozen=True)
+class TableVerification:
+    results: tuple[RowResult, ...]
+
+    @property
+    def checked(self) -> int:
+        return len(self.results)
+
+    @property
+    def failures(self) -> tuple[str, ...]:
+        return tuple(
+            f"{r.row.describe()}: {failure}" for r in self.results for failure in r.failures
+        )
+
+    @property
+    def ok(self) -> bool:
+        return all(r.ok for r in self.results)
+
+
+def _row_failures(row: TableRow) -> list[str]:
+    try:
+        got = square_galois_orbit_count(row.spectrum)
+    except ValueError as exc:
+        return [str(exc)]
+    failures = []
+    if row.gal is not None and got != row.gal:
+        failures.append(f"square orbit count {got}, table says {row.gal}")
+    if row.gal_min is not None and got < row.gal_min:
+        failures.append(f"square orbit count {got} below bound {row.gal_min}")
+    if row.mf is True and len(row.spectrum) != row.dim:
+        failures.append(
+            f"multiplicity-free but |spectrum| = {len(row.spectrum)} != dim"
+        )
+    if row.mf is False and len(row.spectrum) >= row.dim:
+        failures.append(
+            f"not multiplicity-free but |spectrum| = {len(row.spectrum)} >= dim"
+        )
+    return failures
+
+
 def verify_rows(rows) -> TableVerification:
     """Recompute each row's square-orbit count and multiplicity
-    cardinality relation against the encoded values."""
-    failures = []
-    count = 0
-    for row in rows:
-        count += 1
-        try:
-            got = square_galois_orbit_count(row.spectrum)
-        except ValueError as exc:
-            failures.append(f"{row.describe()}: {exc}")
-            continue
-        if row.gal is not None and got != row.gal:
-            failures.append(
-                f"{row.describe()}: square orbit count {got}, table says {row.gal}"
-            )
-        if row.gal_min is not None and got < row.gal_min:
-            failures.append(
-                f"{row.describe()}: square orbit count {got} below bound {row.gal_min}"
-            )
-        if row.mf is True and len(row.spectrum) != row.dim:
-            failures.append(
-                f"{row.describe()}: multiplicity-free but |spectrum| = "
-                f"{len(row.spectrum)} != dim"
-            )
-        if row.mf is False and len(row.spectrum) >= row.dim:
-            failures.append(
-                f"{row.describe()}: not multiplicity-free but |spectrum| = "
-                f"{len(row.spectrum)} >= dim"
-            )
-    return TableVerification(count, tuple(failures))
+    cardinality relation against the encoded values; one result per
+    row, with every reason it fails."""
+    return TableVerification(
+        tuple(RowResult(row, tuple(_row_failures(row))) for row in rows)
+    )
 
 
 # -- the 3x3 even-part matrix check ------------------------------------------

@@ -42,6 +42,30 @@ class TestValidate:
         code, _, err = run(capsys, "validate", "no-such-file.mtc")
         assert code == 2 and "no such file" in err
 
+    @pytest.mark.parametrize(
+        "path,value",
+        [
+            (("conductor",), 0),
+            (("s", 0, 0), [1, 1, 0]),
+            (("s", 0, 0), [[1, 1, 0, 5]]),
+            (("s", 0, 0), [[1, 0, 0]]),
+            (("labels",), ["1"]),
+        ],
+        ids=["conductor-0", "flat-term", "four-element-term", "zero-denominator", "label-count"],
+    )
+    def test_malformed_file_names_the_file(self, tmp_path, capsys, path, value):
+        doc = json.loads((FIXTURE_DIR / "fibonacci.mtc").read_text())
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        bad = tmp_path / "bad.mtc"
+        bad.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "validate", str(bad))
+        assert code == 2
+        assert str(bad) in err
+        assert "Traceback" not in err
+
 
 class TestReport:
     def test_sl2_12(self, capsys):
@@ -110,6 +134,12 @@ class TestTables:
     def test_check_9(self, capsys):
         code, out, _ = run(capsys, "tables", "--check", "9")
         assert code == 0
+
+    @pytest.mark.parametrize("level", ["0", "-8", "256", "81"])
+    def test_refuses_unverified_levels(self, capsys, level):
+        code, out, err = run(capsys, "tables", "--check", level)
+        assert code == 2
+        assert not out and level in err
 
 
 class TestProductAndFixture:

@@ -11,7 +11,6 @@ from modgal.families import (
     fixture,
     fixture_names,
     ising,
-    paper_fixture,
     sl2_level_adjoint,
     transitive_square_orbit_count,
 )
@@ -118,28 +117,28 @@ class TestSl2Adjoint:
 
 class TestPaperFixtures:
     def test_orbits(self):
-        assert orbit_partition(paper_fixture("so5_3half_ad")).orbits == (
+        assert orbit_partition(fixture("so5_3half_ad")).orbits == (
             (0, 1, 2),
             (3, 4, 5),
         )
-        assert orbit_partition(paper_fixture("sl2_12_A0")).orbits == ((0, 1, 2), (3, 4))
+        assert orbit_partition(fixture("sl2_12_A0")).orbits == ((0, 1, 2), (3, 4))
 
     def test_sl2_12_not_self_dual(self):
-        data = paper_fixture("sl2_12_A0")
+        data = fixture("sl2_12_A0")
         assert data.fusion.dual == (0, 1, 2, 4, 3)
         # the lower-right entries are a complex pair
         c = data.s[3][3]
         assert c.conjugate() != c
 
     def test_fib_conj_not_pseudounitary(self):
-        data = paper_fixture("fib_x_fib_conj")
+        data = fixture("fib_x_fib_conj")
         fp = data.fp_dims()
         assert fp != data.dims
         assert any(d == -1 for d in data.dims)
 
     def test_unknown_name(self):
         with pytest.raises(KeyError):
-            paper_fixture("nope")
+            fixture("nope")
 
 
 class TestCatalogContract:

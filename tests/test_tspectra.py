@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from modgal.tspectra import (
     RootSet,
+    TableRow,
     instantiate_rows,
     make_gamma,
     make_gamma_res,
@@ -155,6 +156,24 @@ class TestTables:
     def test_table8_needs_lam6(self):
         with pytest.raises(ValueError):
             table_rows(8, lam=5)
+
+    @pytest.mark.parametrize("table,params", [(2, {"p": 3, "lam": 4}), (8, {"lam": 8})])
+    def test_refuses_unverified_levels(self, table, params):
+        with pytest.raises(ValueError):
+            table_rows(table, **params)
+
+    def test_every_failure_reported_on_its_row(self):
+        # Phi_5 has 5 elements in 3 square orbits: gal and mf are both wrong
+        bad = TableRow(0, "hand-built", 5, 3, make_phi(5), True, gal=2)
+        good = table_rows(3)[0]
+        report = verify_rows([good, bad])
+        assert report.checked == 2 and not report.ok
+        assert report.results[0].ok and report.results[1].row is bad
+        assert report.results[1].failures == (
+            "square orbit count 3, table says 2",
+            "multiplicity-free but |spectrum| = 5 != dim",
+        )
+        assert len(report.failures) == 2
 
     def test_level_filter(self):
         rows = rows_for_levels(16)
