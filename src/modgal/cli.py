@@ -14,8 +14,7 @@ include a missing or malformed ``.mtc`` file (the message names the
 file) and a ``tables --check N`` with N < 1 or with N divisible by a
 level outside the verified t-spectra scope (2^lam with lam >= 8, p^lam
 with p odd and lam >= 4).  Data that loads but breaks the modular-data
-contract is a check failure.  The environment variable MODGAL_PRECISION
-sets the starting bit precision of the certified numeric sign oracle.
+contract is a check failure.
 """
 
 from __future__ import annotations
@@ -130,8 +129,7 @@ def _cmd_pointed(args) -> int:
 def _cmd_tables(args) -> int:
     rows = rows_for_levels(args.check)
     if not rows:
-        print(f"no encoded rows at levels dividing {args.check}")
-        return USAGE
+        raise _InputError(f"no encoded rows at levels dividing {args.check}")
     verification = verify_rows(rows)
     for result in verification.results:
         status = "pass" if result.ok else "FAIL: " + "; ".join(result.failures)

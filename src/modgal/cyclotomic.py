@@ -1,10 +1,15 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
 An element is stored on the power basis {zeta_N^i : 0 <= i < phi(N)}
-after reduction modulo the N-th cyclotomic polynomial Phi_N, with
-arbitrary-precision rational coefficients.  The representation is
-canonical: two elements with the same conductor are equal exactly when
-their coefficient vectors are equal.
+after reduction modulo the N-th cyclotomic polynomial Phi_N, as a tuple
+of Python int numerators ``num`` over one int denominator ``den``.  The
+form is canonical: ``den >= 1`` and gcd(den, *num) == 1, so two elements
+with the same conductor are equal exactly when their (num, den) are
+equal, and hashing hashes that tuple.  Multiplication convolves the
+numerators and folds the powers x^e, e >= phi(N), back with the integer
+rows of x^e mod Phi_N; addition works over the common denominator.
+Each result divides out one gcd.  ``CycNum.coeffs`` gives the same
+element as a tuple of reduced Fractions.
 
 Conductors never mix implicitly.  An element of Q(zeta_N) is moved into
 a larger field Q(zeta_M), N | M, with :meth:`CycNum.embed`; binary
@@ -14,9 +19,11 @@ The automorphism sigma_k : zeta_N -> zeta_N^k (gcd(k, N) = 1) is applied
 with :meth:`CycNum.galois_apply`; complex conjugation is sigma_{-1}.
 
 Sign decisions for real elements are certified, never epsilon-based: an
-exact symbolic zero test runs first, then the element is evaluated at
-zeta_N = exp(2*pi*i/N) in interval arithmetic, doubling the working
-precision until the enclosure excludes zero.
+exact symbolic zero test runs first.  A real a = num/den then has the
+sign of sum_j num_j cos(2*pi*j/N), which is summed from integers times
+rigorous interval enclosures of the cosines (computed once per
+conductor and precision), doubling the working precision until the
+enclosing interval excludes zero.  See :func:`sign_of_real`.
 
 Phi_N is computed by iterated exact division of x^N - 1 by Phi_d over
 the proper divisors d and memoized per process (thread-safe: the memo
@@ -31,7 +38,7 @@ from __future__ import annotations
 
 import functools
 import math
-import os
+import operator
 from fractions import Fraction
 
 import mpmath
@@ -93,9 +100,15 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 
 class _Field:
-    """Reduction tables for one conductor, built once and shared."""
+    """Reduction tables for one conductor, built once and shared.
 
-    __slots__ = ("n", "phi", "poly", "rows", "_monomials")
+    ``rows[e]`` holds the integer coefficients of x^e mod Phi_n for
+    0 <= e < max(n, 2*phi - 1), and ``terms[e]`` the nonzero entries of
+    ``rows[e]`` as (index, coefficient) pairs, which the kernels loop
+    over.  ``cosines(prec)`` are the enclosures the sign oracle sums.
+    """
+
+    __slots__ = ("n", "phi", "poly", "rows", "terms", "_monomials", "_cosines")
 
     def __init__(self, n: int):
         self.n = n
@@ -119,12 +132,32 @@ class _Field:
             rows.append(tuple(nxt))
             cur = nxt
         self.rows = tuple(rows)
+        self.terms = tuple(
+            tuple((i, r) for i, r in enumerate(row) if r) for row in self.rows
+        )
         self._monomials: dict[tuple[int, ...], int] | None = None
+        self._cosines: dict[int, tuple] = {}
 
     def monomials(self) -> dict[tuple[int, ...], int]:
         if self._monomials is None:
             self._monomials = {self.rows[k]: k for k in range(self.n - 1, -1, -1)}
         return self._monomials
+
+    def cosines(self, prec: int) -> tuple:
+        """Interval enclosures of cos(2*pi*j/n) for 0 <= j < phi, computed
+        at ``prec`` bits once and kept for later calls."""
+        found = self._cosines.get(prec)
+        if found is None:
+            iv = mpmath.iv
+            saved = iv.prec
+            try:
+                iv.prec = prec
+                two_pi = 2 * iv.pi
+                found = tuple(iv.cos(two_pi * j / self.n) for j in range(self.phi))
+            finally:
+                iv.prec = saved
+            self._cosines[prec] = found
+        return found
 
 
 @functools.lru_cache(maxsize=None)
@@ -132,26 +165,39 @@ def _field(n: int) -> _Field:
     return _Field(n)
 
 
+_setattr = object.__setattr__
+
+
+def _as_rational(value) -> Fraction | int:
+    return value if isinstance(value, (int, Fraction)) else Fraction(value)
+
+
 class CycNum:
     """An element of Q(zeta_N) in canonical reduced form.
 
-    Immutable; all operations return new values.  Scalars (int,
-    Fraction) coerce into the same conductor, other CycNum operands must
-    carry an equal conductor.
+    Stored as integer numerators ``num`` on the power basis over one
+    denominator ``den >= 1`` with gcd(den, *num) == 1, so equal elements
+    have equal (conductor, num, den).  Immutable; all operations return
+    new values.  Scalars (int, Fraction) coerce into the same conductor,
+    other CycNum operands must carry an equal conductor.
     """
 
-    __slots__ = ("conductor", "coeffs", "_hash")
+    __slots__ = ("conductor", "num", "den", "_hash")
 
     def __init__(self, conductor: int, coeffs) -> None:
         field = _field(conductor)
-        vec = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coeffs)
+        vec = [_as_rational(c) for c in coeffs]
         if len(vec) != field.phi:
             raise ValueError(
                 f"need {field.phi} coefficients for conductor {conductor}, got {len(vec)}"
             )
-        object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "coeffs", vec)
-        object.__setattr__(self, "_hash", None)
+        # with den the lcm of reduced denominators, gcd(den, *num) == 1
+        den = math.lcm(*(c.denominator for c in vec))
+        num = tuple(c.numerator * (den // c.denominator) for c in vec)
+        _setattr(self, "conductor", conductor)
+        _setattr(self, "num", num)
+        _setattr(self, "den", den)
+        _setattr(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("CycNum is immutable")
@@ -168,44 +214,48 @@ class CycNum:
 
     @classmethod
     def rational(cls, value, conductor: int) -> "CycNum":
-        field = _field(conductor)
-        vec = [_ZERO] * field.phi
-        vec[0] = Fraction(value)
-        return cls(conductor, vec)
+        v = _as_rational(value)
+        rest = (0,) * (_field(conductor).phi - 1)
+        return _raw(conductor, (v.numerator,) + rest, v.denominator)
 
     @classmethod
     def from_terms(cls, conductor: int, terms) -> "CycNum":
         """Sum of (coefficient, exponent) terms c * zeta_N^e, e arbitrary."""
         field = _field(conductor)
-        acc = [_ZERO] * field.phi
-        for coeff, exp in terms:
-            c = Fraction(coeff)
-            if not c:
-                continue
-            row = field.rows[exp % conductor]
-            for i, ri in enumerate(row):
-                if ri:
-                    acc[i] += c * ri
-        return cls(conductor, acc)
+        pairs = [(_as_rational(c), exp) for c, exp in terms]
+        den = math.lcm(*(c.denominator for c, _ in pairs))
+        acc = [0] * field.phi
+        for c, exp in pairs:
+            if c:
+                m = c.numerator * (den // c.denominator)
+                for i, r in field.terms[exp % conductor]:
+                    acc[i] += m * r
+        return _canonical(conductor, acc, den)
 
     # -- predicates ---------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients on the power basis as reduced Fractions."""
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.num)
+
+    @property
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     @property
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     @property
     def is_rational_integer(self) -> bool:
-        return self.is_rational and self.coeffs[0].denominator == 1
+        return self.den == 1 and self.is_rational
 
     def as_rational(self) -> Fraction:
         if not self.is_rational:
             raise ValueError("element is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -224,7 +274,7 @@ class CycNum:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return CycNum(self.conductor, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return _combine(self, other, operator.add)
 
     __radd__ = __add__
 
@@ -232,7 +282,7 @@ class CycNum:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return CycNum(self.conductor, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return _combine(self, other, operator.sub)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -241,7 +291,7 @@ class CycNum:
         return other - self
 
     def __neg__(self):
-        return CycNum(self.conductor, [-a for a in self.coeffs])
+        return _raw(self.conductor, tuple(map(operator.neg, self.num)), self.den)
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -249,22 +299,21 @@ class CycNum:
             return NotImplemented
         field = _field(self.conductor)
         phi = field.phi
-        fa, fb = self.coeffs, other.coeffs
-        conv = [_ZERO] * (2 * phi - 1) if phi > 0 else []
-        for i, a in enumerate(fa):
+        conv = [0] * (2 * phi - 1)
+        fb = other.num
+        for i, a in enumerate(self.num):
             if a:
-                for j, b in enumerate(fb):
+                for k, b in enumerate(fb, i):
                     if b:
-                        conv[i + j] += a * b
+                        conv[k] += a * b
         out = conv[:phi]
+        terms = field.terms
         for e in range(phi, 2 * phi - 1):
             c = conv[e]
             if c:
-                row = field.rows[e]
-                for i, ri in enumerate(row):
-                    if ri:
-                        out[i] += c * ri
-        return CycNum(self.conductor, out)
+                for i, r in terms[e]:
+                    out[i] += c * r
+        return _canonical(self.conductor, out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -302,7 +351,7 @@ class CycNum:
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero")
         if self.is_rational:
-            return CycNum.rational(1 / self.coeffs[0], self.conductor)
+            return CycNum.rational(Fraction(self.den, self.num[0]), self.conductor)
         field = _field(self.conductor)
         # r0 = Phi_N, r1 = self; track s only for r1's Bezout coefficient
         r0 = [Fraction(c) for c in field.poly]
@@ -333,18 +382,20 @@ class CycNum:
             return self
         field = _field(n)
         phi = field.phi
-        acc = [_ZERO] * phi
-        for i, c in enumerate(self.coeffs):
+        terms = field.terms
+        acc = [0] * phi
+        for i, c in enumerate(self.num):
             if c:
                 e = (i * k) % n
                 if e < phi:
                     acc[e] += c
                 else:
-                    row = field.rows[e]
-                    for j, rj in enumerate(row):
-                        if rj:
-                            acc[j] += c * rj
-        return CycNum(n, acc)
+                    for j, r in terms[e]:
+                        acc[j] += c * r
+        # sigma_k maps Z[zeta_N] onto itself, so a prime dividing every
+        # numerator of the image divides every numerator of self: the
+        # image over the same den is canonical without a gcd pass
+        return _raw(n, tuple(acc), self.den)
 
     def conjugate(self) -> "CycNum":
         return self.galois_apply(self.conductor - 1 if self.conductor > 1 else 0)
@@ -357,24 +408,35 @@ class CycNum:
         if conductor == n:
             return self
         step = conductor // n
-        return CycNum.from_terms(
-            conductor, ((c, i * step) for i, c in enumerate(self.coeffs) if c)
-        )
+        field = _field(conductor)
+        acc = [0] * field.phi
+        for i, c in enumerate(self.num):
+            if c:
+                for j, r in field.terms[i * step]:
+                    acc[j] += c * r
+        return _canonical(conductor, acc, self.den)
 
     # -- object protocol -----------------------------------------------
 
     def __eq__(self, other):
         if isinstance(other, CycNum):
-            return self.conductor == other.conductor and self.coeffs == other.coeffs
+            return (
+                self.conductor == other.conductor
+                and self.den == other.den
+                and self.num == other.num
+            )
         if isinstance(other, (int, Fraction)):
-            return self.is_rational and self.coeffs[0] == other
+            return (
+                self.is_rational
+                and self.num[0] * other.denominator == other.numerator * self.den
+            )
         return NotImplemented
 
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash((self.conductor, self.coeffs))
-            object.__setattr__(self, "_hash", h)
+            h = hash((self.conductor, self.num, self.den))
+            _setattr(self, "_hash", h)
         return h
 
     def __bool__(self):
@@ -396,6 +458,35 @@ class CycNum:
         return f"CycNum({''.join(parts)}, N={self.conductor})"
 
 
+def _raw(conductor: int, num: tuple[int, ...], den: int) -> CycNum:
+    """The element num/den; den > 0 and gcd(den, *num) == 1 already."""
+    a = object.__new__(CycNum)
+    _setattr(a, "conductor", conductor)
+    _setattr(a, "num", num)
+    _setattr(a, "den", den)
+    _setattr(a, "_hash", None)
+    return a
+
+
+def _canonical(conductor: int, num: list[int], den: int) -> CycNum:
+    """The element num/den for den > 0, with gcd(den, *num) divided out."""
+    g = math.gcd(den, *num)
+    if g != 1:
+        num = [c // g for c in num]
+        den //= g
+    return _raw(conductor, tuple(num), den)
+
+
+def _combine(a: CycNum, b: CycNum, op) -> CycNum:
+    """a + b or a - b over the common denominator lcm(a.den, b.den)."""
+    da, db = a.den, b.den
+    if da == db:
+        return _canonical(a.conductor, list(map(op, a.num, b.num)), da)
+    den = da // math.gcd(da, db) * db
+    fa, fb = den // da, den // db
+    return _canonical(a.conductor, [op(x * fa, y * fb) for x, y in zip(a.num, b.num)], den)
+
+
 def root_of_unity(conductor: int, k: int) -> CycNum:
     """zeta_N^k in canonical form."""
     if conductor < 1:
@@ -406,50 +497,55 @@ def root_of_unity(conductor: int, k: int) -> CycNum:
 def root_of_unity_order(a: CycNum) -> int | None:
     """If a = zeta_N^k for some k, the multiplicative order N/gcd(N, k);
     otherwise None."""
-    if any(c.denominator != 1 for c in a.coeffs):
+    if a.den != 1:
         return None
-    field = _field(a.conductor)
-    k = field.monomials().get(a.coeffs)
+    k = _field(a.conductor).monomials().get(a.num)
     if k is None:
         return None
     return a.conductor // math.gcd(a.conductor, k)
 
 
-_PREC_ENV = "MODGAL_PRECISION"
+_PREC_START = 64
 _PREC_CAP = 1 << 16
 
 
 def sign_of_real(a: CycNum) -> int:
     """Certified sign of a real element: -1, 0 or +1.
 
-    Exact zero is decided symbolically (canonical form), so the numeric
-    stage only ever certifies a nonzero sign and must terminate.
+    Exact zero is decided symbolically first (canonical form), so the
+    numeric stage only ever certifies a nonzero sign and terminates.
+    For a = (sum_j num_j zeta_N^j) / den with den > 0 and a real,
+    a = Re(a) = (sum_j num_j cos(2*pi*j/N)) / den, so a has the sign of
+    S = sum_j num_j cos(2*pi*j/N).  ``_Field.cosines`` gives rigorous
+    interval enclosures of the cosines and interval arithmetic rounds
+    outward, so the computed interval contains S; once it excludes 0
+    its side is the sign.  Otherwise the precision doubles, up to
+    2^16 bits.
     """
     if a.is_zero:
         return 0
     if a.conjugate() != a:
         raise ValueError("element is not real")
     if a.is_rational:
-        return 1 if a.coeffs[0] > 0 else -1
-    n = a.conductor
-    prec = int(os.environ.get(_PREC_ENV, "64"))
+        return 1 if a.num[0] > 0 else -1
+    field = _field(a.conductor)
     iv = mpmath.iv
+    prec = _PREC_START
     while prec <= _PREC_CAP:
+        cosines = field.cosines(prec)
         saved = iv.prec
         try:
             iv.prec = prec
-            two_pi = 2 * iv.pi
             total = iv.mpf(0)
-            for j, c in enumerate(a.coeffs):
+            for c, cos in zip(a.num, cosines):
                 if c:
-                    q = iv.mpf(c.numerator) / iv.mpf(c.denominator)
-                    total += q * iv.cos(two_pi * j / n)
-            if total > 0:
-                return 1
-            if total < 0:
-                return -1
+                    total += c * cos
         finally:
             iv.prec = saved
+        if total > 0:
+            return 1
+        if total < 0:
+            return -1
         prec *= 2
     raise ArithmeticError(f"sign not certified below {_PREC_CAP} bits: {a!r}")
 

@@ -400,13 +400,19 @@ def loads_modular_data(text: str) -> ModularData:
     except json.JSONDecodeError as exc:
         raise InvalidModularData(f"not parseable as modular data: {exc}") from exc
     try:
-        n = int(doc["conductor"])
-        rank = int(doc["rank"])
+        n = doc["conductor"]
+        rank = doc["rank"]
         labels = tuple(str(x) for x in doc["labels"])
-        t = tuple(int(x) for x in doc["t"])
+        t = doc["t"]
         rows = doc["s"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidModularData(f"missing or malformed field: {exc}") from exc
+    for name, value in (("conductor", n), ("rank", rank)):
+        if type(value) is not int:
+            raise InvalidModularData(f"{name} must be an integer, got {value!r}")
+    if not isinstance(t, list) or not all(type(x) is int for x in t):
+        raise InvalidModularData(f"t must be a list of integers, got {t!r}")
+    t = tuple(t)
     if n < 1:
         raise InvalidModularData(f"conductor must be >= 1, got {n}")
     if not isinstance(rows, list) or len(rows) != rank or any(

@@ -50,8 +50,15 @@ class TestValidate:
             (("s", 0, 0), [[1, 1, 0, 5]]),
             (("s", 0, 0), [[1, 0, 0]]),
             (("labels",), ["1"]),
+            (("conductor",), 5.9),
+            (("t",), [0, 2.7]),
+            (("conductor",), True),
+            (("rank",), "2"),
         ],
-        ids=["conductor-0", "flat-term", "four-element-term", "zero-denominator", "label-count"],
+        ids=[
+            "conductor-0", "flat-term", "four-element-term", "zero-denominator", "label-count",
+            "float-conductor", "float-t", "bool-conductor", "string-rank",
+        ],
     )
     def test_malformed_file_names_the_file(self, tmp_path, capsys, path, value):
         doc = json.loads((FIXTURE_DIR / "fibonacci.mtc").read_text())
@@ -97,6 +104,12 @@ class TestReport:
         _, second, _ = run(capsys, "report", str(FIXTURE_DIR / "ising.mtc"))
         assert first == second
 
+    def test_precision_variable_ignored(self, capsys, monkeypatch):
+        # the sign oracle starts at 64 bits whatever the environment holds
+        monkeypatch.setenv("MODGAL_PRECISION", "0")
+        code, out, _ = run(capsys, "report", "--json", str(FIXTURE_DIR / "fibonacci.mtc"))
+        assert code == 0 and json.loads(out)["ok"] is True
+
 
 class TestPointed:
     def test_count_only(self, capsys):
@@ -135,7 +148,7 @@ class TestTables:
         code, out, _ = run(capsys, "tables", "--check", "9")
         assert code == 0
 
-    @pytest.mark.parametrize("level", ["0", "-8", "256", "81"])
+    @pytest.mark.parametrize("level", ["0", "-8", "256", "81", "1"])
     def test_refuses_unverified_levels(self, capsys, level):
         code, out, err = run(capsys, "tables", "--check", level)
         assert code == 2

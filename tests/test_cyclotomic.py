@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from modgal.cyclotomic import (
     ConductorMismatch,
     CycNum,
+    _field,
     cyclotomic_polynomial,
     divisors,
     euler_phi,
+    numeric_value,
     reduce_conductor,
     root_of_unity,
     root_of_unity_order,
@@ -276,3 +278,93 @@ def test_canonical_form_idempotent(data):
         a.conductor, ((c, i) for i, c in enumerate(a.coeffs))
     )
     assert rebuilt == a
+
+
+# -- differential tests against a schoolbook Fraction reference ---------------
+
+_DIFF_CONDUCTORS = [1, 2, 3, 12, 35, 112]
+
+
+def _reference_mul(n, fa, fb):
+    """Product of coefficient vectors: each zeta^(i+j) is reduced through
+    the rows of x^e mod Phi_n, all in Fraction arithmetic."""
+    rows = _field(n).rows
+    out = [Fraction(0)] * len(fa)
+    for i, a in enumerate(fa):
+        for j, b in enumerate(fb):
+            for k, r in enumerate(rows[i + j]):
+                if r:
+                    out[k] += a * b * r
+    return tuple(out)
+
+
+def _reference_galois(n, fa, k):
+    rows = _field(n).rows
+    out = [Fraction(0)] * len(fa)
+    for i, a in enumerate(fa):
+        for j, r in enumerate(rows[i * k % n]):
+            if r:
+                out[j] += a * r
+    return tuple(out)
+
+
+def _assert_canonical(a):
+    assert a.den >= 1
+    assert math.gcd(a.den, *a.num) == 1
+    assert all(type(c) is int for c in a.num)
+
+
+_coefficient = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-10**6, max_value=10**6, max_denominator=720),
+)
+
+
+@st.composite
+def sparse_cyc_numbers(draw, conductor):
+    phi = euler_phi(conductor)
+    return CycNum(conductor, draw(st.lists(_coefficient, min_size=phi, max_size=phi)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_kernel_matches_fraction_reference(data):
+    n = data.draw(st.sampled_from(_DIFF_CONDUCTORS))
+    a = data.draw(sparse_cyc_numbers(n))
+    b = data.draw(sparse_cyc_numbers(n))
+    k = data.draw(st.sampled_from(units_mod(n)))
+    product = a * b
+    assert product.coeffs == _reference_mul(n, a.coeffs, b.coeffs)
+    image = a.galois_apply(k)
+    assert image.coeffs == _reference_galois(n, a.coeffs, k)
+    assert (a + b).coeffs == tuple(x + y for x, y in zip(a.coeffs, b.coeffs))
+    assert (a - b).coeffs == tuple(x - y for x, y in zip(a.coeffs, b.coeffs))
+    for value in (a, b, product, image, a + b, a - b, -a, a.embed(2 * n)):
+        _assert_canonical(value)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_equal_values_hash_equal(data):
+    n = data.draw(st.sampled_from(_DIFF_CONDUCTORS))
+    a, b, c = (data.draw(sparse_cyc_numbers(n)) for _ in range(3))
+    left, right = (a * b) * c, a * (b * c)
+    assert left == right and hash(left) == hash(right)
+    back = a + b - b
+    assert back == a and hash(back) == hash(a)
+    _assert_canonical(back)
+    rebuilt = CycNum.from_terms(n, ((x, i) for i, x in enumerate(a.coeffs)))
+    assert rebuilt == a and hash(rebuilt) == hash(a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_sign_matches_numeric_value(data):
+    n = data.draw(st.sampled_from(_DIFF_CONDUCTORS))
+    x = data.draw(sparse_cyc_numbers(n))
+    real = x + x.conjugate()
+    value = numeric_value(real).real
+    if abs(value) > 1e-6:
+        assert sign_of_real(real) == (1 if value > 0 else -1)
+    if real.is_zero:
+        assert sign_of_real(real) == 0
