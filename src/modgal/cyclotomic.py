@@ -11,6 +11,13 @@ rows of x^e mod Phi_N; addition works over the common denominator.
 Each result divides out one gcd.  ``CycNum.coeffs`` gives the same
 element as a tuple of reduced Fractions.
 
+A sum of products sum_i x_i * y_i is :func:`dot`: it convolves every
+pair into one integer buffer over the common denominator and folds and
+divides out the gcd once, with the same loop as a single product.  The
+inverse is a product of Galois conjugates divided by the rational norm,
+a^-1 = prod_{k != 1} sigma_k(a) / N(a) (see :meth:`CycNum.inverse`), so
+every exact identity in the package runs on this one integer engine.
+
 Conductors never mix implicitly.  An element of Q(zeta_N) is moved into
 a larger field Q(zeta_M), N | M, with :meth:`CycNum.embed`; binary
 operations on mismatched conductors raise ``ConductorMismatch``.
@@ -50,6 +57,7 @@ __all__ = [
     "CycNum",
     "cyclotomic_polynomial",
     "divisors",
+    "dot",
     "euler_phi",
     "reduce_conductor",
     "root_of_unity",
@@ -60,7 +68,6 @@ __all__ = [
 ]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class ConductorMismatch(ValueError):
@@ -297,23 +304,7 @@ class CycNum:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        field = _field(self.conductor)
-        phi = field.phi
-        conv = [0] * (2 * phi - 1)
-        fb = other.num
-        for i, a in enumerate(self.num):
-            if a:
-                for k, b in enumerate(fb, i):
-                    if b:
-                        conv[k] += a * b
-        out = conv[:phi]
-        terms = field.terms
-        for e in range(phi, 2 * phi - 1):
-            c = conv[e]
-            if c:
-                for i, r in terms[e]:
-                    out[i] += c * r
-        return _canonical(self.conductor, out, self.den * other.den)
+        return _sum_of_products(self.conductor, ((self.num, other.num, 1),), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -345,31 +336,25 @@ class CycNum:
         return result
 
     def inverse(self) -> "CycNum":
-        """Multiplicative inverse via the extended Euclidean algorithm
-        against Phi_N (which is irreducible, so any nonzero element is a
-        unit of Q[x]/Phi_N)."""
+        """Multiplicative inverse through the Galois norm.
+
+        Let c = prod_{k != 1} sigma_k(a) over the units k mod N, and
+        N(a) = a * c = prod_k sigma_k(a).  Each sigma_j permutes the
+        factors of N(a) (k -> jk is a bijection of the units), so N(a)
+        is fixed by the whole Galois group and lies in Q.  It is nonzero:
+        a != 0, each sigma_k is injective, and a field has no zero
+        divisors.  Hence a^-1 = c / N(a).
+        """
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero")
         if self.is_rational:
             return CycNum.rational(Fraction(self.den, self.num[0]), self.conductor)
-        field = _field(self.conductor)
-        # r0 = Phi_N, r1 = self; track s only for r1's Bezout coefficient
-        r0 = [Fraction(c) for c in field.poly]
-        r1 = list(self.coeffs)
-        s0 = [_ZERO]
-        s1 = [_ONE]
-        while True:
-            while r1 and not r1[-1]:
-                r1.pop()
-            if len(r1) == 1:
-                inv = 1 / r1[0]
-                vec = [c * inv for c in s1]
-                vec += [_ZERO] * (field.phi - len(vec))
-                return CycNum(self.conductor, vec[: field.phi])
-            q, rem = _frac_poly_divmod(r0, r1)
-            new_s = _frac_poly_sub(s0, _frac_poly_mul(q, s1))
-            r0, r1 = r1, rem
-            s0, s1 = s1, new_s
+        conjugates = functools.reduce(
+            operator.mul,
+            (self.galois_apply(k) for k in units_mod(self.conductor) if k != 1),
+        )
+        norm = (self * conjugates).as_rational()
+        return conjugates * (1 / norm)
 
     # -- Galois structure ----------------------------------------------
 
@@ -485,6 +470,53 @@ def _combine(a: CycNum, b: CycNum, op) -> CycNum:
     den = da // math.gcd(da, db) * db
     fa, fb = den // da, den // db
     return _canonical(a.conductor, [op(x * fa, y * fb) for x, y in zip(a.num, b.num)], den)
+
+
+def _sum_of_products(conductor: int, pairs, den: int) -> CycNum:
+    """(sum of m * x * y over the (x, y, m) in pairs) / den, where x and
+    y are numerator tuples and m an int scale: every pair convolves into
+    one buffer, which folds through ``_Field.terms`` once."""
+    field = _field(conductor)
+    phi = field.phi
+    conv = [0] * (2 * phi - 1)
+    for xs, ys, m in pairs:
+        for i, a in enumerate(xs):
+            if a:
+                a *= m
+                for k, b in enumerate(ys, i):
+                    if b:
+                        conv[k] += a * b
+    out = conv[:phi]
+    terms = field.terms
+    for e in range(phi, 2 * phi - 1):
+        c = conv[e]
+        if c:
+            for i, r in terms[e]:
+                out[i] += c * r
+    return _canonical(conductor, out, den)
+
+
+def dot(xs, ys) -> CycNum:
+    """The exact sum of xs[i] * ys[i] over CycNums of one conductor.
+
+    All products go over the common denominator lcm(x.den * y.den), so
+    the sum is one convolution buffer, one fold and one gcd, however
+    many terms it has.
+    """
+    xs, ys = tuple(xs), tuple(ys)
+    if len(xs) != len(ys):
+        raise ValueError(f"dot of {len(xs)} by {len(ys)} elements")
+    if not xs:
+        raise ValueError("dot of no elements has no conductor")
+    n = xs[0].conductor
+    for v in xs + ys:
+        if v.conductor != n:
+            raise ConductorMismatch(f"conductors {n} and {v.conductor}; embed first")
+    dens = [x.den * y.den for x, y in zip(xs, ys)]
+    den = math.lcm(*dens)
+    return _sum_of_products(
+        n, ((x.num, y.num, den // d) for x, y, d in zip(xs, ys, dens)), den
+    )
 
 
 def root_of_unity(conductor: int, k: int) -> CycNum:
@@ -609,39 +641,3 @@ def _restrict(a: CycNum, m: int) -> CycNum:
     if out.embed(n) != a:
         raise ValueError("element does not lie in the smaller field")
     return out
-
-
-# -- polynomial helpers over Fraction ------------------------------------
-
-
-def _frac_poly_divmod(num: list[Fraction], den: list[Fraction]):
-    num = list(num)
-    dn = len(den) - 1
-    lead = den[dn]
-    q = [_ZERO] * max(len(num) - dn, 1)
-    for i in range(len(num) - 1, dn - 1, -1):
-        c = num[i]
-        if c:
-            f = c / lead
-            q[i - dn] = f
-            for j, dj in enumerate(den):
-                num[i - dn + j] -= f * dj
-    return q, num[:dn]
-
-
-def _frac_poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return out
-
-
-def _frac_poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    la, lb = len(a), len(b)
-    return [
-        (a[i] if i < la else _ZERO) - (b[i] if i < lb else _ZERO)
-        for i in range(max(la, lb))
-    ]

@@ -24,16 +24,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .cyclotomic import (
-    CycNum,
-    numeric_value,
-    root_of_unity,
-    sign_of_real,
-)
+from .cyclotomic import CycNum, dot, root_of_unity, sign_of_real
 
 __all__ = [
     "FusionTable",
     "InvalidModularData",
+    "MAX_CONDUCTOR",
     "ModularData",
     "ValidationReport",
     "deligne_product",
@@ -46,6 +42,13 @@ __all__ = [
 
 class InvalidModularData(ValueError):
     """The data violates the modular-data contract."""
+
+
+# The largest conductor the loader accepts.  ``_Field(N)`` holds about
+# N * phi(N) ints, so a file may not ask for an unbounded table; every
+# conductor the fixtures, builders, tests and benchmark write is far
+# below this.
+MAX_CONDUCTOR = 1024
 
 
 @dataclass(frozen=True)
@@ -97,6 +100,8 @@ class ModularData:
 
     def __post_init__(self):
         r = self.rank
+        if r < 1:
+            raise ValueError(f"rank must be >= 1, got {r}")
         if len(self.labels) != r or len(self.s) != r or len(self.t_exponents) != r:
             raise ValueError("rank does not match row/label/twist counts")
         for row in self.s:
@@ -156,16 +161,10 @@ class ModularData:
 
     @cached_property
     def global_dim(self) -> CycNum:
-        total = CycNum.zero(self.conductor)
-        for d in self.dims:
-            total = total + d * d
-        return total
+        return dot(self.dims, self.dims)
 
     def tau(self) -> CycNum:
-        total = CycNum.zero(self.conductor)
-        for x, d in enumerate(self.dims):
-            total = total + self.twist(x) * d * d
-        return total
+        return dot((self.twist(x) * d for x, d in enumerate(self.dims)), self.dims)
 
     def central_charge_squared(self) -> CycNum:
         """xi^2 = tau^2 / dim(C), exact."""
@@ -179,14 +178,12 @@ class ModularData:
         """The permutation C with s^2 = dim(C) * C; C^2 = 1."""
         r = self.rank
         dim = self.global_dim
-        zero = CycNum.zero(self.conductor)
+        columns = tuple(zip(*self.s))
         perm = [-1] * r
         for i in range(r):
             hits = []
             for j in range(r):
-                acc = zero
-                for a in range(r):
-                    acc = acc + self.s[i][a] * self.s[a][j]
+                acc = dot(self.s[i], columns[j])
                 if acc == dim:
                     hits.append(j)
                 elif not acc.is_zero:
@@ -210,15 +207,14 @@ class ModularData:
         dim_inv = self.global_dim.inverse()
         # weight w_a = s_{0,a}^2 / dim: N_{xy}^z = sum_a chi_x(a) chi_y(a) conj(chi_z(a)) w_a
         weights = [self.s[0][a] * self.s[0][a] * dim_inv for a in range(r)]
-        conj_cols = [tuple(v.conjugate() for v in cols[a]) for a in range(r)]
+        # conj_rows[z][a] = conj(chi_z(a))
+        conj_rows = [tuple(cols[a][z].conjugate() for a in range(r)) for z in range(r)]
         coeffs = [[[0] * r for _ in range(r)] for _ in range(r)]
         for x in range(r):
             for y in range(x, r):
                 prods = [cols[a][x] * cols[a][y] * weights[a] for a in range(r)]
                 for z in range(r):
-                    acc = CycNum.zero(self.conductor)
-                    for a in range(r):
-                        acc = acc + prods[a] * conj_cols[a][z]
+                    acc = dot(prods, conj_rows[z])
                     if not acc.is_rational_integer:
                         raise InvalidModularData(
                             f"fusion coefficient N({x},{y})^{z} is not an integer"
@@ -243,14 +239,10 @@ class ModularData:
 
     # -- Frobenius-Perron dimensions --------------------------------------
 
-    def fp_dims(self, cross_check: bool = False) -> tuple[CycNum, ...]:
+    @cached_property
+    def fp_dims(self) -> tuple[CycNum, ...]:
         """FPdim(X) = s_{X,Y0} / s_{0,Y0} where Y0 is the unique column
-        whose characters are all real and positive.
-
-        With cross_check=True the values are compared against the Perron
-        eigenvalues of the fusion matrices within certified numeric
-        bounds (requires the fusion table; use on modest ranks).
-        """
+        whose characters are all real and positive."""
         cols = self.character_columns
         candidates = []
         for y in range(self.rank):
@@ -265,23 +257,7 @@ class ModularData:
             raise InvalidModularData(
                 f"expected one totally positive column, found {candidates}"
             )
-        fp = cols[candidates[0]]
-        if cross_check:
-            self._perron_cross_check(fp)
-        return fp
-
-    def _perron_cross_check(self, fp, tol: float = 1e-8) -> None:
-        import numpy as np
-
-        table = self.fusion
-        for x in range(self.rank):
-            mat = np.array(table.matrix(x), dtype=float)
-            radius = max(abs(w) for w in np.linalg.eigvals(mat))
-            approx = numeric_value(fp[x]).real
-            if abs(radius - approx) > tol * max(1.0, abs(approx)):
-                raise InvalidModularData(
-                    f"FPdim({x}) = {approx} does not match Perron value {radius}"
-                )
+        return cols[candidates[0]]
 
     # -- validation -------------------------------------------------------
 
@@ -324,14 +300,10 @@ class ModularData:
             return ValidationReport(tuple(failures), tuple(skipped))
 
         dim = self.global_dim
-        zero = CycNum.zero(n)
         for i in range(r):
             for j in range(i, r):
-                acc = zero
-                for a in range(r):
-                    acc = acc + self.s[i][a] * self.conj_s[j][a]
-                want = dim if i == j else zero
-                if acc != want:
+                acc = dot(self.s[i], self.conj_s[j])
+                if acc != (dim if i == j else 0):
                     failures.append(f"s * conj(s)^T fails at ({i},{j})")
         try:
             conj_perm = self.charge_conjugation
@@ -402,7 +374,7 @@ def loads_modular_data(text: str) -> ModularData:
     try:
         n = doc["conductor"]
         rank = doc["rank"]
-        labels = tuple(str(x) for x in doc["labels"])
+        labels = doc["labels"]
         t = doc["t"]
         rows = doc["s"]
     except (KeyError, TypeError, ValueError) as exc:
@@ -412,16 +384,17 @@ def loads_modular_data(text: str) -> ModularData:
             raise InvalidModularData(f"{name} must be an integer, got {value!r}")
     if not isinstance(t, list) or not all(type(x) is int for x in t):
         raise InvalidModularData(f"t must be a list of integers, got {t!r}")
-    t = tuple(t)
-    if n < 1:
-        raise InvalidModularData(f"conductor must be >= 1, got {n}")
+    if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
+        raise InvalidModularData(f"labels must be a list of strings, got {labels!r}")
+    if not 1 <= n <= MAX_CONDUCTOR:
+        raise InvalidModularData(f"conductor must be in 1..{MAX_CONDUCTOR}, got {n}")
     if not isinstance(rows, list) or len(rows) != rank or any(
         not isinstance(row, list) or len(row) != rank for row in rows
     ):
         raise InvalidModularData("s is not a rank x rank array")
     s = tuple(tuple(_loads_entry(n, entry) for entry in row) for row in rows)
     try:
-        return ModularData(n, rank, labels, s, t)
+        return ModularData(n, rank, tuple(labels), s, tuple(t))
     except ValueError as exc:
         raise InvalidModularData(str(exc)) from exc
 
@@ -447,4 +420,8 @@ def save_modular_data(data: ModularData, path) -> None:
 
 def load_modular_data(path) -> ModularData:
     with open(path, "r", encoding="utf-8") as fh:
-        return loads_modular_data(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise InvalidModularData(f"not UTF-8 text: {exc}") from exc
+    return loads_modular_data(text)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from ._numtheory import factorize, is_prime, permutation_orbits, units_mod
-from .cyclotomic import CycNum
+from .cyclotomic import CycNum, dot
 from .galois_action import GaloisOrbitPartition, orbit_partition
 from .modular_data import FusionTable, InvalidModularData, ModularData
 
@@ -66,10 +66,8 @@ class FusionSubcategory:
         return len(self.members) == self.data.rank
 
     def dim(self) -> CycNum:
-        total = CycNum.zero(self.data.conductor)
-        for x in self.members:
-            total = total + self.data.dims[x] * self.data.dims[x]
-        return total
+        dims = [self.data.dims[x] for x in self.members]
+        return dot(dims, dims)
 
     def __contains__(self, x: int) -> bool:
         return x in self.members
@@ -134,7 +132,7 @@ def centralizer(data: ModularData, sub: FusionSubcategory) -> FusionSubcategory:
 
 def pointed_part(data: ModularData) -> FusionSubcategory:
     """Objects of Frobenius-Perron dimension exactly 1."""
-    fp = data.fp_dims()
+    fp = data.fp_dims
     members = frozenset(x for x in range(data.rank) if fp[x] == 1)
     return FusionSubcategory(data, members)
 
@@ -160,7 +158,7 @@ def adjoint_part(data: ModularData, check: bool = True) -> FusionSubcategory:
 
 
 def is_integral(data: ModularData, sub: FusionSubcategory) -> bool:
-    fp = data.fp_dims()
+    fp = data.fp_dims
     return all(fp[x].is_rational_integer for x in sub.members)
 
 
@@ -340,7 +338,7 @@ def two_orbit_diagnosis(data: ModularData, max_rank: int = 64) -> TwoOrbitDiagno
         raise ValueError("diagnosis applies to data with exactly two orbits")
     subs = all_subcategories(data, max_rank)
     proper = [s for s in subs if not s.is_trivial and not s.is_whole]
-    fp = data.fp_dims()
+    fp = data.fp_dims
     pairs = _factor_pairs(data, subs)
 
     if pointed_part(data).rank > 1:

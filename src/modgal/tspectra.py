@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 from ._numtheory import factorize, is_prime, permutation_orbits, unit_group_generators, units_mod
-from .cyclotomic import CycNum, root_of_unity
+from .cyclotomic import CycNum, dot, root_of_unity
 
 __all__ = [
     "PsiMatrixReport",
@@ -717,13 +717,10 @@ def psi_e_matrix_check(k: int) -> PsiMatrixReport:
     mat = [[f * v for v in row] for row in base]
     symmetric = all(mat[i][j] == mat[j][i] for i in range(3) for j in range(3))
     want = root_of_unity(4, 2 * k).embed(8)
-    ok = True
-    for i in range(3):
-        for j in range(3):
-            acc = zero
-            for a in range(3):
-                acc = acc + mat[i][a] * mat[a][j]
-            expect = want if i == j else zero
-            if acc != expect:
-                ok = False
+    columns = tuple(zip(*mat))
+    ok = all(
+        dot(mat[i], columns[j]) == (want if i == j else zero)
+        for i in range(3)
+        for j in range(3)
+    )
     return PsiMatrixReport(k, symmetric, ok, (2 * k) % 4)

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from modgal.cli import main
+from modgal.modular_data import MAX_CONDUCTOR
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -54,10 +55,16 @@ class TestValidate:
             (("t",), [0, 2.7]),
             (("conductor",), True),
             (("rank",), "2"),
+            (("labels",), "ab"),
+            (("labels",), [None, {"x": 1}]),
+            ((), {"conductor": 1, "rank": 0, "labels": [], "t": [], "s": []}),
+            (("labels",), ["1", "\u00e9"]),
+            (("conductor",), MAX_CONDUCTOR + 1),
         ],
         ids=[
             "conductor-0", "flat-term", "four-element-term", "zero-denominator", "label-count",
             "float-conductor", "float-t", "bool-conductor", "string-rank",
+            "string-labels", "non-string-labels", "rank-0", "not-utf8", "conductor-above-bound",
         ],
     )
     def test_malformed_file_names_the_file(self, tmp_path, capsys, path, value):
@@ -65,9 +72,14 @@ class TestValidate:
         target = doc
         for key in path[:-1]:
             target = target[key]
-        target[path[-1]] = value
+        if path:
+            target[path[-1]] = value
+        else:
+            doc = value
         bad = tmp_path / "bad.mtc"
-        bad.write_text(json.dumps(doc))
+        # Latin-1 writes ASCII as UTF-8 does, and any other character as
+        # a byte that is not valid UTF-8
+        bad.write_bytes(json.dumps(doc, ensure_ascii=False).encode("latin-1"))
         code, _, err = run(capsys, "validate", str(bad))
         assert code == 2
         assert str(bad) in err

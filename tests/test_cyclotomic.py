@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from modgal.cyclotomic import (
     _field,
     cyclotomic_polynomial,
     divisors,
+    dot,
     euler_phi,
     numeric_value,
     reduce_conductor,
@@ -62,6 +64,14 @@ class TestArithmetic:
         with pytest.raises(ConductorMismatch):
             zeta(3) + zeta(5)
 
+    def test_dot_conductor_mismatch_raises(self):
+        with pytest.raises(ConductorMismatch):
+            dot([zeta(3), zeta(3)], [zeta(3), zeta(6)])
+
+    def test_dot_unequal_lengths_raise(self):
+        with pytest.raises(ValueError):
+            dot([zeta(5), zeta(5)], [zeta(5)])
+
     def test_scalar_coercion(self):
         assert Fraction(1, 2) * zeta(8) + zeta(8) == Fraction(3, 2) * zeta(8)
 
@@ -83,6 +93,15 @@ class TestInverse:
     def test_zero_raises(self):
         with pytest.raises(ZeroDivisionError):
             CycNum.zero(7).inverse()
+
+    @pytest.mark.parametrize("n", [55, 65, 112])
+    def test_dense_inverse(self, n):
+        rng = random.Random(n)
+        for _ in range(2):
+            a = CycNum(
+                n, [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(euler_phi(n))]
+            )
+            assert a * a.inverse() == 1
 
 
 class TestGalois:
@@ -341,6 +360,21 @@ def test_kernel_matches_fraction_reference(data):
     assert (a - b).coeffs == tuple(x - y for x, y in zip(a.coeffs, b.coeffs))
     for value in (a, b, product, image, a + b, a - b, -a, a.embed(2 * n)):
         _assert_canonical(value)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_dot_matches_fraction_reference(data):
+    n = data.draw(st.sampled_from(_DIFF_CONDUCTORS))
+    size = data.draw(st.integers(min_value=1, max_value=5))
+    xs = [data.draw(sparse_cyc_numbers(n)) for _ in range(size)]
+    ys = [data.draw(sparse_cyc_numbers(n)) for _ in range(size)]
+    want = [Fraction(0)] * euler_phi(n)
+    for x, y in zip(xs, ys):
+        want = [w + c for w, c in zip(want, _reference_mul(n, x.coeffs, y.coeffs))]
+    total = dot(xs, ys)
+    assert total.coeffs == tuple(want)
+    _assert_canonical(total)
 
 
 @settings(max_examples=40, deadline=None)

@@ -132,7 +132,7 @@ class TestPaperFixtures:
 
     def test_fib_conj_not_pseudounitary(self):
         data = fixture("fib_x_fib_conj")
-        fp = data.fp_dims()
+        fp = data.fp_dims
         assert fp != data.dims
         assert any(d == -1 for d in data.dims)
 

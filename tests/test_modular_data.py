@@ -5,13 +5,16 @@ oracle: arithmetic in Q(sqrt(5)) and Q(sqrt(2)) on (a + b*sqrt(d))
 pairs of Fractions, evaluating the character sums directly.
 """
 
+import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from modgal.cyclotomic import CycNum, root_of_unity
+from modgal.cyclotomic import CycNum, numeric_value, root_of_unity
 from modgal.families import fibonacci, ising
 from modgal.modular_data import (
+    MAX_CONDUCTOR,
     InvalidModularData,
     ModularData,
     deligne_product,
@@ -98,8 +101,12 @@ class TestFibonacci:
 
     def test_fp_dims_pseudounitary(self):
         data = fibonacci(0)
-        fp = data.fp_dims(cross_check=True)
+        fp = data.fp_dims
         assert fp == data.dims
+        # each FPdim is the Perron eigenvalue of its fusion matrix
+        for x in range(data.rank):
+            radius = max(abs(np.linalg.eigvals(np.array(data.fusion.matrix(x), dtype=float))))
+            assert radius == pytest.approx(numeric_value(fp[x]).real, rel=1e-8)
 
 
 class TestIsing:
@@ -274,3 +281,13 @@ class TestFileFormat:
             loads_modular_data(
                 '{"conductor": 5, "rank": 2, "labels": ["a","b"], "t": [0,0], "s": [[[]]]}'
             )
+
+    def test_conductor_bound(self):
+        def doc(n):
+            return json.dumps(
+                {"conductor": n, "rank": 1, "labels": ["1"], "t": [0], "s": [[[[1, 1, 0]]]]}
+            )
+
+        assert loads_modular_data(doc(MAX_CONDUCTOR)).conductor == MAX_CONDUCTOR
+        with pytest.raises(InvalidModularData, match=str(MAX_CONDUCTOR + 1)):
+            loads_modular_data(doc(MAX_CONDUCTOR + 1))
