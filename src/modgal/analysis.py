@@ -4,7 +4,7 @@ renders as deterministic text or JSON."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 from .galois_action import (
     dims_ratio_check,
@@ -33,7 +33,7 @@ class AnalysisReport:
     conductor: int
     rank: int
     valid: bool
-    validation_summary: str
+    validation: str
     orbits: tuple[tuple[int, ...], ...] = ()
     orbit_sizes: tuple[int, ...] = ()
     transitive: bool = False
@@ -45,7 +45,6 @@ class AnalysisReport:
     orbit_bound: tuple[int, int] | None = None  # (bound, actual)
     pseudoinvertible: tuple[int, ...] = ()
     orbitwise_pseudoinvertible: bool | None = None
-    factorization_note: str = ""
     square_twist_ok: bool | None = None
     dims_ratio_ok: bool | None = None
     field_degrees_ok: bool | None = None
@@ -67,7 +66,7 @@ class AnalysisReport:
     def to_text(self) -> str:
         lines = [f"input: {self.source}"]
         lines.append(f"conductor {self.conductor}, rank {self.rank}")
-        lines.append(f"validation: {self.validation_summary}")
+        lines.append(f"validation: {self.validation}")
         if not self.valid:
             return "\n".join(lines) + "\n"
         sizes = "+".join(str(s) for s in self.orbit_sizes)
@@ -96,9 +95,9 @@ class AnalysisReport:
         )
         if self.orbitwise_pseudoinvertible is not None:
             lines.append(
-                f"every orbit meets a pseudoinvertible: "
-                f"{_yn(self.orbitwise_pseudoinvertible)}"
-                + (f" ({self.factorization_note})" if self.factorization_note else "")
+                "every orbit meets a pseudoinvertible: "
+                + ("yes (pointed (x) transitive factorization shape)"
+                   if self.orbitwise_pseudoinvertible else "no")
             )
         if self.square_twist_ok is not None:
             lines.append(f"square twist consistency: {_pf(self.square_twist_ok)}")
@@ -115,30 +114,7 @@ class AnalysisReport:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        doc = {
-            "source": self.source,
-            "conductor": self.conductor,
-            "rank": self.rank,
-            "valid": self.valid,
-            "validation": self.validation_summary,
-            "orbits": [list(o) for o in self.orbits],
-            "orbit_sizes": list(self.orbit_sizes),
-            "transitive": self.transitive,
-            "pointed_rank": self.pointed_rank,
-            "adjoint_rank": self.adjoint_rank,
-            "subcategory_count": self.subcategory_count,
-            "subcategory_sizes": list(self.subcategory_sizes),
-            "closure_theorem_ok": self.closure_theorem_ok,
-            "orbit_bound": list(self.orbit_bound) if self.orbit_bound else None,
-            "pseudoinvertible": list(self.pseudoinvertible),
-            "orbitwise_pseudoinvertible": self.orbitwise_pseudoinvertible,
-            "square_twist_ok": self.square_twist_ok,
-            "dims_ratio_ok": self.dims_ratio_ok,
-            "field_degrees_ok": self.field_degrees_ok,
-            "diagnosis": self.diagnosis,
-            "notes": list(self.notes),
-            "ok": self.ok,
-        }
+        doc = {**asdict(self), "ok": self.ok}
         return json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
 
@@ -157,7 +133,7 @@ def run_analysis(data: ModularData, source: str, max_rank: int = 64) -> Analysis
         conductor=data.conductor,
         rank=data.rank,
         valid=validation.ok,
-        validation_summary=validation.summary(),
+        validation=validation.summary(),
     )
     if not validation.ok:
         return AnalysisReport(**base)
@@ -175,9 +151,6 @@ def run_analysis(data: ModularData, source: str, max_rank: int = 64) -> Analysis
         degrees_ok = False
         notes.append(str(exc))
 
-    pseudo = tuple(sorted(pseudoinvertibles(data)))
-    owp, shape = orbitwise_pseudoinvertible(data)
-
     pointed_rank = adjoint_rank = None
     sub_count = None
     sub_sizes: tuple[int, ...] = ()
@@ -188,16 +161,16 @@ def run_analysis(data: ModularData, source: str, max_rank: int = 64) -> Analysis
         try:
             pointed_rank = pointed_part(data).rank
             adjoint_rank = adjoint_part(data).rank
-            subs = all_subcategories(data, max_rank)
+            subs = all_subcategories(data)
             sub_count = len(subs)
             sub_sizes = tuple(s.rank for s in subs)
-            closure = check_theorem_galois_closure(data, max_rank)
+            closure = check_theorem_galois_closure(data)
             closure_ok = closure.ok
             notes.extend(closure.failures[:4])
             ob = check_orbit_lower_bound(data)
             bound = (ob.bound, ob.orbit_count)
             if part.count == 2:
-                diag = two_orbit_diagnosis(data, max_rank)
+                diag = two_orbit_diagnosis(data)
                 diagnosis = f"{diag.clause} ({diag.detail})"
         except InvalidModularData as exc:
             notes.append(str(exc))
@@ -215,9 +188,8 @@ def run_analysis(data: ModularData, source: str, max_rank: int = 64) -> Analysis
         subcategory_sizes=sub_sizes,
         closure_theorem_ok=closure_ok,
         orbit_bound=bound,
-        pseudoinvertible=pseudo,
-        orbitwise_pseudoinvertible=owp,
-        factorization_note=shape if owp else "",
+        pseudoinvertible=tuple(sorted(pseudoinvertibles(data))),
+        orbitwise_pseudoinvertible=orbitwise_pseudoinvertible(data),
         square_twist_ok=st.ok,
         dims_ratio_ok=dr.ok,
         field_degrees_ok=degrees_ok,

@@ -11,21 +11,24 @@ Subcommands::
 
 Exit codes: 0 pass, 1 check failure, 2 input error.  Input errors
 include a missing or malformed ``.mtc`` file (the message names the
-file) and a ``tables --check N`` with N < 1 or with N divisible by a
-level outside the verified t-spectra scope (2^lam with lam >= 8, p^lam
-with p odd and lam >= 4).  Data that loads but breaks the modular-data
+file), a ``product`` whose conductor lcm(N_a, N_b) exceeds
+``MAX_CONDUCTOR`` (nothing is written), and a ``tables --check N``
+with N < 1 or with N divisible by a level outside the verified
+t-spectra scope (2^lam with lam >= 8, p^lam with p odd and lam >= 4).  Data that loads but breaks the modular-data
 contract is a check failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .analysis import run_analysis
 from .families import fixture, fixture_names
 from .galois_action import orbit_partition
 from .modular_data import (
+    MAX_CONDUCTOR,
     InvalidModularData,
     deligne_product,
     load_modular_data,
@@ -141,6 +144,12 @@ def _cmd_tables(args) -> int:
 def _cmd_product(args) -> int:
     a = _load(args.a)
     b = _load(args.b)
+    n = math.lcm(a.conductor, b.conductor)
+    if n > MAX_CONDUCTOR:
+        raise _InputError(
+            f"the product of {args.a} and {args.b} would have conductor {n}, "
+            f"above the bound {MAX_CONDUCTOR}"
+        )
     prod = deligne_product(a, b)
     save_modular_data(prod, args.output)
     print(

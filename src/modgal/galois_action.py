@@ -9,17 +9,18 @@ character table: sigma_hat(Y) is the unique Z with
 ``orbit_partition`` matches columns for a generating set of (Z/NZ)^x
 and extends to the full unit group by composition, which is forced by
 the group-action law sigma_j o sigma_k = sigma_{jk}; the law itself is
-exercised against direct matching in the test suite.
+exercised against direct matching in the test suite.  The partition
+is memoized on the datum, so it is computed once per ``ModularData``
+and freed with it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from ._numtheory import permutation_orbits, unit_group_generators, units_mod
-from .modular_data import InvalidModularData, ModularData
+from .modular_data import InvalidModularData, ModularData, memoized_on_datum
 
 __all__ = [
     "DimsRatioReport",
@@ -81,7 +82,7 @@ def galois_permutation(data: ModularData, k: int) -> tuple[int, ...]:
     return tuple(perm)
 
 
-@lru_cache(maxsize=256)
+@memoized_on_datum
 def orbit_partition(data: ModularData) -> GaloisOrbitPartition:
     n = data.conductor
     r = data.rank

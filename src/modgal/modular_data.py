@@ -22,7 +22,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, wraps
 
 from .cyclotomic import CycNum, dot, root_of_unity, sign_of_real
 
@@ -49,6 +49,10 @@ class InvalidModularData(ValueError):
 # conductor the fixtures, builders, tests and benchmark write is far
 # below this.
 MAX_CONDUCTOR = 1024
+
+# Above this rank ``validate`` reports its phase 2 (unitarity, s^2 and
+# the Verlinde table) as skipped: the exact table costs O(r^4) products.
+FULL_CHECK_RANK = 24
 
 
 @dataclass(frozen=True)
@@ -127,12 +131,13 @@ class ModularData:
     # -- cached views ---------------------------------------------------
 
     @cached_property
-    def dims(self) -> tuple[CycNum, ...]:
-        return tuple(self.s[0])
+    def _memo(self) -> dict:
+        """Results of ``memoized_on_datum`` functions of this datum."""
+        return {}
 
     @cached_property
-    def conj_s(self) -> tuple[tuple[CycNum, ...], ...]:
-        return tuple(tuple(v.conjugate() for v in row) for row in self.s)
+    def dims(self) -> tuple[CycNum, ...]:
+        return tuple(self.s[0])
 
     @cached_property
     def character_columns(self) -> tuple[tuple[CycNum, ...], ...]:
@@ -175,27 +180,9 @@ class ModularData:
 
     @cached_property
     def charge_conjugation(self) -> tuple[int, ...]:
-        """The permutation C with s^2 = dim(C) * C; C^2 = 1."""
-        r = self.rank
-        dim = self.global_dim
-        columns = tuple(zip(*self.s))
-        perm = [-1] * r
-        for i in range(r):
-            hits = []
-            for j in range(r):
-                acc = dot(self.s[i], columns[j])
-                if acc == dim:
-                    hits.append(j)
-                elif not acc.is_zero:
-                    raise InvalidModularData(
-                        f"s^2 entry ({i},{j}) is neither 0 nor dim(C)"
-                    )
-            if len(hits) != 1:
-                raise InvalidModularData(f"s^2 row {i} is not a permutation row")
-            perm[i] = hits[0]
-        if any(perm[perm[i]] != i for i in range(r)):
-            raise InvalidModularData("charge conjugation does not square to identity")
-        return tuple(perm)
+        """The permutation C with s^2 = dim(C) * C, which is the dual
+        permutation of the Verlinde table (argued in ``validate``)."""
+        return self.fusion.dual
 
     @cached_property
     def fusion(self) -> FusionTable:
@@ -261,15 +248,35 @@ class ModularData:
 
     # -- validation -------------------------------------------------------
 
-    def validate(self, full_rank_bound: int = 24) -> ValidationReport:
-        """Check every structural invariant, collecting all failures.
+    def validate(self) -> ValidationReport:
+        """Check every structural invariant.
 
-        The O(r^3)+ checks (unitarity, s^2 permutation, Verlinde
-        integrality) run only when rank <= full_rank_bound and are
-        reported as skipped otherwise.
+        Phase 1 collects every failure of the cheap checks: s is
+        symmetric, s_00 = 1, t_0 = 1, the twist orders have lcm N, and
+        every dimension s_0x is nonzero and real.  Phase 2 builds the
+        Verlinde table, which stops at the first coefficient that is not a
+        nonnegative integer or the first object without a unique dual,
+        and then reads unitarity off the table's unit row.  Above rank
+        FULL_CHECK_RANK phase 2 is reported as skipped.
+
+        The table holds both matrix identities.  With chi_x(a) =
+        s_xa / s_0a and w_a = s_0a^2 / dim(C), ``_verlinde`` computes
+        N_xy^z = sum_a chi_x(a) chi_y(a) conj(chi_z(a)) w_a.
+
+        * s^2 = dim(C) * C.  chi_0 = 1, so for any datum
+          N_xy^0 = sum_a s_xa s_ya / dim(C) = (s s^T)_xy / dim(C).  The
+          table demands exactly one nonzero N_xz^0 in each row x, equal
+          to 1: that is, s^2 = s s^T is dim(C) times a permutation
+          matrix, the dual permutation.  s s^T is symmetric, so that
+          permutation is an involution; it is the charge conjugation.
+        * Unitarity, s conj(s)^T = dim(C) * I.  chi_0 = 1 again gives
+          N_0x^y = sum_a s_xa conj(s_ya) s_0a / (conj(s_0a) dim(C)), and
+          phase 1 has checked that s_0a = conj(s_0a), so
+          N_0x^y = (s conj(s)^T)_xy / dim(C).  Unitarity holds iff
+          N_0x^y is 1 for x = y and 0 otherwise; that matrix is
+          Hermitian with rational entries, so x <= y suffices.
         """
         failures: list[str] = []
-        skipped: list[str] = []
         r = self.rank
         n = self.conductor
 
@@ -291,32 +298,40 @@ class ModularData:
                 failures.append(f"zero dimension at index {x}")
             elif d.conjugate() != d:
                 failures.append(f"dimension at index {x} is not real")
-
         if failures:
-            return ValidationReport(tuple(failures), tuple(skipped))
+            return ValidationReport(tuple(failures))
 
-        if r > full_rank_bound:
-            skipped.append(f"unitarity, s^2 and fusion checks (rank {r} > bound)")
-            return ValidationReport(tuple(failures), tuple(skipped))
+        if r > FULL_CHECK_RANK:
+            return ValidationReport(
+                (), (f"unitarity, s^2 and fusion checks (rank {r} > bound)",)
+            )
+        try:
+            unit_row = self.fusion.coeffs[0]
+        except InvalidModularData as exc:
+            return ValidationReport((str(exc),))
+        return ValidationReport(tuple(
+            f"s * conj(s)^T fails at ({i},{j})"
+            for i in range(r)
+            for j in range(i, r)
+            if unit_row[i][j] != int(i == j)
+        ))
 
-        dim = self.global_dim
-        for i in range(r):
-            for j in range(i, r):
-                acc = dot(self.s[i], self.conj_s[j])
-                if acc != (dim if i == j else 0):
-                    failures.append(f"s * conj(s)^T fails at ({i},{j})")
-        try:
-            conj_perm = self.charge_conjugation
-        except InvalidModularData as exc:
-            failures.append(str(exc))
-            conj_perm = None
-        try:
-            table = self.fusion
-            if conj_perm is not None and table.dual != conj_perm:
-                failures.append("s^2 permutation differs from the Verlinde dual")
-        except InvalidModularData as exc:
-            failures.append(str(exc))
-        return ValidationReport(tuple(failures), tuple(skipped))
+
+def memoized_on_datum(fn):
+    """Decorate ``fn(data)`` so that its result is computed once per
+    ``ModularData`` and kept in that datum's private memo.  The result
+    lives exactly as long as the datum; a cache keyed on the datum
+    would keep the datum alive after its last use."""
+    key = fn.__qualname__
+
+    @wraps(fn)
+    def memoized(data: ModularData):
+        memo = data._memo
+        if key not in memo:
+            memo[key] = fn(data)
+        return memo[key]
+
+    return memoized
 
 
 # -- Deligne product -------------------------------------------------------

@@ -60,6 +60,10 @@ __all__ = [
     "pointed_orbit_partition",
 ]
 
+# Largest Gram-matrix candidate space ``enumerate_quadratic_forms``
+# scans in full before it falls back to a sparser family.
+MAX_CANDIDATES = 200_000
+
 
 @dataclass(frozen=True)
 class FiniteAbelianGroup:
@@ -220,16 +224,12 @@ def canonical_form(group: FiniteAbelianGroup) -> QuadraticFormSpec:
     return form
 
 
-def enumerate_quadratic_forms(
-    group: FiniteAbelianGroup,
-    max_forms: int | None = None,
-    max_candidates: int = 200_000,
-):
+def enumerate_quadratic_forms(group: FiniteAbelianGroup, max_forms: int | None = None):
     """Nondegenerate forms on the group, deduplicated by value vector.
 
-    All well-defined Gram matrices are scanned when the candidate space
-    is small; otherwise a deterministic tridiagonal family (free
-    diagonal, superdiagonal off-entries only) is used.  ``max_forms``
+    All well-defined Gram matrices are scanned when there are at most
+    MAX_CANDIDATES of them; otherwise a deterministic tridiagonal family
+    (free diagonal, superdiagonal off-entries only) is used.  ``max_forms``
     caps the yield.
     """
     M, steps = gram_steps(group)
@@ -251,11 +251,11 @@ def enumerate_quadratic_forms(
         return rngs, total
 
     rngs, total = ranges(positions)
-    if total > max_candidates:
+    if total > MAX_CANDIDATES:
         # tridiagonal fallback: keep diagonal plus the superdiagonal
         positions = [(i, i) for i in range(k)] + [(i, i + 1) for i in range(k - 1)]
         rngs, total = ranges(positions)
-        if total > max_candidates:
+        if total > MAX_CANDIDATES:
             # final fallback: diagonal only
             positions = [(i, i) for i in range(k)]
             rngs, total = ranges(positions)

@@ -8,18 +8,20 @@ enumeration is complete.
 
 Centralizers use the exact criterion: X centralizes Y iff
 s_{X,Y} = dim(X) * dim(Y).
+
+The lattice is memoized on the datum, so it is enumerated once per
+``ModularData`` and freed with it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 
 from ._numtheory import factorize, is_prime, permutation_orbits, units_mod
 from .cyclotomic import CycNum, dot
-from .galois_action import GaloisOrbitPartition, orbit_partition
-from .modular_data import FusionTable, InvalidModularData, ModularData
+from .galois_action import orbit_partition
+from .modular_data import InvalidModularData, ModularData, memoized_on_datum
 
 __all__ = [
     "ClosureTheoremReport",
@@ -93,12 +95,10 @@ def generated_subcategory(data: ModularData, seed) -> FusionSubcategory:
     return FusionSubcategory(data, frozenset(members))
 
 
-@lru_cache(maxsize=64)
-def all_subcategories(data: ModularData, max_rank: int = 64) -> tuple[FusionSubcategory, ...]:
+@memoized_on_datum
+def all_subcategories(data: ModularData) -> tuple[FusionSubcategory, ...]:
     """Every fusion subcategory, as joins of cyclic subcategories,
     sorted by size then member order."""
-    if data.rank > max_rank:
-        raise ValueError(f"rank {data.rank} exceeds the enumeration bound {max_rank}")
     cyclic = {generated_subcategory(data, {x}).members for x in range(data.rank)}
     closed = set(cyclic)
     closed.add(frozenset({0}))
@@ -137,20 +137,18 @@ def pointed_part(data: ModularData) -> FusionSubcategory:
     return FusionSubcategory(data, members)
 
 
-def adjoint_part(data: ModularData, check: bool = True) -> FusionSubcategory:
-    """Subcategory generated by all X (x) X*; equals the centralizer of
-    the pointed part (asserted when check=True)."""
+def adjoint_part(data: ModularData) -> FusionSubcategory:
+    """Subcategory generated by all X (x) X*; checked to equal the
+    centralizer of the pointed part."""
     table = data.fusion
     seed: set[int] = set()
     for x in range(data.rank):
         seed.update(table.support(x, table.dual[x]))
     adj = generated_subcategory(data, seed)
-    if check:
-        cpt = pointed_part(data)
-        if centralizer(data, cpt).members != adj.members:
-            raise InvalidModularData(
-                "adjoint subcategory differs from the centralizer of the pointed part"
-            )
+    if centralizer(data, pointed_part(data)).members != adj.members:
+        raise InvalidModularData(
+            "adjoint subcategory differs from the centralizer of the pointed part"
+        )
     return adj
 
 
@@ -166,11 +164,11 @@ def is_symmetric(data: ModularData, sub: FusionSubcategory) -> bool:
     return sub.members <= centralizer(data, sub).members
 
 
-def is_galois_closed(sub: FusionSubcategory, part: GaloisOrbitPartition | None = None) -> bool:
-    part = part or orbit_partition(sub.data)
+def is_galois_closed(sub: FusionSubcategory) -> bool:
     members = sub.members
     return all(
-        {perm[x] for x in members} == members for perm in part.perm_of_unit.values()
+        {perm[x] for x in members} == members
+        for perm in orbit_partition(sub.data).perm_of_unit.values()
     )
 
 
@@ -181,17 +179,11 @@ def pseudoinvertibles(data: ModularData) -> frozenset[int]:
     )
 
 
-def orbitwise_pseudoinvertible(data: ModularData) -> tuple[bool, str]:
+def orbitwise_pseudoinvertible(data: ModularData) -> bool:
     """Whether every Galois orbit meets a pseudoinvertible object; if it
     does, the data is consistent with a pointed x transitive factorization."""
-    part = orbit_partition(data)
     pseudo = pseudoinvertibles(data)
-    ok = all(any(x in pseudo for x in orbit) for orbit in part.orbits)
-    if ok:
-        shape = "pointed (x) transitive factorization shape"
-    else:
-        shape = "no factorization predicted"
-    return ok, shape
+    return all(any(x in pseudo for x in orbit) for orbit in orbit_partition(data).orbits)
 
 
 # -- theorem-level checks -----------------------------------------------------
@@ -210,12 +202,11 @@ class ClosureTheoremReport:
         return not self.failures
 
 
-def check_theorem_galois_closure(data: ModularData, max_rank: int = 64) -> ClosureTheoremReport:
-    part = orbit_partition(data)
+def check_theorem_galois_closure(data: ModularData) -> ClosureTheoremReport:
     entries = []
     failures = []
-    for sub in all_subcategories(data, max_rank):
-        closed = is_galois_closed(sub, part)
+    for sub in all_subcategories(data):
+        closed = is_galois_closed(sub)
         integral = is_integral(data, centralizer(data, sub))
         entries.append((sub.sorted_members, closed, integral))
         if closed != integral:
@@ -229,7 +220,7 @@ def check_theorem_galois_closure(data: ModularData, max_rank: int = 64) -> Closu
                 f"double centralizer fails for {sub.sorted_members}"
             )
     adj = adjoint_part(data)
-    adjoint_closed = is_galois_closed(adj, part)
+    adjoint_closed = is_galois_closed(adj)
     if not adjoint_closed:
         failures.append("adjoint subcategory is not closed under the Galois action")
     return ClosureTheoremReport(tuple(entries), adjoint_closed, tuple(failures))
@@ -323,7 +314,7 @@ def _factor_pairs(data: ModularData, subs) -> list[tuple[FusionSubcategory, Fusi
     return pairs
 
 
-def two_orbit_diagnosis(data: ModularData, max_rank: int = 64) -> TwoOrbitDiagnosis:
+def two_orbit_diagnosis(data: ModularData) -> TwoOrbitDiagnosis:
     """Which two-orbit classification clause the data is consistent
     with.  This checks numeric and structural signatures only; it never
     claims a categorical equivalence.
@@ -336,7 +327,7 @@ def two_orbit_diagnosis(data: ModularData, max_rank: int = 64) -> TwoOrbitDiagno
     part = orbit_partition(data)
     if part.count != 2:
         raise ValueError("diagnosis applies to data with exactly two orbits")
-    subs = all_subcategories(data, max_rank)
+    subs = all_subcategories(data)
     proper = [s for s in subs if not s.is_trivial and not s.is_whole]
     fp = data.fp_dims
     pairs = _factor_pairs(data, subs)

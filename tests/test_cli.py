@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from modgal.cli import main
-from modgal.modular_data import MAX_CONDUCTOR
+from modgal.modular_data import MAX_CONDUCTOR, save_modular_data
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -31,6 +31,14 @@ class TestValidate:
         code, out, _ = run(capsys, "validate", str(bad))
         assert code == 1
         assert "not symmetric" in out
+
+    def test_invalid_verlinde_table(self, tmp_path, capsys, phase2_invalid):
+        for name, data in phase2_invalid.items():
+            bad = tmp_path / f"{name}.mtc"
+            save_modular_data(data, bad)
+            code, out, _ = run(capsys, "validate", str(bad))
+            assert code == 1, name
+            assert "INVALID" in out and "fusion coefficient" in out, name
 
     def test_truncated_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.mtc"
@@ -116,6 +124,15 @@ class TestReport:
         _, second, _ = run(capsys, "report", str(FIXTURE_DIR / "ising.mtc"))
         assert first == second
 
+    def test_max_rank_skips_the_lattice(self, capsys):
+        code, out, _ = run(
+            capsys, "report", "--json", "--max-rank", "4", str(FIXTURE_DIR / "so5_3half_ad.mtc")
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["subcategory_count"] is None
+        assert "lattice and theorem checks skipped (rank > 4)" in doc["notes"]
+
     def test_precision_variable_ignored(self, capsys, monkeypatch):
         # the sign oracle starts at 64 bits whatever the environment holds
         monkeypatch.setenv("MODGAL_PRECISION", "0")
@@ -183,6 +200,20 @@ class TestProductAndFixture:
         run(capsys, "product", fib, s7, "-o", str(out_path))
         code, out, _ = run(capsys, "report", str(out_path))
         assert code == 0 and "transitive: yes" in out
+
+    def test_product_above_the_conductor_bound(self, tmp_path, capsys):
+        paths = []
+        for n in (64, 27):
+            path = tmp_path / f"n{n}.mtc"
+            path.write_text(json.dumps(
+                {"conductor": n, "rank": 1, "labels": ["1"], "t": [0], "s": [[[[1, 1, 0]]]]}
+            ))
+            paths.append(str(path))
+        out_path = tmp_path / "prod.mtc"
+        code, out, err = run(capsys, "product", *paths, "-o", str(out_path))
+        assert code == 2 and not out
+        assert paths[0] in err and paths[1] in err and str(MAX_CONDUCTOR) in err
+        assert not out_path.exists()
 
     def test_fixture_roundtrip(self, tmp_path, capsys):
         out_path = tmp_path / "ising.mtc"

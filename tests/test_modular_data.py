@@ -5,22 +5,34 @@ oracle: arithmetic in Q(sqrt(5)) and Q(sqrt(2)) on (a + b*sqrt(d))
 pairs of Fractions, evaluating the character sums directly.
 """
 
+import gc
 import json
+import weakref
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from modgal.cyclotomic import CycNum, numeric_value, root_of_unity
-from modgal.families import fibonacci, ising
+from modgal.cyclotomic import CycNum, dot, numeric_value, root_of_unity
+from modgal.families import fibonacci, fixture_names, ising, sl2_level_adjoint
+from modgal.galois_action import orbit_partition
 from modgal.modular_data import (
     MAX_CONDUCTOR,
+    FusionTable,
     InvalidModularData,
     ModularData,
     deligne_product,
     dump_modular_data,
     loads_modular_data,
 )
+from modgal.subcategories import all_subcategories
+
+# The report rungs of the benchmark ladder
+LADDER = {
+    "fib_x_sl2_7": lambda: deligne_product(fibonacci(2), sl2_level_adjoint(7, 3)),
+    "ising_x_sl2_7": lambda: deligne_product(ising(3), sl2_level_adjoint(7, 2)),
+    "sl2_19_ad": lambda: sl2_level_adjoint(19, 2),
+}
 
 
 class Quad:
@@ -156,6 +168,62 @@ class TestValidationFailures:
         data = ModularData(4, 2, ("1", "x"), ((zero, one), (-one, zero)), (1, 1))
         report = data.validate()
         assert len(report.failures) >= 3
+
+    def test_verlinde_table_failures(self, phase2_invalid):
+        for name, data in phase2_invalid.items():
+            report = data.validate()
+            assert not report.ok, name
+            assert any(f.startswith("fusion coefficient") for f in report.failures), name
+
+    def test_unitarity_is_read_off_the_unit_row(self):
+        # With positive dimensions an integral table has the identity as
+        # its unit row (N_0 d = d with a positive diagonal), so no datum
+        # here reaches this failure; a table with a broken unit row stands
+        # in for one.
+        data = ising(0)
+        table = data.fusion
+        coeffs = [[list(row) for row in plane] for plane in table.coeffs]
+        coeffs[0][1][1] = 2
+        coeffs[0][1][2] = coeffs[0][2][1] = 1
+        data.__dict__["fusion"] = FusionTable(
+            tuple(tuple(map(tuple, plane)) for plane in coeffs), table.dual
+        )
+        assert data.validate().failures == (
+            "s * conj(s)^T fails at (1,1)",
+            "s * conj(s)^T fails at (1,2)",
+        )
+
+
+class TestTableIdentities:
+    """The two identities ``validate`` reads off the Verlinde table,
+    against s s^T and s conj(s)^T computed entry by entry."""
+
+    @pytest.mark.parametrize("name", fixture_names() + tuple(LADDER))
+    def test_unit_row_and_column(self, name, fixture_catalog):
+        data = fixture_catalog[name] if name in fixture_catalog else LADDER[name]()
+        r, s, dim = data.rank, data.s, data.global_dim
+        table = data.fusion
+        conj_s = [[v.conjugate() for v in row] for row in s]
+        for x in range(r):
+            for y in range(r):
+                assert dim * table.n(x, y, 0) == dot(s[x], s[y]), (x, y)
+                assert dim * table.n(0, x, y) == dot(s[x], conj_s[y]), (x, y)
+        columns = list(zip(*s))
+        square = [[dot(s[i], columns[j]) for j in range(r)] for i in range(r)]
+        assert data.charge_conjugation == tuple(row.index(dim) for row in square)
+
+
+class TestMemo:
+    def test_results_live_as_long_as_the_datum(self):
+        data = fibonacci(0)
+        ref = weakref.ref(data)
+        part, subs, table = orbit_partition(data), all_subcategories(data), data.fusion
+        assert orbit_partition(data) is part
+        assert all_subcategories(data) is subs
+        assert data.fusion is table
+        del data, part, subs, table
+        gc.collect()
+        assert ref() is None
 
 
 class TestUnitRotation:
