@@ -7,7 +7,6 @@ from .cyclotomic import (
     CycNum,
     cyclotomic_polynomial,
     euler_phi,
-    reduce_conductor,
     root_of_unity,
     root_of_unity_order,
     sign_of_real,
@@ -97,7 +96,6 @@ __all__ = [
     "orbit_partition",
     "pointed_part",
     "psi_e_matrix_check",
-    "reduce_conductor",
     "root_of_unity",
     "root_of_unity_order",
     "save_modular_data",

@@ -10,7 +10,6 @@ from .galois_action import (
     dims_ratio_check,
     orbit_partition,
     square_twist_consistency,
-    verlinde_field_degree,
 )
 from .modular_data import InvalidModularData, ModularData
 from .subcategories import (
@@ -47,7 +46,6 @@ class AnalysisReport:
     orbitwise_pseudoinvertible: bool | None = None
     square_twist_ok: bool | None = None
     dims_ratio_ok: bool | None = None
-    field_degrees_ok: bool | None = None
     diagnosis: str = ""
     notes: tuple[str, ...] = ()
 
@@ -58,7 +56,6 @@ class AnalysisReport:
             self.closure_theorem_ok in (True, None),
             self.square_twist_ok in (True, None),
             self.dims_ratio_ok in (True, None),
-            self.field_degrees_ok in (True, None),
             self.orbit_bound is None or self.orbit_bound[1] >= self.orbit_bound[0],
         ]
         return all(checks)
@@ -103,10 +100,6 @@ class AnalysisReport:
             lines.append(f"square twist consistency: {_pf(self.square_twist_ok)}")
         if self.dims_ratio_ok is not None:
             lines.append(f"dimension ratio identity: {_pf(self.dims_ratio_ok)}")
-        if self.field_degrees_ok is not None:
-            lines.append(
-                f"orbit sizes match character field degrees: {_pf(self.field_degrees_ok)}"
-            )
         if self.diagnosis:
             lines.append(f"two-orbit diagnosis: {self.diagnosis}")
         for note in self.notes:
@@ -142,14 +135,6 @@ def run_analysis(data: ModularData, source: str, max_rank: int = 64) -> Analysis
     notes: list[str] = list(validation.skipped)
     st = square_twist_consistency(data)
     dr = dims_ratio_check(data)
-    try:
-        degrees_ok = all(
-            verlinde_field_degree(data, x) == len(part.orbit_of(x))
-            for x in range(data.rank)
-        )
-    except InvalidModularData as exc:
-        degrees_ok = False
-        notes.append(str(exc))
 
     pointed_rank = adjoint_rank = None
     sub_count = None
@@ -192,7 +177,6 @@ def run_analysis(data: ModularData, source: str, max_rank: int = 64) -> Analysis
         orbitwise_pseudoinvertible=orbitwise_pseudoinvertible(data),
         square_twist_ok=st.ok,
         dims_ratio_ok=dr.ok,
-        field_degrees_ok=degrees_ok,
         diagnosis=diagnosis,
         notes=tuple(notes),
     )

@@ -14,8 +14,9 @@ include a missing or malformed ``.mtc`` file (the message names the
 file), a ``product`` whose conductor lcm(N_a, N_b) exceeds
 ``MAX_CONDUCTOR`` (nothing is written), and a ``tables --check N``
 with N < 1 or with N divisible by a level outside the verified
-t-spectra scope (2^lam with lam >= 8, p^lam with p odd and lam >= 4).  Data that loads but breaks the modular-data
-contract is a check failure.
+t-spectra scope (2^lam with lam >= 8, p^lam with p odd and lam >= 4)
+or above ``tspectra.MAX_PRIME_POWER``.  Data that loads but breaks the
+modular-data contract is a check failure.
 """
 
 from __future__ import annotations

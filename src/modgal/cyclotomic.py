@@ -59,16 +59,12 @@ __all__ = [
     "divisors",
     "dot",
     "euler_phi",
-    "reduce_conductor",
     "root_of_unity",
     "root_of_unity_order",
     "sign_of_real",
     "unit_group_generators",
     "units_mod",
 ]
-
-_ZERO = Fraction(0)
-
 
 class ConductorMismatch(ValueError):
     """Binary operation on elements of different ambient fields."""
@@ -592,52 +588,3 @@ def numeric_value(a: CycNum, dps: int = 30) -> complex:
                     2j * mpmath.pi * j / a.conductor
                 )
         return complex(z)
-
-
-# -- minimal conductor ---------------------------------------------------
-
-
-def reduce_conductor(a: CycNum) -> CycNum:
-    """Rewrite a over the smallest conductor M | N that contains it."""
-    n = a.conductor
-    for m in divisors(n):
-        if m == n:
-            return a
-        fixing = [k for k in units_mod(n) if k % m == 1 % max(m, 1)]
-        if all(a.galois_apply(k) == a for k in fixing):
-            return _restrict(a, m)
-    return a
-
-
-def _restrict(a: CycNum, m: int) -> CycNum:
-    n = a.conductor
-    basis = [root_of_unity(m, j).embed(n) for j in range(_field(m).phi)]
-    # solve sum_j x_j * basis[j] = a by Gaussian elimination over Q
-    rows = len(a.coeffs)
-    cols = len(basis)
-    mat = [[basis[j].coeffs[i] for j in range(cols)] + [a.coeffs[i]] for i in range(rows)]
-    piv_cols = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if mat[i][c]), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(rows):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [vi - f * vr for vi, vr in zip(mat[i], mat[r])]
-        piv_cols.append(c)
-        r += 1
-    for i in range(r, rows):
-        if not any(mat[i][:cols]) and mat[i][cols]:
-            raise ValueError("element does not lie in the smaller field")
-    sol = [_ZERO] * cols
-    for idx, c in enumerate(piv_cols):
-        sol[c] = mat[idx][cols]
-    out = CycNum(m, sol)
-    if out.embed(n) != a:
-        raise ValueError("element does not lie in the smaller field")
-    return out

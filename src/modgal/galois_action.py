@@ -6,12 +6,21 @@ character table: sigma_hat(Y) is the unique Z with
     sigma_k(s_{X,Y} / s_{0,Y}) = s_{X,Z} / s_{0,Z}   for all X.
 
 ``galois_permutation`` performs this matching directly for one unit.
-``orbit_partition`` matches columns for a generating set of (Z/NZ)^x
-and extends to the full unit group by composition, which is forced by
-the group-action law sigma_j o sigma_k = sigma_{jk}; the law itself is
-exercised against direct matching in the test suite.  The partition
-is memoized on the datum, so it is computed once per ``ModularData``
-and freed with it.
+``orbit_partition`` is the one place where the action is derived: it
+matches columns for a generating set of (Z/NZ)^x and extends to the
+full unit group by composition, which is forced by the group-action law
+sigma_j o sigma_k = sigma_{jk}; the law itself is exercised against
+direct matching in the test suite.  Its stabilizers are the fixing
+groups of the character fields.  The partition is memoized on the
+datum, so it is computed once per ``ModularData`` and freed with it.
+
+Every other check reads the action from the partition.
+``dims_ratio_check`` and ``subcategories.is_galois_closed`` run on the
+generators only: each identity is closed under composition, so it holds
+for the group once it holds on a generating set.
+``square_twist_consistency`` runs over every unit, since it reports a
+constant per unit.  ``verlinde_field_degree`` derives [L_X : Q] from the
+fixing group of column X directly, as the reference for the stabilizers.
 """
 
 from __future__ import annotations
@@ -84,6 +93,14 @@ def galois_permutation(data: ModularData, k: int) -> tuple[int, ...]:
 
 @memoized_on_datum
 def orbit_partition(data: ModularData) -> GaloisOrbitPartition:
+    """The orbits of (Z/NZ)^x on the simple objects, sigma_hat for every
+    unit, and the stabilizer of each object.
+
+    The stabilizer of X is also the fixing group of the field L_X
+    generated by the characters of column X: the columns are distinct,
+    so sigma_k fixes column X iff sigma_hat_k(X) = X.  Hence
+    Fix(L_X) = Stab(X), and [L_X : Q] = |orbit of X|, because this
+    function raises unless |orbit| * |Stab| = phi(N) at every index."""
     n = data.conductor
     r = data.rank
     identity = tuple(range(r))
@@ -184,12 +201,24 @@ class DimsRatioReport:
 
 def dims_ratio_check(data: ModularData) -> DimsRatioReport:
     """dim(sigma_hat(X))^2 * sigma(dim C) = dim(C) * sigma(dim(X)^2),
-    exactly, for every object and every unit."""
-    part = orbit_partition(data)
+    exactly, for every object and every unit.
+
+    It is checked on the generators of (Z/NZ)^x only.  As dim(C) != 0,
+    the identity for sigma_k says sigma_k(f(X)) = f(sigma_hat_k(X)) for
+    all X, with f(X) = dim(X)^2 / dim(C).  If it holds for sigma_g and
+    sigma_h, then, since sigma_hat_gh = sigma_hat_g o sigma_hat_h,
+
+        sigma_gh(f(X)) = sigma_g(f(sigma_hat_h(X)))
+                       = f(sigma_hat_g(sigma_hat_h(X))) = f(sigma_hat_gh(X)).
+
+    The group is finite, so every unit is a product of generators, and
+    the identity holds for every unit (for the unit 1 it is trivial)."""
+    perms = orbit_partition(data).perm_of_unit
     dim_c = data.global_dim
     dims = data.dims
     failures: list[str] = []
-    for k, perm in sorted(part.perm_of_unit.items()):
+    for k in unit_group_generators(data.conductor):
+        perm = perms[k]
         sdim_c = dim_c.galois_apply(k)
         for x in range(data.rank):
             lhs = dims[perm[x]] * dims[perm[x]] * sdim_c

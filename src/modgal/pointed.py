@@ -47,7 +47,6 @@ from .modular_data import ModularData
 
 __all__ = [
     "FiniteAbelianGroup",
-    "FormIndependenceReport",
     "QuadraticFormSpec",
     "build_pointed",
     "canonical_form",
@@ -56,7 +55,6 @@ __all__ = [
     "enumerate_quadratic_forms",
     "generator_partition",
     "gram_steps",
-    "orbit_form_independence_check",
     "pointed_orbit_partition",
 ]
 
@@ -409,43 +407,3 @@ def closed_form_counts(kind: str, p: int | None = None, n: int | None = None) ->
         assert num % 2 == 0
         return num // 2
     raise ValueError(f"unknown kind {kind!r}")
-
-
-# -- form independence -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FormIndependenceReport:
-    group: FiniteAbelianGroup
-    forms_checked: int
-    partition: tuple[tuple[int, ...], ...]
-    failures: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def orbit_form_independence_check(
-    group: FiniteAbelianGroup,
-    max_order: int = 32,
-    max_forms: int | None = None,
-) -> FormIndependenceReport:
-    """Assert the orbit partition is literally identical across every
-    enumerated nondegenerate form, and equals the cyclic-subgroup
-    generator partition."""
-    if group.order > max_order:
-        raise ValueError(f"group order {group.order} exceeds the bound {max_order}")
-    expected = generator_partition(group)
-    failures = []
-    count = 0
-    for form in enumerate_quadratic_forms(group, max_forms=max_forms):
-        count += 1
-        part = pointed_orbit_partition(group, form)
-        if part != expected:
-            failures.append(
-                f"form with gram {form.gram} gives partition {part}"
-            )
-    if count == 0:
-        failures.append("no nondegenerate form was enumerated")
-    return FormIndependenceReport(group, count, expected, tuple(failures))

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._numtheory import factorize, is_prime, permutation_orbits, units_mod
+from ._numtheory import factorize, is_prime, permutation_orbits, unit_group_generators, units_mod
 from .cyclotomic import CycNum, dot
 from .galois_action import orbit_partition
 from .modular_data import InvalidModularData, ModularData, memoized_on_datum
@@ -38,7 +38,6 @@ __all__ = [
     "generated_subcategory",
     "is_galois_closed",
     "is_integral",
-    "is_symmetric",
     "orbitwise_pseudoinvertible",
     "pointed_part",
     "pseudoinvertibles",
@@ -160,15 +159,17 @@ def is_integral(data: ModularData, sub: FusionSubcategory) -> bool:
     return all(fp[x].is_rational_integer for x in sub.members)
 
 
-def is_symmetric(data: ModularData, sub: FusionSubcategory) -> bool:
-    return sub.members <= centralizer(data, sub).members
-
-
 def is_galois_closed(sub: FusionSubcategory) -> bool:
+    """Whether sigma_hat_k maps the subcategory onto itself for every
+    unit k.  It is checked on the generators of (Z/NZ)^x only: if
+    sigma_hat_g and sigma_hat_h fix the member set, so does
+    sigma_hat_gh = sigma_hat_g o sigma_hat_h, and every unit is a
+    product of generators."""
     members = sub.members
+    perms = orbit_partition(sub.data).perm_of_unit
     return all(
-        {perm[x] for x in members} == members
-        for perm in orbit_partition(sub.data).perm_of_unit.values()
+        {perms[g][x] for x in members} == members
+        for g in unit_group_generators(sub.data.conductor)
     )
 
 
@@ -261,7 +262,8 @@ class Counting2Report:
 def counting2_degree_check(data: ModularData, sub: FusionSubcategory) -> Counting2Report:
     """|O_X meet D| = |O_X| / [K_D meet L_X : Q] for X in D, where K_D is
     generated by the dimensions of the centralizer of D.  Field degrees
-    are computed as indices of fixing subgroups of (Z/NZ)^x."""
+    are computed as indices of fixing subgroups of (Z/NZ)^x; the fixing
+    group of L_X is the stabilizer of X (see ``orbit_partition``)."""
     n = data.conductor
     part = orbit_partition(data)
     units = units_mod(n)
@@ -272,12 +274,11 @@ def counting2_degree_check(data: ModularData, sub: FusionSubcategory) -> Countin
         for k in units
         if all(dims[y].galois_apply(k) == dims[y] for y in cent.members)
     ]
-    cols = data.character_columns
     entries = []
     failures = []
     for x in sorted(sub.members):
         orbit = part.orbit_of(x)
-        fix_lx = [k for k in units if all(v.galois_apply(k) == v for v in cols[x])]
+        fix_lx = part.stabilizers[x]
         # the subgroup both fixing sets generate: the orbit of 1 under them
         images = [[i * k % n for i in range(n)] for k in set(fix_kd) | set(fix_lx)]
         joint = next(o for o in permutation_orbits(n, images) if 1 % n in o)

@@ -14,10 +14,10 @@ The classification tables for prime-power levels are encoded as data
 spectrum, multiplicity-free flag and square-orbit count.  One registry
 maps each level p^lam to the table that builds its rows.  It covers
 the verified levels only, 2^lam with lam <= 7 and p^lam with p odd and
-lam <= 3; any other level raises ``ValueError``.  ``verify_rows``
-recomputes the orbit count from the spectrum and cross-checks the
-multiplicity-free flag against the cardinality/dimension relation,
-with one result per row.
+lam <= 3, up to ``MAX_PRIME_POWER``; any other level raises
+``ValueError``.  ``verify_rows`` recomputes the orbit count from the
+spectrum and cross-checks the multiplicity-free flag against the
+cardinality/dimension relation, with one result per row.
 
 Three printed rows are internally inconsistent in the source text and
 are encoded with the unique reading consistent with their dimension and
@@ -36,12 +36,12 @@ from ._numtheory import factorize, is_prime, permutation_orbits, unit_group_gene
 from .cyclotomic import CycNum, dot, root_of_unity
 
 __all__ = [
+    "MAX_PRIME_POWER",
     "PsiMatrixReport",
     "RootSet",
     "RowResult",
     "TableRow",
     "TableVerification",
-    "instantiate_rows",
     "make_gamma",
     "make_gamma_res",
     "make_phi",
@@ -575,10 +575,17 @@ _TABLES = (
 _BY_TABLE = {entry[0]: entry for entry in _TABLES}
 _BY_LEVEL = {(two, lam): build for _, two, lams, build in _TABLES for lam in lams}
 
+# Largest prime-power level whose rows are built.  The spectra at p^lam
+# hold about p^lam roots, so an odd prime near 10^9 would ask for 10^9
+# of them.  The bound sits just above 211^2 = 44521, the largest level
+# the benchmark checks.
+MAX_PRIME_POWER = 50_000
+
 
 def _rows_at(levels) -> list[TableRow]:
     """The rows at each prime-power level (p, lam), in the given order.
-    Every level is looked up before any row is built."""
+    Every level is looked up, and checked against ``MAX_PRIME_POWER``,
+    before any row is built."""
     builds = []
     for p, lam in levels:
         build = _BY_LEVEL.get((p == 2, lam))
@@ -586,6 +593,11 @@ def _rows_at(levels) -> list[TableRow]:
             raise ValueError(
                 f"level {p**lam} = {p}^{lam} is outside the verified t-spectra "
                 "scope (2^lam with lam <= 7, p^lam with p odd and lam <= 3)"
+            )
+        if p**lam > MAX_PRIME_POWER:
+            raise ValueError(
+                f"level {p**lam} = {p}^{lam} is above the largest prime-power "
+                f"level checked, {MAX_PRIME_POWER}"
             )
         builds.append((build, p, lam))
     rows: list[TableRow] = []
@@ -607,18 +619,6 @@ def table_rows(table: int, **params) -> list[TableRow]:
     if lam not in lams:
         raise ValueError(f"table {table} has no rows at level {p}^{lam}; lam must be in {lams}")
     return _rows_at([(p, lam)])
-
-
-def instantiate_rows(
-    odd_primes=(3, 5, 7, 11),
-    odd_lambdas=(2, 3),
-    two_lambdas=(1, 2, 3, 4, 5, 6),
-) -> list[TableRow]:
-    """The default verification scope: tables 3-8 at 2^lam for the given
-    lambdas, then tables 1-2 over the given odd primes."""
-    levels = [(2, lam) for lam in sorted(set(two_lambdas))]
-    levels += [(p, lam) for p in odd_primes for lam in (1, *odd_lambdas)]
-    return _rows_at(levels)
 
 
 def rows_for_levels(bound: int) -> list[TableRow]:

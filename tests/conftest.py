@@ -1,8 +1,15 @@
 import pytest
 
 from modgal.cyclotomic import CycNum
-from modgal.families import catalog, fibonacci, ising
-from modgal.modular_data import ModularData
+from modgal.families import catalog, fibonacci, ising, sl2_level_adjoint
+from modgal.modular_data import ModularData, deligne_product
+
+# The report rungs of the benchmark ladder
+LADDER = {
+    "fib_x_sl2_7": lambda: deligne_product(fibonacci(2), sl2_level_adjoint(7, 3)),
+    "ising_x_sl2_7": lambda: deligne_product(ising(3), sl2_level_adjoint(7, 2)),
+    "sl2_19_ad": lambda: sl2_level_adjoint(19, 2),
+}
 
 
 @pytest.fixture(scope="session")

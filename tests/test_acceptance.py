@@ -37,7 +37,7 @@ from modgal.subcategories import (
     check_orbit_lower_bound,
     check_theorem_galois_closure,
 )
-from modgal.tspectra import instantiate_rows, psi_e_matrix_check, table_rows, verify_rows
+from modgal.tspectra import psi_e_matrix_check, rows_for_levels, table_rows, verify_rows
 
 
 class _Clock:
@@ -186,9 +186,7 @@ def test_criterion_7_field_degrees(fixture_catalog):
 
 def test_criterion_8_spectra_tables():
     with _Clock(60.0, "criterion 8: t-spectra tables 1-8"):
-        rows = instantiate_rows(
-            odd_primes=(3, 5, 7, 11), odd_lambdas=(2, 3), two_lambdas=(1, 2, 3, 4, 5, 6)
-        )
+        rows = rows_for_levels(2**6 * 3**3 * 5**3 * 7**3 * 11**3)
         report = verify_rows(rows)
         assert report.ok, report.failures
         # sixteen 3-dimensional level-16 rows

@@ -1,12 +1,23 @@
 """CLI behavior: exit codes, determinism, and golden outputs."""
 
+import contextlib
+import copy
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modgal.cli import main
-from modgal.modular_data import MAX_CONDUCTOR, save_modular_data
+from modgal.modular_data import (
+    MAX_CONDUCTOR,
+    InvalidModularData,
+    loads_modular_data,
+    save_modular_data,
+)
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -177,7 +188,7 @@ class TestTables:
         code, out, _ = run(capsys, "tables", "--check", "9")
         assert code == 0
 
-    @pytest.mark.parametrize("level", ["0", "-8", "256", "81", "1"])
+    @pytest.mark.parametrize("level", ["0", "-8", "256", "81", "1", "1000000007"])
     def test_refuses_unverified_levels(self, capsys, level):
         code, out, err = run(capsys, "tables", "--check", level)
         assert code == 2
@@ -224,3 +235,67 @@ class TestProductAndFixture:
     def test_unknown_fixture(self, tmp_path, capsys):
         code, _, err = run(capsys, "fixture", "nope", "-o", str(tmp_path / "x.mtc"))
         assert code == 2
+
+
+# -- fuzzing the loader and the CLI -------------------------------------------
+
+_SEEDS = {
+    name: json.loads((FIXTURE_DIR / f"{name}.mtc").read_text()) for name in ("fibonacci", "ising")
+}
+_VALUES = st.one_of(
+    st.integers(-8, 8),
+    st.integers(2**64, 2**200) | st.integers(-(2**200), -(2**64)),
+    st.floats(),
+    st.booleans(),
+    st.text(max_size=4),
+    st.lists(st.one_of(st.integers(-3, 3), st.none()), max_size=3),
+    st.none(),
+)
+
+
+def _json_paths(node, prefix=()):
+    yield prefix
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _json_paths(child, prefix + (key,))
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+# No example database: saving it takes longer than running the examples.
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.data())
+def test_mutated_files_fail_cleanly(data):
+    """A catalog file with one to three JSON values replaced: loading
+    raises nothing but ``InvalidModularData``, and ``validate`` and
+    ``report --json`` end with an exit code."""
+    doc = copy.deepcopy(_SEEDS[data.draw(st.sampled_from(sorted(_SEEDS)))])
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(list(_json_paths(doc))))
+        doc = _replaced(doc, path, data.draw(_VALUES))
+    text = json.dumps(doc)
+    try:
+        loads_modular_data(text)
+    except InvalidModularData:
+        pass
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mutated.mtc"
+        path.write_text(text)
+        for argv in (["validate", str(path)], ["report", "--json", str(path)]):
+            sink = io.StringIO()
+            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                code = main(argv)
+            assert code in (0, 1, 2), (argv, text)

@@ -15,7 +15,6 @@ from modgal.cyclotomic import (
     dot,
     euler_phi,
     numeric_value,
-    reduce_conductor,
     root_of_unity,
     root_of_unity_order,
     sign_of_real,
@@ -136,12 +135,6 @@ class TestEmbed:
         r = CycNum.rational(Fraction(3, 7), 4)
         assert r.embed(8).is_rational
         assert r.embed(8).as_rational() == Fraction(3, 7)
-
-    def test_round_trip_through_minimal_conductor(self):
-        a = 1 + zeta(5) + zeta(5, 4)
-        b = a.embed(20)
-        back = reduce_conductor(b)
-        assert back.conductor == 5 and back == a
 
     def test_non_divisor_raises(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,12 @@
 """Permutation matching, orbits, field degrees, and twist relations."""
 
+import dataclasses
+
 import pytest
 
-from modgal.cyclotomic import units_mod
+from conftest import LADDER
+from modgal.cyclotomic import unit_group_generators, units_mod
+from modgal.families import fixture_names, sl2_level_adjoint
 from modgal.galois_action import (
     dims_ratio_check,
     galois_conjugate_data,
@@ -14,6 +18,7 @@ from modgal.galois_action import (
 )
 from modgal.modular_data import deligne_product
 from modgal.pointed import FiniteAbelianGroup, build_pointed
+from modgal.subcategories import all_subcategories, is_galois_closed
 
 
 class TestGaloisPermutation:
@@ -148,3 +153,51 @@ class TestConjugateData:
     def test_identity(self, fixture_catalog):
         data = fixture_catalog["fibonacci"]
         assert galois_conjugate_data(data, 1).s == data.s
+
+
+def _direct_perms(data):
+    """sigma_hat for every unit, each by direct column matching."""
+    return {k: galois_permutation(data, k) for k in units_mod(data.conductor)}
+
+
+class TestGeneratorChecks:
+    """``dims_ratio_check`` and ``is_galois_closed`` run on generators;
+    the references here run over every unit with directly matched
+    permutations."""
+
+    @pytest.mark.parametrize("conjugate", [False, True], ids=["as-is", "conjugate"])
+    @pytest.mark.parametrize("name", fixture_names() + tuple(LADDER))
+    def test_agree_with_every_unit(self, name, conjugate, fixture_catalog):
+        data = fixture_catalog[name] if name in fixture_catalog else LADDER[name]()
+        if conjugate:
+            # conjugate by the first generator of the unit group
+            gens = unit_group_generators(data.conductor)
+            data = galois_conjugate_data(data, gens[0] if gens else 1 % data.conductor)
+        perms = _direct_perms(data)
+        dim_c, dims = data.global_dim, data.dims
+        failing_units = sorted(
+            k
+            for k, perm in perms.items()
+            if any(
+                dims[perm[x]] * dims[perm[x]] * dim_c.galois_apply(k)
+                != dim_c * (dims[x] * dims[x]).galois_apply(k)
+                for x in range(data.rank)
+            )
+        )
+        assert dims_ratio_check(data).ok == (not failing_units)
+        for sub in all_subcategories(data):
+            closed = all({p[x] for x in sub.members} == sub.members for p in perms.values())
+            assert is_galois_closed(sub) == closed, sub.sorted_members
+
+    def test_planted_generator_fault_is_reported(self):
+        data = sl2_level_adjoint(7)
+        part = orbit_partition(data)
+        assert data._memo["orbit_partition"] is part
+        g = unit_group_generators(data.conductor)[0]
+        perm = list(part.perm_of_unit[g])
+        perm[0], perm[1] = perm[1], perm[0]  # dim(0)^2 != dim(1)^2
+        data._memo["orbit_partition"] = dataclasses.replace(
+            part, perm_of_unit={**part.perm_of_unit, g: tuple(perm)}
+        )
+        failures = dims_ratio_check(data).failures
+        assert failures and all(f.startswith(f"dimension ratio fails at unit {g},") for f in failures)

@@ -13,8 +13,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import LADDER
 from modgal.cyclotomic import CycNum, dot, numeric_value, root_of_unity
-from modgal.families import fibonacci, fixture_names, ising, sl2_level_adjoint
+from modgal.families import fibonacci, fixture_names, ising
 from modgal.galois_action import orbit_partition
 from modgal.modular_data import (
     MAX_CONDUCTOR,
@@ -26,13 +27,6 @@ from modgal.modular_data import (
     loads_modular_data,
 )
 from modgal.subcategories import all_subcategories
-
-# The report rungs of the benchmark ladder
-LADDER = {
-    "fib_x_sl2_7": lambda: deligne_product(fibonacci(2), sl2_level_adjoint(7, 3)),
-    "ising_x_sl2_7": lambda: deligne_product(ising(3), sl2_level_adjoint(7, 2)),
-    "sl2_19_ad": lambda: sl2_level_adjoint(19, 2),
-}
 
 
 class Quad:

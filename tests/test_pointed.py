@@ -15,7 +15,6 @@ from modgal.pointed import (
     enumerate_quadratic_forms,
     generator_partition,
     gram_steps,
-    orbit_form_independence_check,
     pointed_orbit_partition,
 )
 
@@ -188,24 +187,3 @@ class TestOrbitRoutes:
         for facs in [(2, 30), (12,), (2, 2, 4), (9, 9)]:
             g = FiniteAbelianGroup(facs)
             assert len(generator_partition(g)) == cyclic_subgroup_count(g)
-
-
-class TestFormIndependence:
-    def test_z2z2_trivial_action(self):
-        report = orbit_form_independence_check(FiniteAbelianGroup((2, 2)))
-        assert report.ok
-        assert report.partition == ((0,), (1,), (2,), (3,))
-        assert report.forms_checked > 1
-
-    def test_z3_both_forms(self):
-        report = orbit_form_independence_check(FiniteAbelianGroup((3,)))
-        assert report.ok and report.forms_checked == 2
-        assert report.partition == ((0,), (1, 2))
-
-    def test_trivial_group(self):
-        report = orbit_form_independence_check(FiniteAbelianGroup(()))
-        assert report.ok and report.partition == ((0,),)
-
-    def test_order_bound(self):
-        with pytest.raises(ValueError):
-            orbit_form_independence_check(FiniteAbelianGroup((64,)), max_order=32)

@@ -18,7 +18,6 @@ from modgal.subcategories import (
     generated_subcategory,
     is_galois_closed,
     is_integral,
-    is_symmetric,
     orbitwise_pseudoinvertible,
     pointed_part,
     pseudoinvertibles,
@@ -132,7 +131,6 @@ class TestPredicates:
         data = fixture_catalog["fibonacci"]
         triv = FusionSubcategory(data, frozenset({0}))
         assert is_integral(data, triv)
-        assert is_symmetric(data, triv)
         # closure of the trivial subcategory needs the unit orbit to be a
         # fixed point, which holds for pointed data but not transitive data
         assert not is_galois_closed(triv)

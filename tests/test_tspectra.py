@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from modgal.tspectra import (
     RootSet,
     TableRow,
-    instantiate_rows,
     make_gamma,
     make_gamma_res,
     make_phi,
@@ -127,7 +126,7 @@ def test_square_orbit_count_multiplicative(m1, m2):
 
 class TestTables:
     def test_default_scope_all_pass(self):
-        rows = instantiate_rows()
+        rows = rows_for_levels(2**6 * 3**3 * 5**3 * 7**3 * 11**3)
         report = verify_rows(rows)
         assert report.ok, report.failures
         assert report.checked > 200
