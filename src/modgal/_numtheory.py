@@ -17,6 +17,7 @@ __all__ = [
     "factorize",
     "is_prime",
     "permutation_orbits",
+    "trial_factor",
     "unit_group_generators",
     "units_mod",
 ]
@@ -25,11 +26,18 @@ __all__ = [
 def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization of n >= 1 as (p, e) pairs, p ascending;
     [] for n = 1."""
+    return trial_factor(n, n)[0]
+
+
+def trial_factor(n: int, limit: int) -> tuple[list[tuple[int, int]], int]:
+    """Divide the primes p <= limit out of n >= 1.  Returns their (p, e)
+    pairs, p ascending, and the cofactor, which has no prime factor
+    <= limit; trial division stops at min(limit, sqrt(cofactor))."""
     if n < 1:
         raise ValueError(f"factorize needs n >= 1, got {n}")
     out = []
     p = 2
-    while p * p <= n:
+    while p <= limit and p * p <= n:
         if n % p == 0:
             e = 0
             while n % p == 0:
@@ -37,13 +45,25 @@ def factorize(n: int) -> list[tuple[int, int]]:
                 e += 1
             out.append((p, e))
         p += 1
-    if n > 1:
+    if 1 < n <= limit:
+        # no factor up to sqrt(n) is left, so n is prime
         out.append((n, 1))
-    return out
+        n = 1
+    return out, n
 
 
 def is_prime(n: int) -> bool:
-    return n >= 2 and factorize(n) == [(n, 1)]
+    """Trial division, stopping at the first factor."""
+    if n < 4:
+        return n >= 2
+    if n % 2 == 0:
+        return False
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
+    return True
 
 
 def euler_phi(n: int) -> int:

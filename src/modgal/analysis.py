@@ -132,7 +132,7 @@ def run_analysis(data: ModularData, source: str, max_rank: int = 64) -> Analysis
         return AnalysisReport(**base)
 
     part = orbit_partition(data)
-    notes: list[str] = list(validation.skipped)
+    notes: list[str] = []
     st = square_twist_consistency(data)
     dr = dims_ratio_check(data)
 

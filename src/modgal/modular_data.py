@@ -6,10 +6,11 @@ display labels, the symmetric r x r s-matrix over Q(zeta_N), and the
 twist exponents e_X with t_X = zeta_N^(e_X).  The unit object sits at
 index 0 (``from_parts`` rotates arbitrary input into this convention).
 
-Everything here is exact.  Fusion coefficients are reconstructed from
-the characters Y -> s_{Y,X} / s_{0,X}; a coefficient that fails to
-canonicalize to a nonnegative rational integer is a data error, not a
-tolerance problem.
+Everything here is exact or certified.  Fusion coefficients are read
+modulo a split prime and then certified by exact identities checked in
+every embedding slot of enough primes (``_splitprime``); a coefficient
+that is not a nonnegative rational integer is a data error, not a
+tolerance problem, and it is named from its exact defining sum.
 
 The file format (``save`` / ``load``) is JSON with fields ``conductor``,
 ``rank``, ``labels``, ``t`` and ``s``, where each s-entry is a list of
@@ -24,12 +25,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, wraps
 
+import numpy as np
+
+from ._splitprime import certified_verlinde
 from .cyclotomic import CycNum, dot, root_of_unity, sign_of_real
 
 __all__ = [
     "FusionTable",
     "InvalidModularData",
     "MAX_CONDUCTOR",
+    "MAX_RANK",
     "ModularData",
     "ValidationReport",
     "deligne_product",
@@ -41,7 +46,12 @@ __all__ = [
 
 
 class InvalidModularData(ValueError):
-    """The data violates the modular-data contract."""
+    """The data violates the modular-data contract.  ``failures`` lists
+    each violation; the message joins them."""
+
+    def __init__(self, *failures: str):
+        super().__init__("; ".join(failures))
+        self.failures = failures
 
 
 # The largest conductor the loader accepts.  ``_Field(N)`` holds about
@@ -50,9 +60,10 @@ class InvalidModularData(ValueError):
 # below this.
 MAX_CONDUCTOR = 1024
 
-# Above this rank ``validate`` reports its phase 2 (unitarity, s^2 and
-# the Verlinde table) as skipped: the exact table costs O(r^4) products.
-FULL_CHECK_RANK = 24
+# The largest rank the loader accepts and ``product`` writes.  The
+# certified Verlinde table costs O(phi(N) r^4) float64 products; see
+# CHANGES.md for the ``validate`` times this bound was sized from.
+MAX_RANK = 64
 
 
 @dataclass(frozen=True)
@@ -81,17 +92,13 @@ class FusionTable:
 @dataclass(frozen=True)
 class ValidationReport:
     failures: tuple[str, ...]
-    skipped: tuple[str, ...] = ()
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
     def summary(self) -> str:
-        if self.ok:
-            note = f" ({len(self.skipped)} check(s) skipped)" if self.skipped else ""
-            return "valid" + note
-        return "; ".join(self.failures)
+        return "; ".join(self.failures) if self.failures else "valid"
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,40 +196,97 @@ class ModularData:
         return self._verlinde()
 
     def _verlinde(self) -> FusionTable:
+        """N_xy^z = sum_a s_xa s_ya conj(s_za) / (s_0a dim(C)), read in one
+        split-prime slot and certified in all of them.
+
+        ``certified_verlinde`` proves or refutes s conj(s)^T = dim(C) I
+        and s_xa s_ya = s_0a sum_z N_xy^z s_za for the candidate N.  Once
+        the first holds, s is invertible, and multiplying the second by
+        conj(s_wa) / dim(C) and summing over a gives the defining sum of
+        N_xy^w: the candidate is the table.  Where an identity fails, the
+        coefficients it concerns are computed exactly, one ``dot`` each,
+        in the order x <= y, z, so the first coefficient that is not a
+        nonnegative integer is the one named.  If unitarity fails, those
+        are N_0x^y = (s conj(s)^T)_xy / dim(C) over the failing pairs; if
+        each of them is a nonnegative integer, the failing pairs are
+        reported, since without unitarity the other rows are not tied to
+        the identities.  When the entries of s are too large for the split
+        primes to certify (``certified_verlinde`` returns None), every
+        coefficient is computed that way, and ``validate`` reads unitarity
+        off the unit row.
+        """
         r = self.rank
-        cols = self.character_columns
-        dim_inv = self.global_dim.inverse()
-        # weight w_a = s_{0,a}^2 / dim: N_{xy}^z = sum_a chi_x(a) chi_y(a) conj(chi_z(a)) w_a
-        weights = [self.s[0][a] * self.s[0][a] * dim_inv for a in range(r)]
-        # conj_rows[z][a] = conj(chi_z(a))
-        conj_rows = [tuple(cols[a][z].conjugate() for a in range(r)) for z in range(r)]
-        coeffs = [[[0] * r for _ in range(r)] for _ in range(r)]
+        for x, d in enumerate(self.dims):
+            if d.is_zero:
+                raise InvalidModularData(f"zero dimension at index {x}")
+            if d.conjugate() != d:
+                raise InvalidModularData(f"dimension at index {x} is not real")
+        certified = certified_verlinde(self._integral_s(), self.conductor)
+        if certified is None:
+            table = np.zeros((r, r, r), dtype=np.int64)
+            bad_pairs, bad_rows = set(), {(x, y) for x in range(r) for y in range(x, r)}
+        else:
+            table, bad_pairs, bad_rows = certified
+        weights = None
+
+        def exact(x: int, y: int, z: int) -> int:
+            nonlocal weights
+            if weights is None:
+                dim = self.global_dim
+                weights = [(d * dim).inverse() for d in self.dims]
+            s = self.s
+            acc = dot(
+                (s[x][a] * s[y][a] * weights[a] for a in range(r)),
+                (s[z][a].conjugate() for a in range(r)),
+            )
+            if not acc.is_rational_integer:
+                raise InvalidModularData(
+                    f"fusion coefficient N({x},{y})^{z} is not an integer"
+                )
+            return int(acc.as_rational())
+
+        if bad_pairs:
+            for x, y in sorted(bad_pairs):
+                n = exact(0, x, y)
+                if n < 0:
+                    raise InvalidModularData(
+                        f"fusion coefficient N(0,{x})^{y} = {n} is negative"
+                    )
+            raise InvalidModularData(*(
+                f"s * conj(s)^T fails at ({x},{y})" for x, y in sorted(bad_pairs) if x <= y
+            ))
+        coeffs = table.tolist()
         for x in range(r):
             for y in range(x, r):
-                prods = [cols[a][x] * cols[a][y] * weights[a] for a in range(r)]
+                row = coeffs[x][y]
                 for z in range(r):
-                    acc = dot(prods, conj_rows[z])
-                    if not acc.is_rational_integer:
-                        raise InvalidModularData(
-                            f"fusion coefficient N({x},{y})^{z} is not an integer"
-                        )
-                    n = int(acc.as_rational())
+                    n = exact(x, y, z) if (x, y) in bad_rows else row[z]
                     if n < 0:
                         raise InvalidModularData(
                             f"fusion coefficient N({x},{y})^{z} = {n} is negative"
                         )
-                    coeffs[x][y][z] = n
-                    coeffs[y][x][z] = n
+                    row[z] = n
+                coeffs[y][x] = row
         dual = [-1] * r
         for x in range(r):
             hits = [z for z in range(r) if coeffs[x][z][0]]
             if len(hits) != 1 or coeffs[x][hits[0]][0] != 1:
                 raise InvalidModularData(f"object {x} has no unique dual")
             dual[x] = hits[0]
-        table = FusionTable(
+        return FusionTable(
             tuple(tuple(tuple(row) for row in plane) for plane in coeffs), tuple(dual)
         )
-        return table
+
+    def _integral_s(self) -> np.ndarray:
+        """The numerators of D * s on the power basis as Python ints,
+        shape (r, r, phi), where D is the lcm of the denominators of s."""
+        den = math.lcm(*(v.den for row in self.s for v in row))
+        nums = [
+            v.num if v.den == den else tuple(c * (den // v.den) for c in v.num)
+            for row in self.s
+            for v in row
+        ]
+        return np.array(nums, dtype=object).reshape(self.rank, self.rank, -1)
 
     # -- Frobenius-Perron dimensions --------------------------------------
 
@@ -254,13 +318,14 @@ class ModularData:
         Phase 1 collects every failure of the cheap checks: s is
         symmetric, s_00 = 1, t_0 = 1, the twist orders have lcm N, and
         every dimension s_0x is nonzero and real.  Phase 2 builds the
-        Verlinde table, which stops at the first coefficient that is not a
-        nonnegative integer or the first object without a unique dual,
-        and then reads unitarity off the table's unit row.  Above rank
-        FULL_CHECK_RANK phase 2 is reported as skipped.
+        certified Verlinde table at every rank, which stops at the first
+        coefficient that is not a nonnegative integer or the first object
+        without a unique dual, and then reads unitarity off the table's
+        unit row.  No check is skipped: every datum that passes has had
+        each identity below proved exactly.
 
         The table holds both matrix identities.  With chi_x(a) =
-        s_xa / s_0a and w_a = s_0a^2 / dim(C), ``_verlinde`` computes
+        s_xa / s_0a and w_a = s_0a^2 / dim(C), ``_verlinde`` yields
         N_xy^z = sum_a chi_x(a) chi_y(a) conj(chi_z(a)) w_a.
 
         * s^2 = dim(C) * C.  chi_0 = 1, so for any datum
@@ -301,14 +366,10 @@ class ModularData:
         if failures:
             return ValidationReport(tuple(failures))
 
-        if r > FULL_CHECK_RANK:
-            return ValidationReport(
-                (), (f"unitarity, s^2 and fusion checks (rank {r} > bound)",)
-            )
         try:
             unit_row = self.fusion.coeffs[0]
         except InvalidModularData as exc:
-            return ValidationReport((str(exc),))
+            return ValidationReport(exc.failures)
         return ValidationReport(tuple(
             f"s * conj(s)^T fails at ({i},{j})"
             for i in range(r)
@@ -403,6 +464,8 @@ def loads_modular_data(text: str) -> ModularData:
         raise InvalidModularData(f"labels must be a list of strings, got {labels!r}")
     if not 1 <= n <= MAX_CONDUCTOR:
         raise InvalidModularData(f"conductor must be in 1..{MAX_CONDUCTOR}, got {n}")
+    if rank > MAX_RANK:
+        raise InvalidModularData(f"rank must be at most {MAX_RANK}, got {rank}")
     if not isinstance(rows, list) or len(rows) != rank or any(
         not isinstance(row, list) or len(row) != rank for row in rows
     ):

@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 
-from ._numtheory import factorize, is_prime, permutation_orbits, unit_group_generators, units_mod
+from ._numtheory import is_prime, permutation_orbits, trial_factor, unit_group_generators, units_mod
 from .cyclotomic import CycNum, dot, root_of_unity
 
 __all__ = [
@@ -626,7 +626,15 @@ def rows_for_levels(bound: int) -> list[TableRow]:
     or one divisible by a level outside the verified scope, raises."""
     if bound < 1:
         raise ValueError(f"level {bound}: N must be >= 1")
-    return _rows_at((p, lam) for p, e in factorize(bound) for lam in range(1, e + 1))
+    # a prime above MAX_PRIME_POWER is a level above it, so trial
+    # division stops there and a cofactor left over is refused
+    factors, rest = trial_factor(bound, MAX_PRIME_POWER)
+    if rest > 1:
+        raise ValueError(
+            f"level {bound}: its factor {rest} has no prime factor up to "
+            f"{MAX_PRIME_POWER}, the largest prime-power level checked"
+        )
+    return _rows_at((p, lam) for p, e in factors for lam in range(1, e + 1))
 
 
 @dataclass(frozen=True)

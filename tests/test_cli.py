@@ -5,6 +5,7 @@ import copy
 import io
 import json
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -14,10 +15,12 @@ from hypothesis import strategies as st
 from modgal.cli import main
 from modgal.modular_data import (
     MAX_CONDUCTOR,
+    MAX_RANK,
     InvalidModularData,
     loads_modular_data,
     save_modular_data,
 )
+from modgal.pointed import FiniteAbelianGroup, build_pointed
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -79,11 +82,13 @@ class TestValidate:
             ((), {"conductor": 1, "rank": 0, "labels": [], "t": [], "s": []}),
             (("labels",), ["1", "\u00e9"]),
             (("conductor",), MAX_CONDUCTOR + 1),
+            (("rank",), MAX_RANK + 1),
         ],
         ids=[
             "conductor-0", "flat-term", "four-element-term", "zero-denominator", "label-count",
             "float-conductor", "float-t", "bool-conductor", "string-rank",
             "string-labels", "non-string-labels", "rank-0", "not-utf8", "conductor-above-bound",
+            "rank-above-bound",
         ],
     )
     def test_malformed_file_names_the_file(self, tmp_path, capsys, path, value):
@@ -188,9 +193,13 @@ class TestTables:
         code, out, _ = run(capsys, "tables", "--check", "9")
         assert code == 0
 
-    @pytest.mark.parametrize("level", ["0", "-8", "256", "81", "1", "1000000007"])
+    @pytest.mark.parametrize(
+        "level", ["0", "-8", "256", "81", "1", "1000000007", "2305843009213693951", "1000000000039"]
+    )
     def test_refuses_unverified_levels(self, capsys, level):
+        start = time.monotonic()
         code, out, err = run(capsys, "tables", "--check", level)
+        assert time.monotonic() - start < 1
         assert code == 2
         assert not out and level in err
 
@@ -224,6 +233,19 @@ class TestProductAndFixture:
         code, out, err = run(capsys, "product", *paths, "-o", str(out_path))
         assert code == 2 and not out
         assert paths[0] in err and paths[1] in err and str(MAX_CONDUCTOR) in err
+        assert not out_path.exists()
+
+    def test_product_above_the_rank_bound(self, tmp_path, capsys):
+        paths = []
+        for factors in ((3, 3), (2, 4)):
+            path = tmp_path / f"z{'x'.join(map(str, factors))}.mtc"
+            save_modular_data(build_pointed(FiniteAbelianGroup(factors)), path)
+            paths.append(str(path))
+        out_path = tmp_path / "prod.mtc"
+        code, out, err = run(capsys, "product", *paths, "-o", str(out_path))
+        assert 9 * 8 > MAX_RANK
+        assert code == 2 and not out
+        assert paths[0] in err and paths[1] in err and str(MAX_RANK) in err
         assert not out_path.exists()
 
     def test_fixture_roundtrip(self, tmp_path, capsys):

@@ -19,6 +19,7 @@ from modgal.families import fibonacci, fixture_names, ising
 from modgal.galois_action import orbit_partition
 from modgal.modular_data import (
     MAX_CONDUCTOR,
+    MAX_RANK,
     FusionTable,
     InvalidModularData,
     ModularData,
@@ -353,3 +354,15 @@ class TestFileFormat:
         assert loads_modular_data(doc(MAX_CONDUCTOR)).conductor == MAX_CONDUCTOR
         with pytest.raises(InvalidModularData, match=str(MAX_CONDUCTOR + 1)):
             loads_modular_data(doc(MAX_CONDUCTOR + 1))
+
+    def test_rank_bound(self):
+        def doc(r):
+            entry = [[1, 1, 0]]
+            return json.dumps({
+                "conductor": 1, "rank": r, "labels": [str(i) for i in range(r)],
+                "t": [0] * r, "s": [[entry] * r for _ in range(r)],
+            })
+
+        assert loads_modular_data(doc(MAX_RANK)).rank == MAX_RANK
+        with pytest.raises(InvalidModularData, match=f"at most {MAX_RANK}, got {MAX_RANK + 1}"):
+            loads_modular_data(doc(MAX_RANK + 1))

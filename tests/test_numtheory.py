@@ -12,6 +12,7 @@ from modgal._numtheory import (
     factorize,
     is_prime,
     permutation_orbits,
+    trial_factor,
 )
 
 N = range(1, 2001)
@@ -32,6 +33,15 @@ def test_factorize_against_brute_force():
 def test_is_prime_against_brute_force():
     for n in range(-3, 2001):
         assert is_prime(n) == (n >= 2 and _brute_divisors(n) == [1, n])
+
+
+def test_trial_factor_stops_at_the_limit():
+    assert trial_factor(2**61 - 1, 50_000) == ([], 2**61 - 1)
+    assert trial_factor(12 * 1000003, 1000) == ([(2, 2), (3, 1)], 1000003)
+    assert trial_factor(12 * 1000003, 1000003) == ([(2, 2), (3, 1), (1000003, 1)], 1)
+    assert trial_factor(50021 * 50023, 50_000) == ([], 50021 * 50023)
+    for n in N:
+        assert trial_factor(n, n) == (factorize(n), 1)
 
 
 def test_euler_phi_and_divisors_against_brute_force():
