@@ -35,10 +35,10 @@ __all__ = ["SplitPrime", "certify", "certified_verlinde", "split_prime", "split_
 PRIME_BITS = 21
 MAX_TERMS = 1 << (53 - 2 * PRIME_BITS)
 
-# The split primes ``certified_verlinde`` tries per conductor.  Their
-# product exceeds 2^160, far above the certificate bound of any datum
-# with small entries (2^18 on sl2_11 x sl2_13); a datum whose bound is
-# above the usable ones is left to the exact route.
+# The split primes ``certified_verlinde`` tries per conductor.  Each is
+# above 2^20 for every conductor the loader accepts, so their product
+# exceeds 2^160, above the certificate bound of every datum the loader
+# accepts (the argument is in ``certified_verlinde``).
 MAX_PRIMES = 8
 
 # Elements of the largest array one slot chunk of ``certify`` builds:
@@ -104,15 +104,15 @@ def _images(num: np.ndarray, prime: SplitPrime, slots=slice(None)) -> np.ndarray
 
 
 def _usable(num: np.ndarray, prime: SplitPrime) -> bool:
-    """No dimension s'_0a and not dim' = sum_a s'_0a^2 vanishes in a
-    slot of this prime, so slot 0 can divide by them."""
+    """No dimension s_0a and not dim = sum_a s_0a^2 vanishes in a slot
+    of this prime, so slot 0 can divide by them."""
     dims = _images(num[0], prime)
     return bool(dims.all() and ((dims * dims % prime.p).sum(axis=1) % prime.p).all())
 
 
 def _candidate(num: np.ndarray, prime: SplitPrime) -> np.ndarray:
-    """N_xy^z = sum_a s'_xa s'_ya conj(s'_za) / (s'_0a dim') read in
-    slot 0 of a usable prime and lifted to (-p/2, p/2]."""
+    """N_xy^z = sum_a s_xa s_ya conj(s_za) / (s_0a dim) read in slot 0
+    of a usable prime and lifted to (-p/2, p/2]."""
     p = prime.p
     s, cs = _images(num, prime, [0, prime.conj[0]])
     r = s.shape[0]
@@ -127,7 +127,7 @@ def _candidate(num: np.ndarray, prime: SplitPrime) -> np.ndarray:
 def certificate_bound(num: np.ndarray, table: np.ndarray) -> int:
     """B >= |sigma(y)| for every identity y of ``certify`` and every
     embedding sigma of Q(zeta_N) into C: with L the largest l1 norm of
-    an entry's numerators, |sigma(s'_xa)| <= L, so the unitarity
+    an entry's numerators, |sigma(s_xa)| <= L, so the unitarity
     identities are bounded by 2 r L^2 and the Verlinde identity of
     (x, y, a) by L^2 (1 + sum_z |N_xy^z|)."""
     r = table.shape[0]
@@ -137,12 +137,11 @@ def certificate_bound(num: np.ndarray, table: np.ndarray) -> int:
 
 
 def certify(num: np.ndarray, table: np.ndarray, primes) -> tuple[set, set]:
-    """Check s' conj(s')^T = dim' I and s'_xa s'_ya = s'_0a sum_z
-    N_xy^z s'_za (x <= y, every a) in every slot of every given prime.
+    """Check s conj(s)^T = dim I and s_xa s_ya = s_0a sum_z N_xy^z s_za
+    (x <= y, every a) in every slot of every given prime.
 
-    ``num`` holds the numerators of s' = D s on the power basis, shape
-    (r, r, phi), where D clears the denominators, so s' has entries in
-    Z[zeta_N] and dim' = sum_a s'_0a^2 = D^2 dim(C).  Returns the pairs
+    ``num`` holds the entries of s, which lie in Z[zeta_N], on the power
+    basis, shape (r, r, phi); dim = sum_a s_0a^2.  Returns the pairs
     (x, y) where the unitarity identity fails and the pairs x <= y where
     some Verlinde identity of (x, y) fails.
 
@@ -180,13 +179,13 @@ def certify(num: np.ndarray, table: np.ndarray, primes) -> tuple[set, set]:
         rows = (table[lx, ly] % p).astype(np.float64)
         for lo in range(0, len(img), step):
             s = img[lo:lo + step]
-            # sum_a s'_xa conj(s'_ya) - dim' [x = y]; each remainder is
+            # sum_a s_xa conj(s_ya) - dim [x = y]; each remainder is
             # taken in int64, several times faster than in float64
             gram = s @ img[prime.conj[lo:lo + step]].transpose(0, 2, 1)
             gram[:, diag, diag] -= (s[:, 0] * s[:, 0]).sum(axis=1, keepdims=True)
             bad_gram |= (gram.astype(np.int64) % p).any(axis=0)
-            flat = s.transpose(1, 0, 2).reshape(r, -1)  # flat[z, (slot, a)] = s'_za
-            # s'_xa s'_ya - s'_0a sum_z N_xy^z s'_za
+            flat = s.transpose(1, 0, 2).reshape(r, -1)  # flat[z, (slot, a)] = s_za
+            # s_xa s_ya - s_0a sum_z N_xy^z s_za
             diff = flat[lx] * flat[ly] - rows @ (flat * flat[0] % p)
             bad_rows[live] |= (diff.astype(np.int64) % p).any(axis=1)
     return (
@@ -195,25 +194,37 @@ def certify(num: np.ndarray, table: np.ndarray, primes) -> tuple[set, set]:
     )
 
 
-def certified_verlinde(num: np.ndarray, n: int) -> tuple[np.ndarray, set, set] | None:
+def certified_verlinde(num: np.ndarray, n: int) -> tuple[np.ndarray, set, set]:
     """The candidate table read in slot 0 of the first usable split
     prime of conductor n, with the failures ``certify`` finds over the
-    usable primes from there on whose product exceeds the bound; None
-    when the usable primes among the first ``MAX_PRIMES`` do not."""
+    shortest prefix of the split primes whose product exceeds the bound
+    B.  ``certify`` divides by nothing, so a prime that is not usable
+    certifies too.  Raises ValueError when none of the first
+    ``MAX_PRIMES`` primes is usable, or when their product does not
+    exceed B.
+
+    The second never happens to a datum the loader accepts.  Its
+    coefficients c satisfy |c| < 2^k with k = ``MAX_ENTRY_BITS`` of
+    ``modular_data``, and it has phi(N) < 2^10 and r <= 64 = 2^6.  So
+    L <= phi(N) max |c| < 2^(10+k); the lifted candidate entries are at
+    most (p - 1)/2 < 2^20 in size, so the row mass is below 2^26 and
+    max(2r, 1 + row mass) <= 2^26.  Hence B = L^2 max(2r, 1 + row mass)
+    < 2^(46+2k).  For every N <= 1024 the first ``MAX_PRIMES`` primes
+    exceed 2^20 (a sieve in the tests shows it), so their product
+    exceeds 2^160 >= 2^(46+2k) for any k <= 57.
+    """
     r, _, phi = num.shape
     if max(r, phi) > MAX_TERMS:
         raise ValueError(f"rank {r} and phi(N) = {phi} must be at most {MAX_TERMS}")
-    primes = (split_primes(n, i) for i in range(MAX_PRIMES))
-    usable = (prime for prime in primes if _usable(num, prime))
-    chosen = [next(usable, None)]
-    if chosen[0] is None:
-        return None
-    table = _candidate(num, chosen[0])
+    first = next((i for i in range(MAX_PRIMES) if _usable(num, split_primes(n, i))), None)
+    if first is None:
+        raise ValueError(f"a dimension or dim(C) vanishes in a slot of each of the first "
+                         f"{MAX_PRIMES} split primes of conductor {n}")
+    table = _candidate(num, split_primes(n, first))
     bound = certificate_bound(num, table)
-    if bound >> (PRIME_BITS * MAX_PRIMES):
-        return None
-    while math.prod(prime.p for prime in chosen) <= bound:
-        chosen.append(next(usable, None))
-        if chosen[-1] is None:
-            return None
-    return (table, *certify(num, table, chosen))
+    for i in range(MAX_PRIMES):
+        chosen = [split_primes(n, j) for j in range(i + 1)]
+        if math.prod(prime.p for prime in chosen) > bound:
+            return (table, *certify(num, table, chosen))
+    raise ValueError(f"the certificate bound {bound} exceeds the product of the first "
+                     f"{MAX_PRIMES} split primes of conductor {n}")

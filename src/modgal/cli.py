@@ -3,22 +3,24 @@
 Subcommands::
 
     modgal validate <file>
-    modgal report <file> [--max-rank K] [--json]
-    modgal pointed <n1,n2,...> [--count-only] [--form <gram>] [--max-order B]
+    modgal report <file> [--json]
+    modgal pointed <n1,n2,...> [--count-only] [--form <gram>]
     modgal tables --check <N>
     modgal product <a> <b> -o <out>
     modgal fixture <name> -o <out>
 
-Exit codes: 0 pass, 1 check failure, 2 input error.  Input errors
-include a missing or malformed ``.mtc`` file, or one whose conductor or
-rank is above ``MAX_CONDUCTOR`` or ``MAX_RANK`` (the message names the
-file), a ``product`` whose conductor lcm(N_a, N_b) exceeds
-``MAX_CONDUCTOR`` or whose rank r_a * r_b exceeds ``MAX_RANK`` (nothing
-is written), and a ``tables --check N`` with N < 1 or with N divisible
-by a level outside the verified t-spectra scope (2^lam with lam >= 8,
-p^lam with p odd and lam >= 4) or above ``tspectra.MAX_PRIME_POWER``.
-Data that loads but breaks the modular-data contract is a check
-failure.
+Exit codes: 0 pass, 1 check failure, 2 input error.  Input errors are
+a missing or malformed ``.mtc`` file, or one whose conductor, rank or
+s-entries are above ``MAX_CONDUCTOR``, ``MAX_RANK`` or ``MAX_ENTRY_BITS``
+bits (the message names the file); a datum whose Verlinde table the
+split primes cannot certify; a ``product`` whose conductor, rank or
+entries would exceed those bounds (nothing is written); a ``pointed``
+group of order above ``MAX_RANK`` without ``--count-only``; and a
+``tables --check N`` with N < 1 or with N divisible by a level outside
+the verified t-spectra scope (2^lam with lam >= 8, p^lam with p odd and
+lam >= 4) or above ``tspectra.MAX_PRIME_POWER``.  Data that loads but
+breaks the modular-data contract, or fails a theorem check of
+``report``, is a check failure.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .modular_data import (
     MAX_CONDUCTOR,
     MAX_RANK,
     InvalidModularData,
+    check_entry_bits,
     deligne_product,
     load_modular_data,
     save_modular_data,
@@ -79,7 +82,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_report(args) -> int:
     data = _load(args.file)
-    report = run_analysis(data, args.file, max_rank=args.max_rank)
+    report = run_analysis(data, args.file)
     sys.stdout.write(report.to_json() if args.json else report.to_text())
     return PASS if report.ok else FAIL
 
@@ -109,10 +112,9 @@ def _cmd_pointed(args) -> int:
     if args.count_only:
         print(f"{group}: {count} orbits")
         return PASS
-    if group.order > args.max_order:
+    if group.order > MAX_RANK:
         raise _InputError(
-            f"order {group.order} exceeds --max-order {args.max_order}; "
-            "use --count-only"
+            f"order {group.order} exceeds the rank bound {MAX_RANK}; use --count-only"
         )
     form = _parse_form(group, args.form) if args.form else canonical_form(group)
     if not form.is_nondegenerate():
@@ -158,6 +160,10 @@ def _cmd_product(args) -> int:
             f"{a.rank * b.rank}, above the bound {MAX_RANK}"
         )
     prod = deligne_product(a, b)
+    try:
+        check_entry_bits(prod.s)
+    except InvalidModularData as exc:
+        raise _InputError(f"the product of {args.a} and {args.b}: {exc}") from None
     save_modular_data(prod, args.output)
     print(
         f"wrote {args.output}: conductor {prod.conductor}, rank {prod.rank}"
@@ -189,8 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="full analysis of a modular data file")
     p.add_argument("file")
-    p.add_argument("--max-rank", type=int, default=64,
-                   help="rank bound for lattice and theorem suites (default 64)")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(run=_cmd_report)
 
@@ -199,7 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count-only", action="store_true",
                    help="only evaluate the divisor-tuple orbit count")
     p.add_argument("--form", help="Gram rows, e.g. '1' or '1,0;0,1'")
-    p.add_argument("--max-order", type=int, default=64)
     p.set_defaults(run=_cmd_pointed)
 
     p = sub.add_parser("tables", help="verify encoded t-spectra table rows")

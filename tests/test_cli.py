@@ -12,9 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modgal import analysis
 from modgal.cli import main
 from modgal.modular_data import (
     MAX_CONDUCTOR,
+    MAX_ENTRY_BITS,
     MAX_RANK,
     InvalidModularData,
     loads_modular_data,
@@ -140,14 +142,14 @@ class TestReport:
         _, second, _ = run(capsys, "report", str(FIXTURE_DIR / "ising.mtc"))
         assert first == second
 
-    def test_max_rank_skips_the_lattice(self, capsys):
-        code, out, _ = run(
-            capsys, "report", "--json", "--max-rank", "4", str(FIXTURE_DIR / "so5_3half_ad.mtc")
-        )
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["subcategory_count"] is None
-        assert "lattice and theorem checks skipped (rank > 4)" in doc["notes"]
+    def test_a_failed_theorem_check_exits_1(self, capsys, monkeypatch):
+        def planted(data):
+            raise InvalidModularData("planted theorem-check failure")
+
+        monkeypatch.setattr(analysis, "adjoint_part", planted)
+        code, out, err = run(capsys, "report", "--json", str(FIXTURE_DIR / "so5_3half_ad.mtc"))
+        assert code == 1 and not out
+        assert "planted theorem-check failure" in err
 
     def test_precision_variable_ignored(self, capsys, monkeypatch):
         # the sign oracle starts at 64 bits whatever the environment holds
@@ -246,6 +248,22 @@ class TestProductAndFixture:
         assert 9 * 8 > MAX_RANK
         assert code == 2 and not out
         assert paths[0] in err and paths[1] in err and str(MAX_RANK) in err
+        assert not out_path.exists()
+
+    def test_product_above_the_entry_bound(self, tmp_path, capsys):
+        # each factor loads, but s_00 of the product is 2^(MAX_ENTRY_BITS + 2)
+        paths = []
+        for name in ("a", "b"):
+            path = tmp_path / f"{name}.mtc"
+            path.write_text(json.dumps({
+                "conductor": 1, "rank": 1, "labels": ["1"], "t": [0],
+                "s": [[[[1 << (MAX_ENTRY_BITS // 2 + 1), 1, 0]]]],
+            }))
+            paths.append(str(path))
+        out_path = tmp_path / "prod.mtc"
+        code, out, err = run(capsys, "product", *paths, "-o", str(out_path))
+        assert code == 2 and not out
+        assert paths[0] in err and paths[1] in err and f"2^{MAX_ENTRY_BITS}" in err
         assert not out_path.exists()
 
     def test_fixture_roundtrip(self, tmp_path, capsys):

@@ -19,8 +19,8 @@ from modgal.families import fibonacci, fixture_names, ising
 from modgal.galois_action import orbit_partition
 from modgal.modular_data import (
     MAX_CONDUCTOR,
+    MAX_ENTRY_BITS,
     MAX_RANK,
-    FusionTable,
     InvalidModularData,
     ModularData,
     deligne_product,
@@ -170,28 +170,27 @@ class TestValidationFailures:
             assert not report.ok, name
             assert any(f.startswith("fusion coefficient") for f in report.failures), name
 
-    def test_unitarity_is_read_off_the_unit_row(self):
-        # With positive dimensions an integral table has the identity as
-        # its unit row (N_0 d = d with a positive diagonal), so no datum
-        # here reaches this failure; a table with a broken unit row stands
-        # in for one.
-        data = ising(0)
-        table = data.fusion
-        coeffs = [[list(row) for row in plane] for plane in table.coeffs]
-        coeffs[0][1][1] = 2
-        coeffs[0][1][2] = coeffs[0][2][1] = 1
-        data.__dict__["fusion"] = FusionTable(
-            tuple(tuple(map(tuple, plane)) for plane in coeffs), table.dual
-        )
-        assert data.validate().failures == (
-            "s * conj(s)^T fails at (1,1)",
-            "s * conj(s)^T fails at (1,2)",
-        )
+
+class TestCharacterColumns:
+    @pytest.mark.parametrize("name", fixture_names() + tuple(LADDER))
+    def test_match_one_inverse_per_dimension(self, name, fixture_catalog):
+        # the columns share one inverse of the product of the dimensions
+        data = fixture_catalog[name] if name in fixture_catalog else LADDER[name]()
+        s = data.s
+        for y, column in enumerate(data.character_columns):
+            inv = s[0][y].inverse()
+            assert column == tuple(s[x][y] * inv for x in range(data.rank)), (name, y)
+
+    def test_a_zero_dimension_is_named_before_any_inverse(self):
+        one, zero = CycNum.one(1), CycNum.zero(1)
+        data = ModularData(1, 3, ("1", "x", "y"), ((one, zero, zero),) * 3, (0, 0, 0))
+        with pytest.raises(InvalidModularData, match="zero dimension at index 1"):
+            data.character_columns
 
 
 class TestTableIdentities:
-    """The two identities ``validate`` reads off the Verlinde table,
-    against s s^T and s conj(s)^T computed entry by entry."""
+    """The two matrix identities the Verlinde table holds, against
+    s s^T and s conj(s)^T computed entry by entry."""
 
     @pytest.mark.parametrize("name", fixture_names() + tuple(LADDER))
     def test_unit_row_and_column(self, name, fixture_catalog):
@@ -366,3 +365,16 @@ class TestFileFormat:
         assert loads_modular_data(doc(MAX_RANK)).rank == MAX_RANK
         with pytest.raises(InvalidModularData, match=f"at most {MAX_RANK}, got {MAX_RANK + 1}"):
             loads_modular_data(doc(MAX_RANK + 1))
+
+    def test_entry_bound(self):
+        def doc(num, den):
+            return json.dumps(
+                {"conductor": 1, "rank": 1, "labels": ["1"], "t": [0], "s": [[[[num, den, 0]]]]}
+            )
+
+        below = (1 << MAX_ENTRY_BITS) - 1
+        for num, den in ((below, 1), (-below, 1), (1, below)):
+            assert loads_modular_data(doc(num, den)).s[0][0].as_rational() == Fraction(num, den)
+        for num, den in ((below + 1, 1), (-below - 1, 1), (1, below + 1)):
+            with pytest.raises(InvalidModularData, match=rf"2\^{MAX_ENTRY_BITS} or more"):
+                loads_modular_data(doc(num, den))

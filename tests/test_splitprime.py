@@ -9,7 +9,9 @@ computed exactly.
 import json
 import math
 import random
+import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,13 +25,16 @@ from modgal.cyclotomic import CycNum, dot, numeric_value
 from modgal.families import fibonacci, fixture_names, sl2_level_adjoint
 from modgal.galois_action import galois_conjugate_data
 from modgal.modular_data import (
+    MAX_CONDUCTOR,
+    MAX_ENTRY_BITS,
     InvalidModularData,
     ModularData,
     deligne_product,
-    load_modular_data,
     save_modular_data,
 )
 from modgal.pointed import FiniteAbelianGroup, build_pointed
+
+FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def exact_verlinde(data):
@@ -243,9 +248,7 @@ def _is_split(p):
 
 def _huge_denominators():
     """Rank 2 at conductor 1021 with s_01 = s_10 a sum of eight 1/q_i,
-    the q_i distinct coprime 4000-digit integers: the common denominator
-    puts the certificate bound far above any set of ``MAX_PRIMES`` split
-    primes."""
+    the q_i distinct coprime 4000-digit integers."""
     rng = random.Random(3)
     qs = []
     while len(qs) < 8:
@@ -258,30 +261,70 @@ def _huge_denominators():
 
 
 class TestBeyondThePrimes:
-    def test_huge_entries_take_the_exact_route(self, tmp_path, capsys):
+    def test_huge_entries_are_refused(self, tmp_path, capsys):
         path = tmp_path / "huge.mtc"
         path.write_text(json.dumps(_huge_denominators()))
-        data = load_modular_data(path)
-        assert certified_verlinde(data._integral_s(), data.conductor) is None
-        with pytest.raises(InvalidModularData) as reference:
-            exact_verlinde(data)
         start = time.monotonic()
-        assert main(["validate", str(path)]) == 1
+        assert main(["validate", str(path)]) == 2
         elapsed = time.monotonic() - start
-        assert str(reference.value) in capsys.readouterr().out
-        assert elapsed < 10, elapsed
+        err = capsys.readouterr().err
+        assert str(path) in err and f"2^{MAX_ENTRY_BITS}" in err
+        assert elapsed < 1, elapsed
 
-    def test_the_exact_route_is_the_reference(self, monkeypatch, fixture_catalog, phase2_invalid):
-        # with no split prime to try, every coefficient is computed exactly
-        monkeypatch.setattr(_splitprime, "MAX_PRIMES", 0)
-        for name in ("fibonacci", "ising", "sl2_12_A0", "so5_3half_ad"):
-            data = fixture_catalog[name]
-            assert certified_verlinde(data._integral_s(), data.conductor) is None
-            assert ModularData(*_parts(data)).fusion.coeffs == exact_verlinde(data), name
-        for name, data in phase2_invalid.items():
-            with pytest.raises(InvalidModularData) as reference:
-                exact_verlinde(data)
-            assert ModularData(*_parts(data)).validate().failures == (str(reference.value),), name
+    def test_a_fractional_entry_fails_phase_1(self, tmp_path, capsys):
+        data = _edited(fibonacci(0), lambda s: s[1].__setitem__(1, s[1][1] / 2))
+        failure = "s-entry (1,1) is not in Z[zeta_N]"
+        assert data.validate().failures == (failure,)
+        with pytest.raises(InvalidModularData, match=re.escape(failure)):
+            ModularData(*_parts(data)).fusion
+        path = tmp_path / "half.mtc"
+        save_modular_data(data, path)
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().out == f"{path}: INVALID\n  {failure}\n"
+
+    def test_every_conductor_has_enough_primes_above_2_20(self):
+        # every prime in (2^20, 2^21] by a sieve, so certified_verlinde's
+        # bound argument holds at every conductor the loader accepts
+        top = 1 << _splitprime.PRIME_BITS
+        sieve = np.ones(top + 1, dtype=bool)
+        sieve[:2] = False
+        for q in range(2, math.isqrt(top) + 1):
+            if sieve[q]:
+                sieve[q * q::q] = False
+        primes = np.flatnonzero(sieve[(top >> 1) + 1:]) + (top >> 1) + 1
+        for n in range(1, MAX_CONDUCTOR + 1):
+            assert np.count_nonzero(primes % n == 1 % n) >= _splitprime.MAX_PRIMES, n
+        for n in (1, 5, 143):
+            want = sorted(primes[primes % n == 1 % n].tolist(), reverse=True)
+            got = [split_primes(n, i).p for i in range(_splitprime.MAX_PRIMES)]
+            assert got == want[:_splitprime.MAX_PRIMES], n
+
+    def test_no_usable_prime_is_refused(self, monkeypatch, capsys):
+        data = fibonacci(0)
+        monkeypatch.setattr(_splitprime, "_usable", lambda num, prime: False)
+        with pytest.raises(ValueError, match="vanishes"):
+            certified_verlinde(data._integral_s(), data.conductor)
+        assert main(["validate", str(FIXTURE_DIR / "fibonacci.mtc")]) == 2
+        assert "vanishes" in capsys.readouterr().err
+
+    def test_a_prime_that_is_not_usable_still_certifies(self, monkeypatch):
+        # the candidate is read at the second prime; the first, where it
+        # cannot be read, is enough for the certificate
+        data = _fib_x_sl2_13()
+        first = split_primes(data.conductor, 0)
+        usable, certify_ = _splitprime._usable, _splitprime.certify
+        seen = []
+
+        def recorded(num, table, primes):
+            seen.append([prime.p for prime in primes])
+            return certify_(num, table, primes)
+
+        monkeypatch.setattr(
+            _splitprime, "_usable", lambda num, prime: prime is not first and usable(num, prime)
+        )
+        monkeypatch.setattr(_splitprime, "certify", recorded)
+        assert ModularData(*_parts(data)).fusion.coeffs == exact_verlinde(data)
+        assert seen == [[first.p]]
 
     def test_split_primes_stop_when_they_run_out(self, monkeypatch):
         # below 2^6 the primes = 1 (mod 5) are 61, 41, 31 and 11
