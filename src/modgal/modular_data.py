@@ -15,6 +15,8 @@ tolerance problem, and it is named from its exact defining sum.
 The file format (``save`` / ``load``) is JSON with fields ``conductor``,
 ``rank``, ``labels``, ``t`` and ``s``, where each s-entry is a list of
 ``[num, den, exp]`` terms meaning (num/den) * zeta_N^exp, summed.
+``save`` writes one line, keys sorted, no spaces, and each term in
+lowest terms at a power-basis exponent.
 """
 
 from __future__ import annotations
@@ -430,9 +432,8 @@ def deligne_product(a: ModularData, b: ModularData) -> ModularData:
 
 
 def _entry_terms(v: CycNum) -> list[list[int]]:
-    return [
-        [c.numerator, c.denominator, i] for i, c in enumerate(v.coeffs) if c
-    ]
+    gcds = [math.gcd(a, v.den) for a in v.num]
+    return [[a // g, v.den // g, i] for i, (a, g) in enumerate(zip(v.num, gcds)) if a]
 
 
 def dump_modular_data(data: ModularData) -> str:
@@ -443,7 +444,7 @@ def dump_modular_data(data: ModularData) -> str:
         "t": list(data.t_exponents),
         "s": [[_entry_terms(v) for v in row] for row in data.s],
     }
-    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def loads_modular_data(text: str) -> ModularData:

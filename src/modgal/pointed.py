@@ -28,7 +28,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -265,10 +264,8 @@ def enumerate_quadratic_forms(group: FiniteAbelianGroup, max_forms: int | None =
         for (i, j), v in zip(positions, values):
             gram[i][j] = v
             gram[j][i] = v
-        try:
-            form = QuadraticFormSpec(group, tuple(tuple(row) for row in gram))
-        except ValueError:
-            continue
+        # symmetric, and each entry a multiple of its step, by construction
+        form = QuadraticFormSpec(group, tuple(tuple(row) for row in gram))
         if not form.is_nondegenerate():
             continue
         key = form.value_vector()
@@ -364,18 +361,22 @@ def generator_partition(group: FiniteAbelianGroup) -> tuple[tuple[int, ...], ...
 
 def cyclic_subgroup_count(group: FiniteAbelianGroup) -> int:
     """Number of cyclic subgroups, via the divisor-tuple sum
-    sum phi(d_1)...phi(d_k) / phi(lcm(d_1,...,d_k))."""
+    sum phi(d_1)...phi(d_k) / phi(lcm(d_1,...,d_k)).  Each term is an
+    integer: phi(a) phi(b) = phi(lcm(a, b)) phi(gcd(a, b)), so by
+    induction on k, phi(d_1)...phi(d_k) is phi(lcm(d_1,...,d_k)) times
+    a product of phis."""
     facs = group.invariant_factors
     if not facs:
         return 1
-    total = Fraction(0)
+    total = 0
     for tup in itertools.product(*(divisors(n) for n in facs)):
         num = 1
         for d in tup:
             num *= euler_phi(d)
-        total += Fraction(num, euler_phi(math.lcm(*tup)))
-    assert total.denominator == 1
-    return int(total)
+        term, rest = divmod(num, euler_phi(math.lcm(*tup)))
+        assert rest == 0
+        total += term
+    return total
 
 
 def closed_form_counts(kind: str, p: int | None = None, n: int | None = None) -> int:

@@ -11,13 +11,17 @@ pairs in lowest terms.  The building blocks are
 
 The classification tables for prime-power levels are encoded as data
 (one ``TableRow`` per instantiated row) carrying the printed dimension,
-spectrum, multiplicity-free flag and square-orbit count.  One registry
-maps each level p^lam to the table that builds its rows.  It covers
-the verified levels only, 2^lam with lam <= 7 and p^lam with p odd and
-lam <= 3, up to ``MAX_PRIME_POWER``; any other level raises
-``ValueError``.  ``verify_rows`` recomputes the orbit count from the
-spectrum and cross-checks the multiplicity-free flag against the
-cardinality/dimension relation, with one result per row.
+spectrum, multiplicity-free flag and square-orbit count.  One registry,
+keyed by the level (whether p = 2, and lam), holds the builder of the
+rows at each level p^lam, and ``rows_for_levels`` is the one way to
+reach them.  It covers the verified levels only, 2^lam with lam <= 7
+and p^lam with p odd and lam <= 3, up to ``MAX_PRIME_POWER``; any other
+level raises ``ValueError``.  ``verify_rows`` recomputes the orbit
+count from the spectrum and cross-checks the multiplicity-free flag
+against the cardinality/dimension relation, with one result per row.
+The count needs no orbit walk: once the spectrum is closed under the
+squares of the generators of the unit group, every orbit of its roots
+of order n has |(Z/nZ)^x^2| elements (``square_galois_orbit_count``).
 
 Three printed rows are internally inconsistent in the source text and
 are encoded with the unique reading consistent with their dimension and
@@ -29,10 +33,11 @@ the sigma-parameterized family.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
-from ._numtheory import is_prime, permutation_orbits, trial_factor, unit_group_generators, units_mod
+from ._numtheory import trial_factor, unit_group_generators, units_mod
 from .cyclotomic import CycNum, dot, root_of_unity
 
 __all__ = [
@@ -49,7 +54,6 @@ __all__ = [
     "psi_e_matrix_check",
     "rows_for_levels",
     "square_galois_orbit_count",
-    "table_rows",
     "verify_rows",
 ]
 
@@ -73,12 +77,6 @@ class RootSet:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def __contains__(self, pair) -> bool:
-        return _reduce_root(*pair) in self.elements
-
-    def __or__(self, other: "RootSet") -> "RootSet":
-        return RootSet(self.elements | other.elements)
-
     def union_disjoint(self, *others: "RootSet") -> "RootSet":
         total = set(self.elements)
         for other in others:
@@ -91,6 +89,12 @@ class RootSet:
     @property
     def level(self) -> int:
         return reduce(math.lcm, (n for n, _ in self.elements), 1)
+
+
+@lru_cache(maxsize=None)
+def _unit_squares(n: int) -> frozenset[int]:
+    """{u^2 mod n : u a unit mod n}; {0} for n = 1."""
+    return frozenset((u * u) % n for u in units_mod(n))
 
 
 def make_phi(n: int) -> RootSet:
@@ -110,8 +114,7 @@ def make_gamma_res(p: int, lam: int, r: int) -> RootSet:
     q = p**lam
     if math.gcd(r, p) != 1:
         raise ValueError(f"residue {r} is not coprime to {p}")
-    squares = {(u * u) % q for u in units_mod(q)}
-    return RootSet.of((q, r * s) for s in squares)
+    return RootSet.of((q, r * s) for s in _unit_squares(q))
 
 
 def make_phi_res(n: int, r: int) -> RootSet:
@@ -121,27 +124,33 @@ def make_phi_res(n: int, r: int) -> RootSet:
 
 def square_galois_orbit_count(s: RootSet) -> int:
     """Number of orbits of the set under zeta -> zeta^(k^2), k a unit
-    modulo the lcm of the orders.  The set must be a union of full
-    orbits; a violation raises."""
+    modulo the lcm m of the orders.  The set must be a union of full
+    orbits; a violation raises, naming the first element (in sorted
+    order, for the first generator) whose image leaves the set.
+
+    Squaring is a homomorphism of the abelian group (Z/mZ)^x, so the
+    squares g^2 of its generators g generate its squares.  Each map
+    (n, e) -> (n, e g^2 mod n) keeps lowest terms, since g^2 is a unit
+    mod n, and is injective; a finite set it maps into itself it
+    permutes, so closure under the g^2 is closure under every k^2.
+    (Z/mZ)^x maps onto (Z/nZ)^x, so on the roots of order n the k^2
+    act as the group (Z/nZ)^x^2, which acts freely: every orbit there
+    has |(Z/nZ)^x^2| elements, and the count is the sum over n of
+    c_n / |(Z/nZ)^x^2|, with c_n the elements of order n."""
     if not s.elements:
         raise ValueError("empty root set")
     m = s.level
     elems = sorted(s.elements)
-    index = {e: i for i, e in enumerate(elems)}
-    images = []
     for g in unit_group_generators(m):
         gg = (g * g) % m
-        image = []
         for n, e in elems:
-            img = _reduce_root(n, e * (gg % n))
-            j = index.get(img)
-            if j is None:
+            img = (n, e * gg % n)
+            if img not in s.elements:
                 raise ValueError(
                     f"set is not closed under the square action: {(n, e)} -> {img}"
                 )
-            image.append(j)
-        images.append(image)
-    return len(permutation_orbits(len(elems), images))
+    orders = Counter(n for n, _ in elems)
+    return sum(c // len(_unit_squares(n)) for n, c in orders.items())
 
 
 # -- table rows -----------------------------------------------------------
@@ -196,9 +205,8 @@ def _sigma_set(p: int, lam: int, sigma: int, r: int, t: int) -> RootSet:
     """{zeta_{p^lam}^(r(x^2 + p^sigma t y^2)) : p | x, p does not divide y}."""
     q = p**lam
     xs = {(x * x) % q for x in range(0, q, p)}
-    ys = {(y * y) % q for y in units_mod(q)}
     return RootSet.of(
-        (q, r * (a + (p**sigma) * t * b)) for a in xs for b in ys
+        (q, r * (a + (p**sigma) * t * b)) for a in xs for b in _unit_squares(q)
     )
 
 
@@ -557,23 +565,23 @@ def _table8(lam: int) -> list[TableRow]:
 
 # -- the table registry ------------------------------------------------------
 
-# (table, level is a power of 2, its lams, builder(p, lam)).  These are
-# the verified levels: every row at 2^lam with lam <= 7 and at p^lam
-# with p odd and lam <= 3 passes verify_rows.  The row formulas carried
-# past them fail (20 of 52 rows at 2^8, 6 of 16 at p^4), so those
-# levels are refused rather than checked.
-_TABLES = (
-    (1, False, (1,), lambda p, lam: _table1(p)),
-    (2, False, (2, 3), _table2),
-    (3, True, (1,), lambda p, lam: _table3()),
-    (4, True, (2,), lambda p, lam: _table4()),
-    (5, True, (3,), lambda p, lam: _table5()),
-    (6, True, (4,), lambda p, lam: _table6()),
-    (7, True, (5,), lambda p, lam: _table7()),
-    (8, True, (6, 7), lambda p, lam: _table8(lam)),
-)
-_BY_TABLE = {entry[0]: entry for entry in _TABLES}
-_BY_LEVEL = {(two, lam): build for _, two, lams, build in _TABLES for lam in lams}
+# (level is a power of 2, lam) -> builder(p, lam); each row carries its
+# table number.  These are the verified levels: every row at 2^lam with
+# lam <= 7 and at p^lam with p odd and lam <= 3 passes verify_rows.  The
+# row formulas carried past them fail (20 of 52 rows at 2^8, 6 of 16 at
+# p^4), so those levels are refused rather than checked.
+_TABLES = {
+    (False, 1): lambda p, lam: _table1(p),
+    (False, 2): _table2,
+    (False, 3): _table2,
+    (True, 1): lambda p, lam: _table3(),
+    (True, 2): lambda p, lam: _table4(),
+    (True, 3): lambda p, lam: _table5(),
+    (True, 4): lambda p, lam: _table6(),
+    (True, 5): lambda p, lam: _table7(),
+    (True, 6): lambda p, lam: _table8(lam),
+    (True, 7): lambda p, lam: _table8(lam),
+}
 
 # Largest prime-power level whose rows are built.  The spectra at p^lam
 # hold about p^lam roots, so an odd prime near 10^9 would ask for 10^9
@@ -582,48 +590,11 @@ _BY_LEVEL = {(two, lam): build for _, two, lams, build in _TABLES for lam in lam
 MAX_PRIME_POWER = 50_000
 
 
-def _rows_at(levels) -> list[TableRow]:
-    """The rows at each prime-power level (p, lam), in the given order.
-    Every level is looked up, and checked against ``MAX_PRIME_POWER``,
-    before any row is built."""
-    builds = []
-    for p, lam in levels:
-        build = _BY_LEVEL.get((p == 2, lam))
-        if build is None:
-            raise ValueError(
-                f"level {p**lam} = {p}^{lam} is outside the verified t-spectra "
-                "scope (2^lam with lam <= 7, p^lam with p odd and lam <= 3)"
-            )
-        if p**lam > MAX_PRIME_POWER:
-            raise ValueError(
-                f"level {p**lam} = {p}^{lam} is above the largest prime-power "
-                f"level checked, {MAX_PRIME_POWER}"
-            )
-        builds.append((build, p, lam))
-    rows: list[TableRow] = []
-    for build, p, lam in builds:
-        rows += build(p, lam)
-    return rows
-
-
-def table_rows(table: int, **params) -> list[TableRow]:
-    """Instantiated rows of one table.  Tables 1-2 need an odd prime p;
-    table 2 takes lam in (2, 3), default 2; table 8 takes lam in (6, 7)."""
-    if table not in _BY_TABLE:
-        raise ValueError(f"no table {table}")
-    _, two, lams, _ = _BY_TABLE[table]
-    p = 2 if two else params["p"]
-    lam = params.get("lam", lams[0])
-    if not two and (p == 2 or not is_prime(p)):
-        raise ValueError(f"table {table} needs an odd prime p, got {p}")
-    if lam not in lams:
-        raise ValueError(f"table {table} has no rows at level {p}^{lam}; lam must be in {lams}")
-    return _rows_at([(p, lam)])
-
-
 def rows_for_levels(bound: int) -> list[TableRow]:
-    """All encoded rows whose level divides the bound.  A bound below 1,
-    or one divisible by a level outside the verified scope, raises."""
+    """All encoded rows whose level divides the bound, by ascending p
+    and lam.  A bound below 1, or one divisible by a level outside the
+    verified scope or above ``MAX_PRIME_POWER``, raises before any row
+    is built."""
     if bound < 1:
         raise ValueError(f"level {bound}: N must be >= 1")
     # a prime above MAX_PRIME_POWER is a level above it, so trial
@@ -634,7 +605,22 @@ def rows_for_levels(bound: int) -> list[TableRow]:
             f"level {bound}: its factor {rest} has no prime factor up to "
             f"{MAX_PRIME_POWER}, the largest prime-power level checked"
         )
-    return _rows_at((p, lam) for p, e in factors for lam in range(1, e + 1))
+    builds = []
+    for p, e in factors:
+        for lam in range(1, e + 1):
+            build = _TABLES.get((p == 2, lam))
+            if build is None:
+                raise ValueError(
+                    f"level {p**lam} = {p}^{lam} is outside the verified t-spectra "
+                    "scope (2^lam with lam <= 7, p^lam with p odd and lam <= 3)"
+                )
+            if p**lam > MAX_PRIME_POWER:
+                raise ValueError(
+                    f"level {p**lam} = {p}^{lam} is above the largest prime-power "
+                    f"level checked, {MAX_PRIME_POWER}"
+                )
+            builds.append((build, p, lam))
+    return [row for build, p, lam in builds for row in build(p, lam)]
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ from modgal.subcategories import (
     check_orbit_lower_bound,
     check_theorem_galois_closure,
 )
-from modgal.tspectra import psi_e_matrix_check, rows_for_levels, table_rows, verify_rows
+from modgal.tspectra import psi_e_matrix_check, rows_for_levels, verify_rows
 
 
 class _Clock:

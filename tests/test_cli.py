@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from modgal import analysis
 from modgal.cli import main
+from modgal.families import fixture_names
 from modgal.modular_data import (
     MAX_CONDUCTOR,
     MAX_ENTRY_BITS,
@@ -267,10 +268,11 @@ class TestProductAndFixture:
         assert not out_path.exists()
 
     def test_fixture_roundtrip(self, tmp_path, capsys):
-        out_path = tmp_path / "ising.mtc"
-        code, _, _ = run(capsys, "fixture", "ising", "-o", str(out_path))
-        assert code == 0
-        assert out_path.read_text() == (FIXTURE_DIR / "ising.mtc").read_text()
+        for name in fixture_names():
+            out_path = tmp_path / f"{name}.mtc"
+            code, _, _ = run(capsys, "fixture", name, "-o", str(out_path))
+            assert code == 0, name
+            assert out_path.read_text() == (FIXTURE_DIR / f"{name}.mtc").read_text(), name
 
     def test_unknown_fixture(self, tmp_path, capsys):
         code, _, err = run(capsys, "fixture", "nope", "-o", str(tmp_path / "x.mtc"))

@@ -5,6 +5,7 @@ oracle: arithmetic in Q(sqrt(5)) and Q(sqrt(2)) on (a + b*sqrt(d))
 pairs of Fractions, evaluating the character sums directly.
 """
 
+import dataclasses
 import gc
 import json
 import weakref
@@ -312,15 +313,23 @@ class TestFusionTableInvariants:
                         assert lhs == rhs
 
 
+def _fields(data: ModularData) -> list:
+    return [getattr(data, f.name) for f in dataclasses.fields(ModularData)]
+
+
 class TestFileFormat:
     def test_round_trip_all_fixtures(self, fixture_catalog):
         for name, data in fixture_catalog.items():
+            assert _fields(loads_modular_data(dump_modular_data(data))) == _fields(data), name
+
+    def test_round_trip_product_and_fractions(self):
+        # one JSON line; the rank-1 datum has coefficients 1/2, -3/4, 0, 1/3
+        fractional = CycNum(5, [Fraction(1, 2), Fraction(-3, 4), 0, Fraction(2, 6)])
+        for data in (LADDER["fib_x_sl2_7"](), ModularData(5, 1, ("1",), ((fractional,),), (0,))):
             text = dump_modular_data(data)
-            back = loads_modular_data(text)
-            assert back.conductor == data.conductor
-            assert back.labels == data.labels
-            assert back.s == data.s
-            assert back.t_exponents == data.t_exponents
+            assert "\n" not in text[:-1] and ", " not in text
+            assert _fields(loads_modular_data(text)) == _fields(data)
+        assert '[[[[1,2,0],[-3,4,1],[1,3,3]]]]' in text
 
     def test_unreduced_terms_canonicalize(self):
         # 1*z5^9 is stored unreduced; the loader must reduce mod Phi_5

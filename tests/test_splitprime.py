@@ -304,8 +304,11 @@ class TestBeyondThePrimes:
         monkeypatch.setattr(_splitprime, "_usable", lambda num, prime: False)
         with pytest.raises(ValueError, match="vanishes"):
             certified_verlinde(data._integral_s(), data.conductor)
-        assert main(["validate", str(FIXTURE_DIR / "fibonacci.mtc")]) == 2
-        assert "vanishes" in capsys.readouterr().err
+        path = str(FIXTURE_DIR / "fibonacci.mtc")
+        for argv in (["validate", path], ["report", path]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {path}: ") and "vanishes" in err, argv
 
     def test_a_prime_that_is_not_usable_still_certifies(self, monkeypatch):
         # the candidate is read at the second prime; the first, where it

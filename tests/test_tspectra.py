@@ -16,7 +16,6 @@ from modgal.tspectra import (
     psi_e_matrix_check,
     rows_for_levels,
     square_galois_orbit_count,
-    table_rows,
     verify_rows,
 )
 
@@ -100,6 +99,65 @@ class TestSquareOrbits:
             square_galois_orbit_count(RootSet(frozenset()))
 
 
+def _brute_force_count(s: RootSet) -> int:
+    """Orbits under zeta -> zeta^(k^2) for every unit k modulo the level,
+    each walked from one element; an image outside the set raises."""
+    m = math.lcm(*(n for n, _ in s.elements))
+    units = [k for k in range(1, m + 1) if math.gcd(k, m) == 1]
+    seen: set = set()
+    count = 0
+    for n, e in sorted(s.elements):
+        if (n, e) in seen:
+            continue
+        orbit = set()
+        for k in units:
+            x = e * k * k % n
+            g = math.gcd(x, n)
+            orbit.add((n // g, x // g) if x else (1, 0))
+        if not orbit <= s.elements:
+            raise ValueError(f"not closed: {sorted(orbit - s.elements)}")
+        seen |= orbit
+        count += 1
+    return count
+
+
+def _reference_sets():
+    for level in (2**7 * 3**3 * 5**3 * 7**3 * 11**3, 12167, 29791):
+        for row in rows_for_levels(level):
+            yield row.spectrum
+    for m in range(1, 200):
+        yield make_phi(m)
+        yield make_gamma(m)
+
+
+def test_orbit_count_matches_every_unit():
+    checked = 0
+    for s in _reference_sets():
+        assert square_galois_orbit_count(s) == _brute_force_count(s), sorted(s.elements)[:4]
+        checked += 1
+    assert checked > 700
+
+
+@pytest.mark.parametrize(
+    "pairs,message",
+    [
+        ([(5, 1)], "(5, 1) -> (5, 4)"),
+        ([(5, 1), (5, 4), (7, 1)], "(7, 1) -> (7, 2)"),
+        ([(8, 1), (8, 3), (5, 1), (5, 4), (5, 2)], "(5, 2) -> (5, 3)"),
+        ([(16, 3), (32, 1), (32, 9), (32, 17), (32, 25)], "(16, 3) -> (16, 11)"),
+    ],
+)
+def test_not_closed_names_the_first_escape(pairs, message):
+    # the first generator of the unit group, then the first element in
+    # sorted order, whose image leaves the set is the one named
+    s = RootSet.of(pairs)
+    with pytest.raises(ValueError, match="not closed"):
+        _brute_force_count(s)
+    with pytest.raises(ValueError) as exc:
+        square_galois_orbit_count(s)
+    assert str(exc.value) == f"set is not closed under the square action: {message}"
+
+
 def _product_set(a: RootSet, b: RootSet) -> RootSet:
     out = set()
     for n1, e1 in a.elements:
@@ -132,39 +190,37 @@ class TestTables:
         assert report.checked > 200
 
     def test_table1_small_prime(self):
-        rows = table_rows(1, p=5)
+        rows = [r for r in rows_for_levels(5) if r.table == 1]
         by_label = {r.label: r for r in rows}
         row = by_label["R_1(1,chi_-1) p=5"]
         assert row.dim == 2 and len(row.spectrum) == 2 and row.gal == 1
 
     def test_table5_n3(self):
-        rows = table_rows(5)
+        rows = [r for r in rows_for_levels(8) if r.table == 5]
         n3 = next(r for r in rows if r.label.startswith("N_3"))
         assert n3.dim == 4 and n3.gal == 4 and n3.mf is True
         assert len(n3.spectrum) == 4
 
     def test_sixteen_dim3_level16(self):
-        rows = [r for r in table_rows(6) if r.dim == 3]
+        rows = [r for r in rows_for_levels(16) if r.table == 6 and r.dim == 3]
         assert len(rows) == 16
 
     def test_table8_lambda6_and_7(self):
         for lam in (6, 7):
-            report = verify_rows(table_rows(8, lam=lam))
+            rows = [r for r in rows_for_levels(2**lam) if r.level == 2**lam]
+            assert {r.table for r in rows} == {8}
+            report = verify_rows(rows)
             assert report.ok, (lam, report.failures)
 
-    def test_table8_needs_lam6(self):
-        with pytest.raises(ValueError):
-            table_rows(8, lam=5)
-
-    @pytest.mark.parametrize("table,params", [(2, {"p": 3, "lam": 4}), (8, {"lam": 8})])
-    def test_refuses_unverified_levels(self, table, params):
-        with pytest.raises(ValueError):
-            table_rows(table, **params)
+    @pytest.mark.parametrize("level", [81, 256])
+    def test_refuses_unverified_levels(self, level):
+        with pytest.raises(ValueError, match="outside the verified t-spectra scope"):
+            rows_for_levels(level)
 
     def test_every_failure_reported_on_its_row(self):
         # Phi_5 has 5 elements in 3 square orbits: gal and mf are both wrong
         bad = TableRow(0, "hand-built", 5, 3, make_phi(5), True, gal=2)
-        good = table_rows(3)[0]
+        good = rows_for_levels(2)[0]
         report = verify_rows([good, bad])
         assert report.checked == 2 and not report.ok
         assert report.results[0].ok and report.results[1].row is bad
@@ -181,7 +237,7 @@ class TestTables:
         assert {r.level for r in rows} == {3, 9}
 
     def test_bounded_rows_checked_as_inequalities(self):
-        rows = [r for r in table_rows(2, p=5, lam=3) if r.gal_min is not None]
+        rows = [r for r in rows_for_levels(125) if r.level == 125 and r.gal_min is not None]
         assert rows
         report = verify_rows(rows)
         assert report.ok
