@@ -15,12 +15,15 @@ s-entries are above ``MAX_CONDUCTOR``, ``MAX_RANK`` or ``MAX_ENTRY_BITS``
 bits, or a datum whose Verlinde table the split primes cannot certify
 (the message names the file); a ``product`` whose conductor, rank or
 entries would exceed those bounds (nothing is written); a ``pointed``
-group of order above ``MAX_RANK`` without ``--count-only``; and a
-``tables --check N`` with N < 1 or with N divisible by a level outside
-the verified t-spectra scope (2^lam with lam >= 8, p^lam with p odd and
-lam >= 4) or above ``tspectra.MAX_PRIME_POWER``.  Data that loads but
-breaks the modular-data contract, or fails a theorem check of
-``report``, is a check failure.
+group of order above ``MAX_RANK`` without ``--count-only``; a
+``pointed`` group whose divisor-tuple sum has more than
+``pointed.MAX_DIVISOR_TUPLES`` terms, or with an invariant factor that
+has a prime above ``pointed.MAX_COUNT_PRIME``; and a ``tables --check N``
+with N < 1, with N divisible by a level outside the verified t-spectra
+scope (2^lam with lam >= 8, p^lam with p odd and lam >= 4), or with
+prime-power levels that sum above ``tspectra.MAX_LEVEL_SUM``.  Data
+that loads but breaks the modular-data contract, or fails a theorem
+check of ``report``, is a check failure.
 """
 
 from __future__ import annotations
@@ -108,14 +111,14 @@ def _parse_form(group: FiniteAbelianGroup, text: str) -> QuadraticFormSpec:
 
 def _cmd_pointed(args) -> int:
     group = _parse_group(args.group)
-    count = cyclic_subgroup_count(group)
     if args.count_only:
-        print(f"{group}: {count} orbits")
+        print(f"{group}: {cyclic_subgroup_count(group)} orbits")
         return PASS
     if group.order > MAX_RANK:
         raise _InputError(
             f"order {group.order} exceeds the rank bound {MAX_RANK}; use --count-only"
         )
+    count = cyclic_subgroup_count(group)
     form = _parse_form(group, args.form) if args.form else canonical_form(group)
     if not form.is_nondegenerate():
         raise _InputError("the quadratic form is degenerate")

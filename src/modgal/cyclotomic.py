@@ -224,16 +224,11 @@ class CycNum:
     @classmethod
     def from_terms(cls, conductor: int, terms) -> "CycNum":
         """Sum of (coefficient, exponent) terms c * zeta_N^e, e arbitrary."""
-        field = _field(conductor)
         pairs = [(_as_rational(c), exp) for c, exp in terms]
         den = math.lcm(*(c.denominator for c, _ in pairs))
-        acc = [0] * field.phi
-        for c, exp in pairs:
-            if c:
-                m = c.numerator * (den // c.denominator)
-                for i, r in field.terms[exp % conductor]:
-                    acc[i] += m * r
-        return _canonical(conductor, acc, den)
+        return _fold_terms(
+            conductor, ((c.numerator * (den // c.denominator), exp) for c, exp in pairs), den
+        )
 
     # -- predicates ---------------------------------------------------
 
@@ -456,6 +451,18 @@ def _canonical(conductor: int, num: list[int], den: int) -> CycNum:
         num = [c // g for c in num]
         den //= g
     return _raw(conductor, tuple(num), den)
+
+
+def _fold_terms(conductor: int, terms, den: int) -> CycNum:
+    """The sum of m * zeta_N^e / den over the (m, e) in ``terms``, for
+    int numerators m, any int exponents e and one int den >= 1."""
+    field = _field(conductor)
+    acc = [0] * field.phi
+    for m, exp in terms:
+        if m:
+            for i, r in field.terms[exp % conductor]:
+                acc[i] += m * r
+    return _canonical(conductor, acc, den)
 
 
 def _combine(a: CycNum, b: CycNum, op) -> CycNum:

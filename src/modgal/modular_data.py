@@ -24,13 +24,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, wraps
+from itertools import chain
 
 import numpy as np
 
 from ._splitprime import certified_verlinde
-from .cyclotomic import CycNum, dot, root_of_unity, sign_of_real
+from .cyclotomic import CycNum, _fold_terms, dot, root_of_unity, sign_of_real
 
 __all__ = [
     "FusionTable",
@@ -497,16 +497,23 @@ def check_entry_bits(s) -> None:
 
 def _loads_entry(n: int, entry) -> CycNum:
     """One s-entry from its list of [num, den, exp] integer terms."""
-    if not isinstance(entry, list) or not all(
-        isinstance(term, list) and len(term) == 3 and all(type(v) is int for v in term)
-        for term in entry
+    # JSON arrays decode to exact lists, so the type sets decide the shape
+    if (
+        type(entry) is not list
+        or set(map(type, entry)) - {list}
+        or set(map(len, entry)) - {3}
+        or set(map(type, chain.from_iterable(entry))) - {int}
     ):
         raise InvalidModularData(
             f"an s-entry must be a list of [num, den, exp] integer terms, got {entry!r}"
         )
-    if any(den == 0 for _, den, _ in entry):
+    dens = [d for _, d, _ in entry]
+    if 0 in dens:
         raise InvalidModularData(f"zero denominator in s-entry {entry!r}")
-    return CycNum.from_terms(n, ((Fraction(num, den), exp) for num, den, exp in entry))
+    # over the lcm of the term denominators; a negative one flips its
+    # term's sign through den // d, as Fraction(num, d) would
+    den = math.lcm(*dens)
+    return _fold_terms(n, ((num * (den // d), exp) for num, d, exp in entry), den)
 
 
 def save_modular_data(data: ModularData, path) -> None:

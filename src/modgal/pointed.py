@@ -38,6 +38,7 @@ from ._numtheory import (
     factorize,
     is_prime,
     permutation_orbits,
+    trial_factor,
     unit_group_generators,
     units_mod,
 )
@@ -60,6 +61,13 @@ __all__ = [
 # Largest Gram-matrix candidate space ``enumerate_quadratic_forms``
 # scans in full before it falls back to a sparser family.
 MAX_CANDIDATES = 200_000
+
+# Bounds of ``cyclic_subgroup_count``: the terms of its divisor-tuple
+# sum (2^16 of them take 0.6 s on a 2-vCPU x86 VM; the rank-1800 groups
+# have at most 128) and the primes of an invariant factor, so that
+# finding its divisors takes at most that many trial divisions.
+MAX_DIVISOR_TUPLES = 100_000
+MAX_COUNT_PRIME = 100_000
 
 
 @dataclass(frozen=True)
@@ -364,10 +372,30 @@ def cyclic_subgroup_count(group: FiniteAbelianGroup) -> int:
     sum phi(d_1)...phi(d_k) / phi(lcm(d_1,...,d_k)).  Each term is an
     integer: phi(a) phi(b) = phi(lcm(a, b)) phi(gcd(a, b)), so by
     induction on k, phi(d_1)...phi(d_k) is phi(lcm(d_1,...,d_k)) times
-    a product of phis."""
+    a product of phis.
+
+    The sum has d(n_1)...d(n_k) terms, so a group is refused with
+    ``ValueError`` before any term when they number more than
+    ``MAX_DIVISOR_TUPLES``, or when a factor has a prime above
+    ``MAX_COUNT_PRIME``, which bounds the trial division that finds
+    the divisors."""
     facs = group.invariant_factors
     if not facs:
         return 1
+    tuples = 1
+    for n in facs:
+        factors, rest = trial_factor(n, MAX_COUNT_PRIME)
+        if rest > 1:
+            raise ValueError(
+                f"invariant factor {n}: its factor {rest} has no prime factor up to "
+                f"{MAX_COUNT_PRIME}, the largest prime counted"
+            )
+        tuples *= math.prod(e + 1 for _, e in factors)
+        if tuples > MAX_DIVISOR_TUPLES:
+            raise ValueError(
+                f"the divisor-tuple sum of {group} has more than "
+                f"{MAX_DIVISOR_TUPLES} terms"
+            )
     total = 0
     for tup in itertools.product(*(divisors(n) for n in facs)):
         num = 1

@@ -1,7 +1,8 @@
 """Root-of-unity spectra of SL(2, Z/NZ) irreducible representations.
 
-``RootSet`` is a finite set of roots of unity held as (order, exponent)
-pairs in lowest terms.  The building blocks are
+A ``RootSet`` is a level n and the exponents e of its roots zeta_n^e,
+at the least level, gcd(n, *exps) = 1, so equal sets compare equal and
+reaching that form costs one gcd per set.  The building blocks are
 
 * Phi_n: all n-th roots of unity,
 * Gamma_n: the primitive ones,
@@ -15,8 +16,8 @@ spectrum, multiplicity-free flag and square-orbit count.  One registry,
 keyed by the level (whether p = 2, and lam), holds the builder of the
 rows at each level p^lam, and ``rows_for_levels`` is the one way to
 reach them.  It covers the verified levels only, 2^lam with lam <= 7
-and p^lam with p odd and lam <= 3, up to ``MAX_PRIME_POWER``; any other
-level raises ``ValueError``.  ``verify_rows`` recomputes the orbit
+and p^lam with p odd and lam <= 3, with the levels of one N summing to
+at most ``MAX_LEVEL_SUM``; anything else raises ``ValueError``.  ``verify_rows`` recomputes the orbit
 count from the spectrum and cross-checks the multiplicity-free flag
 against the cardinality/dimension relation, with one result per row.
 The count needs no orbit walk: once the spectrum is closed under the
@@ -35,13 +36,13 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 from ._numtheory import trial_factor, unit_group_generators, units_mod
 from .cyclotomic import CycNum, dot, root_of_unity
 
 __all__ = [
-    "MAX_PRIME_POWER",
+    "MAX_LEVEL_SUM",
     "PsiMatrixReport",
     "RootSet",
     "RowResult",
@@ -58,37 +59,46 @@ __all__ = [
 ]
 
 
-def _reduce_root(order: int, exp: int) -> tuple[int, int]:
-    exp %= order
-    g = math.gcd(exp, order)
-    return (order // g, exp // g) if exp else (1, 0)
-
-
 @dataclass(frozen=True)
 class RootSet:
-    """Finite set of roots of unity, each in lowest terms (order, exp)."""
+    """The roots zeta_level^e, e in ``exps``, at the least level: each e
+    in [0, level) and gcd(level, *exps) = 1.  The empty set is (1, {})."""
 
-    elements: frozenset[tuple[int, int]]
+    level: int
+    exps: frozenset[int]
 
     @classmethod
-    def of(cls, pairs) -> "RootSet":
-        return cls(frozenset(_reduce_root(n, e) for n, e in pairs))
+    def of(cls, level: int, exps) -> "RootSet":
+        """zeta_level^e for e in ``exps``, brought to the least level."""
+        exps = {e % level for e in exps}
+        g = math.gcd(level, *exps)
+        return cls(level // g, frozenset(e // g for e in exps))
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.exps)
 
     def union_disjoint(self, *others: "RootSet") -> "RootSet":
-        total = set(self.elements)
-        for other in others:
-            overlap = total & other.elements
+        """The union at the lcm L of the levels, zeta_n^e = zeta_L^(e L/n).
+        L is the least level: the orders of the roots of a set at level n
+        have lcm n / gcd(n, *exps) = n, so those of the union have lcm L,
+        which is L / gcd(L, *exps)."""
+        big = math.lcm(self.level, *(other.level for other in others))
+        total: set[int] = set()
+        for part in (self, *others):
+            k = big // part.level
+            lifted = {e * k for e in part.exps}
+            overlap = total & lifted
             if overlap:
-                raise ValueError(f"union is not disjoint: {sorted(overlap)}")
-            total |= other.elements
-        return RootSet(frozenset(total))
+                pairs = sorted(_pair(big, e) for e in overlap)
+                raise ValueError(f"union is not disjoint: {pairs}")
+            total |= lifted
+        return RootSet(big, frozenset(total))
 
-    @property
-    def level(self) -> int:
-        return reduce(math.lcm, (n for n, _ in self.elements), 1)
+
+def _pair(m: int, e: int) -> tuple[int, int]:
+    # zeta_m^e as (order, exp) in lowest terms, (1, 0) for e = 0
+    g = math.gcd(e, m)
+    return (m // g, e // g)
 
 
 @lru_cache(maxsize=None)
@@ -99,12 +109,12 @@ def _unit_squares(n: int) -> frozenset[int]:
 
 def make_phi(n: int) -> RootSet:
     """All n-th roots of unity."""
-    return RootSet.of((n, k) for k in range(n))
+    return RootSet(n, frozenset(range(n)))
 
 
 def make_gamma(n: int) -> RootSet:
     """The primitive n-th roots of unity."""
-    return RootSet.of((n, k) for k in units_mod(n))
+    return RootSet(n, frozenset(units_mod(n)))
 
 
 def make_gamma_res(p: int, lam: int, r: int) -> RootSet:
@@ -114,42 +124,41 @@ def make_gamma_res(p: int, lam: int, r: int) -> RootSet:
     q = p**lam
     if math.gcd(r, p) != 1:
         raise ValueError(f"residue {r} is not coprime to {p}")
-    return RootSet.of((q, r * s) for s in _unit_squares(q))
+    return RootSet(q, frozenset(r * s % q for s in _unit_squares(q)))
 
 
 def make_phi_res(n: int, r: int) -> RootSet:
     """{zeta_n^(r x^2) : x in Z}."""
-    return RootSet.of((n, (r * x * x) % n) for x in range(n))
+    return RootSet.of(n, {r * x * x % n for x in range(n)})
 
 
 def square_galois_orbit_count(s: RootSet) -> int:
     """Number of orbits of the set under zeta -> zeta^(k^2), k a unit
-    modulo the lcm m of the orders.  The set must be a union of full
-    orbits; a violation raises, naming the first element (in sorted
-    order, for the first generator) whose image leaves the set.
+    modulo its level m, which acts on the exponents as e -> e k^2 mod m.
+    The set must be a union of full orbits; a violation raises, naming
+    the first element (least as an (order, exp) pair in lowest terms,
+    for the first generator) whose image leaves the set.
 
     Squaring is a homomorphism of the abelian group (Z/mZ)^x, so the
-    squares g^2 of its generators g generate its squares.  Each map
-    (n, e) -> (n, e g^2 mod n) keeps lowest terms, since g^2 is a unit
-    mod n, and is injective; a finite set it maps into itself it
-    permutes, so closure under the g^2 is closure under every k^2.
-    (Z/mZ)^x maps onto (Z/nZ)^x, so on the roots of order n the k^2
-    act as the group (Z/nZ)^x^2, which acts freely: every orbit there
-    has |(Z/nZ)^x^2| elements, and the count is the sum over n of
-    c_n / |(Z/nZ)^x^2|, with c_n the elements of order n."""
-    if not s.elements:
+    squares g^2 of its generators generate its squares.  Each map
+    e -> e g^2 mod m is injective, g^2 being a unit; a finite set it
+    maps into itself it permutes, so closure under the g^2 is closure
+    under every k^2.  The maps keep gcd(e, m), so zeta_m^e keeps its
+    order n = m / gcd(e, m).  (Z/mZ)^x maps onto (Z/nZ)^x, so on the
+    roots of order n the k^2 act as the group (Z/nZ)^x^2, which acts
+    freely: every orbit there has |(Z/nZ)^x^2| elements, and the count
+    is the sum over n of c_n / |(Z/nZ)^x^2|, c_n the roots of order n."""
+    m, exps = s.level, s.exps
+    if not exps:
         raise ValueError("empty root set")
-    m = s.level
-    elems = sorted(s.elements)
     for g in unit_group_generators(m):
-        gg = (g * g) % m
-        for n, e in elems:
-            img = (n, e * gg % n)
-            if img not in s.elements:
-                raise ValueError(
-                    f"set is not closed under the square action: {(n, e)} -> {img}"
-                )
-    orders = Counter(n for n, _ in elems)
+        gg = g * g % m
+        if {e * gg % m for e in exps} != exps:
+            n, e = min(_pair(m, e) for e in exps if e * gg % m not in exps)
+            raise ValueError(
+                f"set is not closed under the square action: {(n, e)} -> {(n, e * gg % n)}"
+            )
+    orders = Counter(m // math.gcd(e, m) for e in exps)
     return sum(c // len(_unit_squares(n)) for n, c in orders.items())
 
 
@@ -171,7 +180,7 @@ class TableRow:
         return f"Table {self.table}: {self.label} (level {self.level}, dim {self.dim})"
 
 
-_G1 = RootSet.of([(1, 0)])
+_G1 = make_phi(1)
 _G2 = make_gamma(2)
 
 
@@ -206,7 +215,7 @@ def _sigma_set(p: int, lam: int, sigma: int, r: int, t: int) -> RootSet:
     q = p**lam
     xs = {(x * x) % q for x in range(0, q, p)}
     return RootSet.of(
-        (q, r * (a + (p**sigma) * t * b)) for a in xs for b in _unit_squares(q)
+        q, {r * (a + p**sigma * t * b) % q for a in xs for b in _unit_squares(q)}
     )
 
 
@@ -386,26 +395,14 @@ def _table7() -> list[TableRow]:
             TableRow(7, f"R_5^0(1,{t},chi)", 32, 24,
                      make_gamma(32).union_disjoint(tail), False, 8)
         )
-    for r in (1, 5):
-        rows.append(
-            TableRow(7, f"R_5^1({r},1,chi)", 32, 12,
-                     _g(5, 1).union_disjoint(_g(5, 3), _g(4, r), _g(4, 3 * r)), True, 4)
-        )
-    for r in (1, 3):
-        rows.append(
-            TableRow(7, f"R_5^1({r},3,chi)", 32, 12,
-                     _g(5, 1).union_disjoint(_g(5, 7), _g(4, 3 * r), _g(4, 5 * r)), True, 4)
-        )
-    for r in (1, 5):
-        rows.append(
-            TableRow(7, f"R_5^1({r},5,chi)", 32, 12,
-                     _g(5, 1).union_disjoint(_g(5, 3), _g(4, 5 * r), _g(4, 7 * r)), True, 4)
-        )
-    for r in (1, 3):
-        rows.append(
-            TableRow(7, f"R_5^1({r},7,chi)", 32, 12,
-                     _g(5, 1).union_disjoint(_g(5, 7), _g(4, r), _g(4, 7 * r)), True, 4)
-        )
+    # t -> (the residues r, Gamma_32^c beside Gamma_32^1, Gamma_16^(ar), Gamma_16^(br))
+    for t, rs, c, (a, b) in ((1, (1, 5), 3, (1, 3)), (3, (1, 3), 7, (3, 5)),
+                             (5, (1, 5), 3, (5, 7)), (7, (1, 3), 7, (1, 7))):
+        for r in rs:
+            rows.append(
+                TableRow(7, f"R_5^1({r},{t},chi)", 32, 12,
+                         _g(5, 1).union_disjoint(_g(5, c), _g(4, a * r), _g(4, b * r)), True, 4)
+            )
     # printed spectrum (Gamma_16 u Gamma_32^r) has 12 elements, which a
     # dim-6 representation cannot carry; the unique 6-element shape with
     # 3 full orbits and a level-32 part is used instead
@@ -438,12 +435,10 @@ def _table7() -> list[TableRow]:
 def _sigma_set_2(lam: int, sigma: int, r: int) -> RootSet:
     """{zeta_{2^lam}^(r(x^2 + 2^sigma y^2)) : x or y odd}."""
     q = 2**lam
-    pairs = set()
-    for x in range(q):
-        for y in range(q):
-            if (x | y) & 1:
-                pairs.add((q, r * (x * x + (2**sigma) * y * y)) )
-    return RootSet.of(pairs)
+    return RootSet.of(
+        q, {r * (x * x + 2**sigma * y * y) % q
+            for x in range(q) for y in range(q) if (x | y) & 1}
+    )
 
 
 def _table8(lam: int) -> list[TableRow]:
@@ -583,27 +578,28 @@ _TABLES = {
     (True, 7): lambda p, lam: _table8(lam),
 }
 
-# Largest prime-power level whose rows are built.  The spectra at p^lam
-# hold about p^lam roots, so an odd prime near 10^9 would ask for 10^9
-# of them.  The bound sits just above 211^2 = 44521, the largest level
-# the benchmark checks.
-MAX_PRIME_POWER = 50_000
+# Largest sum of the prime-power levels p^lam whose rows are built for
+# one N.  The spectra at p^lam hold at most a few times p^lam roots, so
+# the sum bounds the work of the whole check: the product of the primes
+# below 3000 would ask for 3,005 rows.  The bound sits just above
+# 211 + 211^2 = 44732, the largest sum the benchmark checks.
+MAX_LEVEL_SUM = 50_000
 
 
 def rows_for_levels(bound: int) -> list[TableRow]:
     """All encoded rows whose level divides the bound, by ascending p
-    and lam.  A bound below 1, or one divisible by a level outside the
-    verified scope or above ``MAX_PRIME_POWER``, raises before any row
-    is built."""
+    and lam.  A bound below 1, one divisible by a level outside the
+    verified scope, or one whose levels sum above ``MAX_LEVEL_SUM``
+    raises before any row is built."""
     if bound < 1:
         raise ValueError(f"level {bound}: N must be >= 1")
-    # a prime above MAX_PRIME_POWER is a level above it, so trial
+    # a prime above MAX_LEVEL_SUM is a level above it, so trial
     # division stops there and a cofactor left over is refused
-    factors, rest = trial_factor(bound, MAX_PRIME_POWER)
+    factors, rest = trial_factor(bound, MAX_LEVEL_SUM)
     if rest > 1:
         raise ValueError(
             f"level {bound}: its factor {rest} has no prime factor up to "
-            f"{MAX_PRIME_POWER}, the largest prime-power level checked"
+            f"{MAX_LEVEL_SUM}, the largest prime-power level checked"
         )
     builds = []
     for p, e in factors:
@@ -614,12 +610,13 @@ def rows_for_levels(bound: int) -> list[TableRow]:
                     f"level {p**lam} = {p}^{lam} is outside the verified t-spectra "
                     "scope (2^lam with lam <= 7, p^lam with p odd and lam <= 3)"
                 )
-            if p**lam > MAX_PRIME_POWER:
-                raise ValueError(
-                    f"level {p**lam} = {p}^{lam} is above the largest prime-power "
-                    f"level checked, {MAX_PRIME_POWER}"
-                )
             builds.append((build, p, lam))
+    total = sum(p**lam for _, p, lam in builds)
+    if total > MAX_LEVEL_SUM:
+        raise ValueError(
+            f"level {bound}: its prime-power levels sum to {total}, above "
+            f"{MAX_LEVEL_SUM}, the largest sum checked"
+        )
     return [row for build, p, lam in builds for row in build(p, lam)]
 
 

@@ -4,6 +4,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 import tempfile
 import time
 from pathlib import Path
@@ -181,6 +182,14 @@ class TestPointed:
         code, _, err = run(capsys, "pointed", "128")
         assert code == 2 and "count-only" in err
 
+    @pytest.mark.parametrize("group", [",".join(["2"] * 22), "2305843009213693951"])
+    def test_count_only_refuses_what_it_cannot_finish(self, capsys, group):
+        # 2^22 divisor tuples; a factor whose least prime is 2^61 - 1
+        start = time.monotonic()
+        code, out, err = run(capsys, "pointed", group, "--count-only")
+        assert time.monotonic() - start < 1
+        assert code == 2 and not out and "100000" in err
+
     def test_bad_chain(self, capsys):
         code, _, err = run(capsys, "pointed", "6,4", "--count-only")
         assert code == 2 and "chain" in err
@@ -205,6 +214,19 @@ class TestTables:
         assert time.monotonic() - start < 1
         assert code == 2
         assert not out and level in err
+
+
+    def test_refuses_a_level_sum_above_the_bound(self, capsys):
+        # the product of the primes below 3000 (1,274 digits; 3,005 rows
+        # without the bound), 229^2 alone, and 211^2 * 31^3, whose levels
+        # 44732 and 30783 pass one at a time
+        primes = [p for p in range(2, 3000) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+        for level in (math.prod(primes), 229**2, 211**2 * 31**3):
+            start = time.monotonic()
+            code, out, err = run(capsys, "tables", "--check", str(level))
+            assert time.monotonic() - start < 1
+            assert code == 2 and not out
+            assert str(level) in err and "above 50000, the largest sum checked" in err
 
 
 class TestProductAndFixture:

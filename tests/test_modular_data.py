@@ -339,6 +339,30 @@ class TestFileFormat:
         data = loads_modular_data(text)
         assert data.s[0][0] == root_of_unity(5, 4)
 
+    def test_terms_fold_like_fractions(self):
+        # a negative denominator loads as Fraction(2, -4) = -1/2 would
+        entry = [[2, -4, 7], [3, 6, 0]]
+        doc = {"conductor": 5, "rank": 1, "labels": ["1"], "t": [0], "s": [[entry]]}
+        want = CycNum.from_terms(5, [(Fraction(2, -4), 7), (Fraction(3, 6), 0)])
+        assert loads_modular_data(json.dumps(doc)).s[0][0] == want
+
+    @pytest.mark.parametrize(
+        "entry,message",
+        [
+            ("x", "an s-entry must be a list"),
+            ([1], "an s-entry must be a list"),
+            ([[1, 1]], "an s-entry must be a list"),
+            ([[1, 1, 0], [1, 1, 0, 0]], "an s-entry must be a list"),
+            ([[1, 1, True]], "an s-entry must be a list"),
+            ([[1, 1.0, 0]], "an s-entry must be a list"),
+            ([[1, 1, 0], [1, 0, 2]], "zero denominator"),
+        ],
+    )
+    def test_malformed_entries(self, entry, message):
+        doc = {"conductor": 5, "rank": 1, "labels": ["1"], "t": [0], "s": [[entry]]}
+        with pytest.raises(InvalidModularData, match=message):
+            loads_modular_data(json.dumps(doc))
+
     def test_parse_error(self):
         with pytest.raises(InvalidModularData):
             loads_modular_data("{ truncated")

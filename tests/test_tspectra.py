@@ -1,5 +1,6 @@
 """Root sets, square-orbit counting, and the encoded table data."""
 
+import hashlib
 import math
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from modgal.tspectra import (
     RootSet,
+    _sigma_set,
     TableRow,
     make_gamma,
     make_gamma_res,
@@ -20,15 +22,31 @@ from modgal.tspectra import (
 )
 
 
+def _from_pairs(pairs) -> RootSet:
+    """The roots zeta_n^e for (n, e) in ``pairs``."""
+    pairs = list(pairs)
+    m = math.lcm(*(n for n, _ in pairs))
+    return RootSet.of(m, {e * (m // n) for n, e in pairs})
+
+
+def _pairs(s: RootSet) -> list[tuple[int, int]]:
+    """The roots of the set as sorted (order, exp) pairs in lowest terms."""
+    out = []
+    for e in s.exps:
+        g = math.gcd(e, s.level)
+        out.append((s.level // g, e // g))
+    return sorted(out)
+
+
 class TestRootSets:
     def test_phi1_gamma2(self):
-        assert make_phi(1).elements == frozenset({(1, 0)})
-        assert make_gamma(2).elements == frozenset({(2, 1)})
+        assert make_phi(1) == RootSet(1, frozenset({0}))
+        assert make_gamma(2) == RootSet(2, frozenset({1}))
 
     def test_gamma4_split(self):
         left = make_gamma_res(2, 2, 1)
         right = make_gamma_res(2, 2, 3)
-        assert left.union_disjoint(right).elements == make_gamma(4).elements
+        assert left.union_disjoint(right) == make_gamma(4)
         assert len(left) == len(right) == 1
 
     def test_gamma_p_count(self):
@@ -38,7 +56,7 @@ class TestRootSets:
         for lam in (3, 4, 5):
             classes = [make_gamma_res(2, lam, r) for r in (1, 3, 5, 7)]
             whole = classes[0].union_disjoint(*classes[1:])
-            assert whole.elements == make_gamma(2**lam).elements
+            assert whole == make_gamma(2**lam)
             assert len({len(c) for c in classes}) == 1
 
     def test_gamma_odd_two_classes(self):
@@ -49,20 +67,18 @@ class TestRootSets:
             from modgal.tspectra import _least_nonresidue
 
             n = make_gamma_res(p, lam, _least_nonresidue(p))
-            assert r.union_disjoint(n).elements == make_gamma(p**lam).elements
+            assert r.union_disjoint(n) == make_gamma(p**lam)
 
     def test_phi_decomposes_by_divisor(self):
         phi12 = make_phi(12)
-        union = RootSet(frozenset())
+        union = RootSet.of(1, ())
         for d in (1, 2, 3, 4, 6, 12):
             union = union.union_disjoint(make_gamma(d))
-        assert union.elements == phi12.elements
+        assert union == phi12
 
     def test_phi_res(self):
         # squares mod 5 are {0, 1, 4}
-        assert make_phi_res(5, 1).elements == RootSet.of(
-            [(1, 0), (5, 1), (5, 4)]
-        ).elements
+        assert make_phi_res(5, 1) == _from_pairs([(1, 0), (5, 1), (5, 4)])
 
     def test_disjoint_union_guard(self):
         with pytest.raises(ValueError):
@@ -71,6 +87,17 @@ class TestRootSets:
     def test_residue_guard(self):
         with pytest.raises(ValueError):
             make_gamma_res(5, 1, 10)
+
+    def test_equal_sets_are_equal(self):
+        # {zeta_4^0, zeta_4^2} is Phi_2, and the empty set sits at level 1
+        assert RootSet.of(4, {0, 2}) == make_phi(2)
+        assert RootSet.of(12, ()) == RootSet(1, frozenset())
+        # at sigma = 1 every exponent r(x^2 + p t y^2) with p | x is a
+        # multiple of p, so the least level is q / p
+        for p, lam, r, t in [(3, 2, 1, 2), (5, 3, 2, 1), (7, 3, 3, 3)]:
+            s = _sigma_set(p, lam, 1, r, t)
+            assert s.level == p ** (lam - 1)
+            assert all(e % p for e in s.exps)
 
 
 class TestSquareOrbits:
@@ -90,32 +117,28 @@ class TestSquareOrbits:
         assert square_galois_orbit_count(rootset) == count
 
     def test_not_closed_raises(self):
-        broken = RootSet.of([(5, 1)])
+        broken = RootSet.of(5, {1})
         with pytest.raises(ValueError):
             square_galois_orbit_count(broken)
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
-            square_galois_orbit_count(RootSet(frozenset()))
+            square_galois_orbit_count(RootSet.of(1, ()))
 
 
 def _brute_force_count(s: RootSet) -> int:
     """Orbits under zeta -> zeta^(k^2) for every unit k modulo the level,
     each walked from one element; an image outside the set raises."""
-    m = math.lcm(*(n for n, _ in s.elements))
+    m = s.level
     units = [k for k in range(1, m + 1) if math.gcd(k, m) == 1]
     seen: set = set()
     count = 0
-    for n, e in sorted(s.elements):
-        if (n, e) in seen:
+    for e in sorted(s.exps):
+        if e in seen:
             continue
-        orbit = set()
-        for k in units:
-            x = e * k * k % n
-            g = math.gcd(x, n)
-            orbit.add((n // g, x // g) if x else (1, 0))
-        if not orbit <= s.elements:
-            raise ValueError(f"not closed: {sorted(orbit - s.elements)}")
+        orbit = {e * k * k % m for k in units}
+        if not orbit <= s.exps:
+            raise ValueError(f"not closed: {sorted(orbit - s.exps)}")
         seen |= orbit
         count += 1
     return count
@@ -133,9 +156,29 @@ def _reference_sets():
 def test_orbit_count_matches_every_unit():
     checked = 0
     for s in _reference_sets():
-        assert square_galois_orbit_count(s) == _brute_force_count(s), sorted(s.elements)[:4]
+        assert square_galois_orbit_count(s) == _brute_force_count(s), _pairs(s)[:4]
         checked += 1
     assert checked > 700
+
+
+# sha256 over repr(sorted (order, exp) pairs) of each row spectrum in
+# row order, computed from the per-root pair representation of commit
+# dd8ceb7, before root sets were held as exponents at their least level
+_SPECTRUM_DIGESTS = {
+    2**7 * 3**3 * 5**3 * 7**3 * 11**3:
+        "4463bd4a3623721a7fb85b7988bd5f04966bdf14947b486841b11cb106962d81",
+    12167: "e9ab9d7c7c5bc628321ab96ecc011cb7d0cb7821b89a79cb418b3b4d9cf8a56a",
+    29791: "e596edaba279b39bde722381074dc11a7d1595ad7cb5eac5b8a3742c0cefe486",
+    44521: "a4d6e75b52e41920fc945645dba39bc7ad3f4c5e17ec5be2b723bac0258ca711",
+}
+
+
+@pytest.mark.parametrize("level", sorted(_SPECTRUM_DIGESTS))
+def test_spectra_match_the_pair_representation(level):
+    digest = hashlib.sha256()
+    for row in rows_for_levels(level):
+        digest.update(repr(_pairs(row.spectrum)).encode())
+    assert digest.hexdigest() == _SPECTRUM_DIGESTS[level]
 
 
 @pytest.mark.parametrize(
@@ -145,12 +188,14 @@ def test_orbit_count_matches_every_unit():
         ([(5, 1), (5, 4), (7, 1)], "(7, 1) -> (7, 2)"),
         ([(8, 1), (8, 3), (5, 1), (5, 4), (5, 2)], "(5, 2) -> (5, 3)"),
         ([(16, 3), (32, 1), (32, 9), (32, 17), (32, 25)], "(16, 3) -> (16, 11)"),
+        # both roots escape; the least pair is named, not the least exponent at 10
+        ([(10, 1), (5, 1)], "(5, 1) -> (5, 4)"),
     ],
 )
 def test_not_closed_names_the_first_escape(pairs, message):
     # the first generator of the unit group, then the first element in
     # sorted order, whose image leaves the set is the one named
-    s = RootSet.of(pairs)
+    s = _from_pairs(pairs)
     with pytest.raises(ValueError, match="not closed"):
         _brute_force_count(s)
     with pytest.raises(ValueError) as exc:
@@ -159,12 +204,9 @@ def test_not_closed_names_the_first_escape(pairs, message):
 
 
 def _product_set(a: RootSet, b: RootSet) -> RootSet:
-    out = set()
-    for n1, e1 in a.elements:
-        for n2, e2 in b.elements:
-            m = math.lcm(n1, n2)
-            out.add((m, e1 * (m // n1) + e2 * (m // n2)))
-    return RootSet.of(out)
+    m = math.lcm(a.level, b.level)
+    ka, kb = m // a.level, m // b.level
+    return RootSet.of(m, {e1 * ka + e2 * kb for e1 in a.exps for e2 in b.exps})
 
 
 @settings(max_examples=30, deadline=None)
