@@ -95,9 +95,6 @@ class FusionTable:
         """The fusion matrix of x: rows indexed by y, columns by z."""
         return [list(row) for row in self.coeffs[x]]
 
-    def support(self, x: int, y: int) -> tuple[int, ...]:
-        return tuple(z for z, n in enumerate(self.coeffs[x][y]) if n)
-
 
 @dataclass(frozen=True)
 class ValidationReport:

@@ -1,13 +1,20 @@
 """Fusion subcategory lattice, centralizers, and structural predicates.
 
 A fusion subcategory is a set of simple-object indices containing the
-unit, closed under duality and under fusion support.  The lattice is
-enumerated by closing the cyclic subcategories <X> under pairwise
-joins; every fusion subcategory is a join of cyclic ones, so the
-enumeration is complete.
+unit, closed under duality and under fusion support.  Everything here
+reads two relation tables, built once per ``ModularData`` and memoized
+on it (``_relations``): the fusion support of each pair of objects and,
+for each object, the objects that centralize it.
+
+The lattice is enumerated in one pass over the cyclic subcategories
+<X>.  In a braided category the join of two subcategories is the set
+of simple summands of A (x) B, so each join is one pass over A x B with
+no fixpoint; every fusion subcategory is a join of cyclic ones, so the
+enumeration is complete (the argument is in ``all_subcategories``).
 
 Centralizers use the exact criterion: X centralizes Y iff
-s_{X,Y} = dim(X) * dim(Y).
+s_{X,Y} = dim(X) * dim(Y).  A centralizer is the intersection of the
+table rows of its members and does no cyclotomic arithmetic.
 
 The lattice is memoized on the datum, so it is enumerated once per
 ``ModularData`` and freed with it.
@@ -15,10 +22,9 @@ The lattice is memoized on the datum, so it is enumerated once per
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from ._numtheory import factorize, is_prime, permutation_orbits, unit_group_generators, units_mod
+from ._numtheory import factorize, is_prime, unit_group_generators, units_mod
 from .cyclotomic import CycNum, dot
 from .galois_action import orbit_partition
 from .modular_data import InvalidModularData, ModularData, memoized_on_datum
@@ -74,57 +80,86 @@ class FusionSubcategory:
         return x in self.members
 
 
+_Rows = tuple[frozenset[int], ...]
+
+
+@memoized_on_datum
+def _relations(data: ModularData) -> tuple[tuple[_Rows, ...], _Rows]:
+    """The two tables the lattice is read from: ``support[x][y]``, the
+    simple summands {z : N_xy^z != 0} of x (x) y, and
+    ``centralizing[y]``, the objects {x : s_xy = d_x d_y} that
+    centralize y.  No dimension is zero (``character_columns`` raises
+    otherwise), so s_xy = d_x d_y iff the character entry s_xy / d_y
+    equals d_x: the table costs comparisons only."""
+    support = tuple(
+        tuple(frozenset(z for z, n in enumerate(row) if n) for row in rows)
+        for rows in data.fusion.coeffs
+    )
+    cols, dims = data.character_columns, data.dims
+    centralizing = tuple(
+        frozenset(x for x, v in enumerate(col) if v == dims[x]) for col in cols
+    )
+    return support, centralizing
+
+
+def _summands(support, a, b) -> frozenset[int]:
+    """The simple summands of A (x) B."""
+    return frozenset().union(*(support[x][y] for x in a for y in b))
+
+
 def generated_subcategory(data: ModularData, seed) -> FusionSubcategory:
     """Smallest member set containing seed and the unit, closed under
-    duality and fusion support (fixpoint iteration)."""
-    table = data.fusion
-    members = set(seed) | {0}
-    members |= {table.dual[x] for x in members}
-    frontier = list(members)
-    while frontier:
-        fresh: set[int] = set()
-        for x in members:
-            for y in frontier:
-                for z in table.support(x, y):
-                    if z not in members:
-                        fresh.add(z)
-        fresh |= {table.dual[z] for z in fresh}
-        members |= fresh
-        frontier = list(fresh)
-    return FusionSubcategory(data, frozenset(members))
+    duality and fusion support.
+
+    The seed with the unit is closed under duals once; then m becomes
+    the summands of m (x) m until it stops changing.  m holds the unit,
+    so it only grows, and (x (x) y)* = y* (x) x* keeps it closed under
+    duals; it stops exactly when m is closed under fusion."""
+    support, _ = _relations(data)
+    dual = data.fusion.dual
+    members = frozenset(seed) | {0}
+    members |= {dual[x] for x in members}
+    while (grown := _summands(support, members, members)) != members:
+        members = grown
+    return FusionSubcategory(data, members)
 
 
 @memoized_on_datum
 def all_subcategories(data: ModularData) -> tuple[FusionSubcategory, ...]:
-    """Every fusion subcategory, as joins of cyclic subcategories,
-    sorted by size then member order."""
-    cyclic = {generated_subcategory(data, {x}).members for x in range(data.rank)}
-    closed = set(cyclic)
-    closed.add(frozenset({0}))
-    frontier = set(closed)
-    while frontier:
-        fresh = set()
-        for a in frontier:
-            for b in cyclic:
-                if b <= a:
-                    continue
-                join = generated_subcategory(data, a | b).members
-                if join not in closed:
-                    fresh.add(join)
-        closed |= fresh
-        frontier = fresh
-    subs = [FusionSubcategory(data, m) for m in closed]
+    """Every fusion subcategory, sorted by size then member order.
+
+    The join of two fusion subcategories A and B is the set of simple
+    summands of A (x) B (Drinfeld, Gelaki, Nikshych and Ostrik, *On
+    braided fusion categories I*, 2010).  At the level of the data: the
+    Verlinde table is commutative because s is symmetric, so if z is in
+    a (x) b and z' in a' (x) b', the summands of z (x) z' lie among
+    those of (a (x) a') (x) (b (x) b'), hence among those of some
+    a'' (x) b'' with a'' in A and b'' in B; and (a (x) b)* = b* (x) a*
+    = a* (x) b*.  So the summands are closed under fusion and duals,
+    contain A and B (both hold the unit), and lie in every subcategory
+    that contains A and B.
+
+    Every subcategory is the join of the cyclic subcategories <x> of its
+    members.  One pass over the cyclic c_1, ..., c_r suffices: after
+    c_k, ``found`` holds the join of every subset of c_1, ..., c_k,
+    since the join of a subset holding c_k is the join of c_k with the
+    join of the rest, which is already found."""
+    support, _ = _relations(data)
+    found = {frozenset({0})}
+    for c in {generated_subcategory(data, {x}).members for x in range(data.rank)}:
+        found |= {_summands(support, a, c) for a in found if not c <= a}
+    subs = [FusionSubcategory(data, m) for m in found]
     subs.sort(key=lambda d: (len(d.members), d.sorted_members))
     return tuple(subs)
 
 
 def centralizer(data: ModularData, sub: FusionSubcategory) -> FusionSubcategory:
-    """{X : s_{X,Y} = dim(X) dim(Y) for all Y in the subcategory}."""
-    dims = data.dims
-    members = frozenset(
-        x
-        for x in range(data.rank)
-        if all(data.s[x][y] == dims[x] * dims[y] for y in sub.members)
+    """{X : s_{X,Y} = dim(X) dim(Y) for all Y in the subcategory}: the
+    intersection of the ``centralizing`` rows of its members
+    (Mueger, *On the structure of modular categories*, 2003)."""
+    _, centralizing = _relations(data)
+    members = frozenset(range(data.rank)).intersection(
+        *(centralizing[y] for y in sub.members)
     )
     return FusionSubcategory(data, members)
 
@@ -139,11 +174,11 @@ def pointed_part(data: ModularData) -> FusionSubcategory:
 def adjoint_part(data: ModularData) -> FusionSubcategory:
     """Subcategory generated by all X (x) X*; checked to equal the
     centralizer of the pointed part."""
-    table = data.fusion
-    seed: set[int] = set()
-    for x in range(data.rank):
-        seed.update(table.support(x, table.dual[x]))
-    adj = generated_subcategory(data, seed)
+    support, _ = _relations(data)
+    dual = data.fusion.dual
+    adj = generated_subcategory(
+        data, frozenset().union(*(support[x][dual[x]] for x in range(data.rank)))
+    )
     if centralizer(data, pointed_part(data)).members != adj.members:
         raise InvalidModularData(
             "adjoint subcategory differs from the centralizer of the pointed part"
@@ -264,25 +299,24 @@ def counting2_degree_check(data: ModularData, sub: FusionSubcategory) -> Countin
     generated by the dimensions of the centralizer of D.  Field degrees
     are computed as indices of fixing subgroups of (Z/NZ)^x; the fixing
     group of L_X is the stabilizer of X (see ``orbit_partition``)."""
-    n = data.conductor
     part = orbit_partition(data)
-    units = units_mod(n)
+    units = units_mod(data.conductor)
     cent = centralizer(data, sub)
     dims = data.dims
-    fix_kd = [
+    fix_kd = {
         k
         for k in units
         if all(dims[y].galois_apply(k) == dims[y] for y in cent.members)
-    ]
+    }
     entries = []
     failures = []
     for x in sorted(sub.members):
         orbit = part.orbit_of(x)
-        fix_lx = part.stabilizers[x]
-        # the subgroup both fixing sets generate: the orbit of 1 under them
-        images = [[i * k % n for i in range(n)] for k in set(fix_kd) | set(fix_lx)]
-        joint = next(o for o in permutation_orbits(n, images) if 1 % n in o)
-        degree = len(units) // len(joint)  # [K_D meet L_X : Q]
+        fix_lx = set(part.stabilizers[x])
+        # the group both fixing groups generate is H1 H2, as (Z/NZ)^x is
+        # abelian, and |H1 H2| = |H1| |H2| / |H1 meet H2|
+        joint = len(fix_kd) * len(fix_lx) // len(fix_kd & fix_lx)
+        degree = len(units) // joint  # [K_D meet L_X : Q]
         direct = len(set(orbit) & sub.members)
         expected, rem = divmod(len(orbit), degree)
         entries.append((x, direct, len(orbit), degree))

@@ -211,12 +211,21 @@ def _table1(p: int) -> list[TableRow]:
 
 
 def _sigma_set(p: int, lam: int, sigma: int, r: int, t: int) -> RootSet:
-    """{zeta_{p^lam}^(r(x^2 + p^sigma t y^2)) : p | x, p does not divide y}."""
+    """{zeta_{p^lam}^(r(x^2 + p^sigma t y^2)) : p | x, p does not divide y}.
+
+    With a = x^2 and b = y^2 the exponents are r(a + p^sigma t b), a
+    over the squares of multiples of p and b over the unit squares
+    U^2(q).  As a + p^sigma t b = b (a b^-1 + p^sigma t) and a b^-1 is
+    again the square of a multiple of p, the set is the union of the
+    U^2(q)-orbits of e = r(a + p^sigma t) over those a.  Orbits are
+    disjoint, so an e already in the set brings nothing new."""
     q = p**lam
-    xs = {(x * x) % q for x in range(0, q, p)}
-    return RootSet.of(
-        q, {r * (a + p**sigma * t * b) % q for a in xs for b in _unit_squares(q)}
-    )
+    exps: set[int] = set()
+    for a in {(x * x) % q for x in range(0, q, p)}:
+        e = r * (a + p**sigma * t) % q
+        if e not in exps:
+            exps.update(e * u % q for u in _unit_squares(q))
+    return RootSet.of(q, exps)
 
 
 def _table2(p: int, lam: int) -> list[TableRow]:

@@ -2,6 +2,7 @@
 pass/fail line with its elapsed time.  All comparisons are exact; the
 stated wall-clock budgets are asserted."""
 
+import json
 import time
 
 import pytest
@@ -9,9 +10,11 @@ import pytest
 from modgal.cli import main as cli_main
 from modgal.cyclotomic import CycNum
 from modgal.families import (
+    _pointed,
     catalog,
     fibonacci,
     fixture,
+    ising,
     sl2_level_adjoint,
     transitive_square_orbit_count,
 )
@@ -147,6 +150,17 @@ def test_criterion_4_galois_closure_theorem(fixture_catalog):
             report = check_theorem_galois_closure(data)
             assert report.ok, (name, report.failures)
             assert report.adjoint_closed, name
+
+
+def test_criterion_4_report_at_rank_48(tmp_path, capsys):
+    # (Z/2)^4 x Ising: 681 fusion subcategories
+    path = tmp_path / "rank48.mtc"
+    save_modular_data(deligne_product(_pointed(2, 2, 2, 2), ising(0)), path)
+    with _Clock(5.0, "criterion 4: report --json on (Z/2)^4 x Ising (rank 48)"):
+        code = cli_main(["report", "--json", str(path)])
+        out = capsys.readouterr().out
+    assert code == 0, out
+    assert json.loads(out)["subcategory_count"] == 681
 
 
 def test_criterion_5_orbit_lower_bound(fixture_catalog):

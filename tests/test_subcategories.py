@@ -2,9 +2,11 @@
 
 import pytest
 
+from conftest import LADDER
+from modgal._numtheory import unit_group_generators
 from modgal.cyclotomic import CycNum
-from modgal.families import fixture
-from modgal.galois_action import orbit_partition
+from modgal.families import fixture, fixture_names, ising
+from modgal.galois_action import galois_conjugate_data, orbit_partition
 from modgal.modular_data import deligne_product
 from modgal.pointed import FiniteAbelianGroup, build_pointed
 from modgal.subcategories import (
@@ -27,6 +29,107 @@ from modgal.subcategories import (
 
 def members(sub):
     return sub.sorted_members
+
+
+# -- the fixpoint enumeration, kept as the differential reference ------------
+
+
+def _reference_generated(data, seed) -> frozenset[int]:
+    """Closure of seed and the unit under duals and fusion support, by
+    a frontier fixpoint over pairs."""
+    table = data.fusion
+    members = set(seed) | {0}
+    members |= {table.dual[x] for x in members}
+    frontier = list(members)
+    while frontier:
+        fresh = set()
+        for x in members:
+            for y in frontier:
+                for z, n in enumerate(table.coeffs[x][y]):
+                    if n and z not in members:
+                        fresh.add(z)
+        fresh |= {table.dual[z] for z in fresh}
+        members |= fresh
+        frontier = list(fresh)
+    return frozenset(members)
+
+
+def _reference_lattice(data) -> set[frozenset[int]]:
+    """Every member set, closing the cyclic subcategories under the
+    fixpoint join until no new one appears."""
+    cyclic = {_reference_generated(data, {x}) for x in range(data.rank)}
+    closed = cyclic | {frozenset({0})}
+    frontier = set(closed)
+    while frontier:
+        fresh = set()
+        for a in frontier:
+            for b in cyclic:
+                if not b <= a:
+                    join = _reference_generated(data, a | b)
+                    if join not in closed:
+                        fresh.add(join)
+        closed |= fresh
+        frontier = fresh
+    return closed
+
+
+def _conjugate(name):
+    data = fixture(name)
+    gens = unit_group_generators(data.conductor)
+    return galois_conjugate_data(data, gens[0]) if gens else data
+
+
+DIFFERENTIAL = {
+    **{name: lambda name=name: fixture(name) for name in fixture_names()},
+    **{f"{name}_sigma": lambda name=name: _conjugate(name) for name in fixture_names()},
+    **LADDER,
+    "Z2^4": lambda: build_pointed(FiniteAbelianGroup((2, 2, 2, 2))),
+    "Z2xZ4xZ4": lambda: build_pointed(FiniteAbelianGroup((2, 4, 4))),
+    "Z2^2_x_ising": lambda: deligne_product(build_pointed(FiniteAbelianGroup((2, 2))), ising(0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL))
+def test_lattice_matches_the_fixpoint(name):
+    data = DIFFERENTIAL[name]()
+    subs = all_subcategories(data)
+    assert {s.members for s in subs} == _reference_lattice(data)
+    assert len(subs) == len({s.members for s in subs})
+    for x in range(data.rank):
+        assert generated_subcategory(data, {x}).members == _reference_generated(data, {x})
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL))
+def test_centralizer_matches_its_definition(name):
+    data = DIFFERENTIAL[name]()
+    s, dims = data.s, data.dims
+    for sub in all_subcategories(data):
+        want = {
+            x for x in range(data.rank)
+            if all(s[x][y] == dims[x] * dims[y] for y in sub.members)
+        }
+        assert centralizer(data, sub).members == want, sub.sorted_members
+
+
+def _subgroup_count(p, n):
+    """Subgroups of (Z/p)^n: the sum over k of the Gaussian binomials
+    [n choose k]_p."""
+    total = 0
+    for k in range(n + 1):
+        num = den = 1
+        for i in range(k):
+            num *= p ** (n - i) - 1
+            den *= p ** (i + 1) - 1
+        total += num // den
+    return total
+
+
+@pytest.mark.parametrize("p,n,count", [(2, 6, 2825), (3, 3, 28)])
+def test_pointed_lattice_is_the_subgroup_lattice(p, n, count):
+    # the fusion subcategories of pointed data are the subgroups
+    assert _subgroup_count(p, n) == count
+    data = build_pointed(FiniteAbelianGroup((p,) * n))
+    assert len(all_subcategories(data)) == count
 
 
 class TestGeneratedSubcategory:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from modgal.tspectra import (
     RootSet,
+    _least_nonresidue,
     _sigma_set,
     TableRow,
     make_gamma,
@@ -62,10 +63,7 @@ class TestRootSets:
     def test_gamma_odd_two_classes(self):
         for p, lam in [(3, 1), (5, 1), (7, 2)]:
             r = make_gamma_res(p, lam, 1)
-            n = make_gamma_res(p, lam, 2 if p == 3 else 2)
             # second residue class: pick a non-residue
-            from modgal.tspectra import _least_nonresidue
-
             n = make_gamma_res(p, lam, _least_nonresidue(p))
             assert r.union_disjoint(n) == make_gamma(p**lam)
 
