@@ -1,23 +1,32 @@
-"""Verlinde tables over split primes, certified by exact identities.
+"""Identities of s over split primes, certified by exact arguments.
 
 For a conductor N, a prime p = 1 (mod N) splits completely in Z[zeta_N]:
 with w a primitive N-th root of unity mod p, Phi_N has the phi(N) roots
 w^k mod p over the units k mod N, and each root gives a ring
 homomorphism Z[zeta_N] -> F_p, zeta_N -> w^k.  These are the *slots*
 of p; an element on the power basis maps to sum_i c_i w^(k i) mod p.
-Complex conjugation sends slot k to slot -k.
+sigma_k only permutes the slots (``sigma_slots``), and complex
+conjugation sends slot k to slot -k.
 
-``certified_verlinde`` reads a candidate table in one slot, where it is
-one matrix product, and then checks two denominator-free identities in
-every slot of enough primes (the argument is in ``certify``).  Residues
-are held as float64, so that every matrix product runs in BLAS: they
-lie in [0, p) with p - 1 < 2^PRIME_BITS, so a product of two is below
-2^42, and every partial sum of at most ``MAX_TERMS`` such products,
-and the difference of two such sums, is an integer below 2^53 in size,
-which float64 holds exactly.  Every sum here has at most max(r, phi(N))
-terms.  The first ``MAX_PRIMES`` primes of
-a conductor, their roots and power tables are found once and kept,
-like the reduction tables of ``cyclotomic._field``.
+This is the one route by which ``modgal`` checks an identity in the
+entries of s.  ``refuted`` evaluates a batch of denominator-free
+identities in every slot of enough primes; a nonzero residue refutes
+its identity, and residues that vanish in every slot prove it once the
+primes exceed a bound on its conjugates (the argument is in
+``certify``).  Each caller reads a candidate in one slot, where
+division is free, and certifies it with an identity that divides by
+nothing: the Verlinde table (``certified_verlinde``), the Galois
+permutation of the columns (``certified_permutation``), and, in their
+modules, the centralizer relation and the dimension-ratio identity.
+
+Residues are held as float64, so that every matrix product runs in
+BLAS: they lie in [0, p) with p - 1 < 2^PRIME_BITS, so a product of
+two is below 2^42, and every partial sum of at most ``MAX_TERMS`` such
+products, and the difference of two such sums, is an integer below
+2^53 in size, which float64 holds exactly.  Every sum here has at most
+max(r, phi(N)) terms.  The first ``MAX_PRIMES`` primes of a conductor,
+their roots and power tables are found once and kept, like the
+reduction tables of ``cyclotomic._field``.
 """
 
 from __future__ import annotations
@@ -30,22 +39,28 @@ import numpy as np
 
 from ._numtheory import factorize, is_prime, units_mod
 
-__all__ = ["SplitPrime", "certify", "certified_verlinde", "split_prime", "split_primes"]
+__all__ = [
+    "SplitPrime", "certified_permutation", "certified_verlinde", "certify", "l1_norm",
+    "primes_over", "refuted", "sigma_slots", "split_prime", "split_primes",
+]
 
 PRIME_BITS = 21
 MAX_TERMS = 1 << (53 - 2 * PRIME_BITS)
 
-# The split primes ``certified_verlinde`` tries per conductor.  Each is
-# above 2^20 for every conductor the loader accepts, so their product
-# exceeds 2^160, above the certificate bound of every datum the loader
-# accepts (the argument is in ``certified_verlinde``).
-MAX_PRIMES = 8
+# The split primes tried per conductor.  Each is above 2^20 for every
+# conductor the loader accepts, so their product exceeds 2^180, above
+# every certificate bound of every datum the loader accepts (the
+# argument is in ``primes_over``).
+MAX_PRIMES = 9
 
-# Elements of the largest array one slot chunk of ``certify`` builds:
-# beside the images of s, phi(N) r^2 residues, its memory stays O(r^3)
-# however many slots there are.  A chunk is a few matrix products of
-# up to 8 MB, large enough that BLAS threads pay for themselves.
-_CHUNK = 1 << 20
+# Elements of the largest residue array one slot chunk of ``refuted``
+# builds, and of the float64 copy of s one block of ``_images`` reduces
+# at a time.  They bound memory beside the images of s, which every
+# identity reads whole: at rank 64 and phi(N) = 64 those are 2 MB, and
+# chunks of 2^20 residues held several copies of them at once, so that
+# ``pointed 64`` peaked 15 MB higher.
+_CHUNK = 1 << 14
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,6 +75,14 @@ class SplitPrime:
     conj: np.ndarray
 
 
+def sigma_slots(n: int, k: int) -> np.ndarray:
+    """Slot j of sigma_k(a) is slot ``sigma_slots(n, k)[j]`` of a, for a
+    unit k mod n and every split prime: slot j sends zeta_n to w^(k_j),
+    so it sends sigma_k(a), which is a at zeta_n^k, to a at w^(k k_j)."""
+    units = np.array(units_mod(n))  # ascending
+    return np.searchsorted(units, k * units % n)
+
+
 def split_prime(n: int, p: int) -> SplitPrime:
     """The slots of a prime p = 1 (mod n)."""
     if p % n != 1 % n or not is_prime(p):
@@ -69,17 +92,10 @@ def split_prime(n: int, p: int) -> SplitPrime:
         w = pow(h, (p - 1) // n, p)
         if all(pow(w, n // q, p) != 1 for q in factors):
             break
-    wpow = [1] * n
-    for e in range(1, n):
-        wpow[e] = wpow[e - 1] * w % p
+    wpow = np.array([pow(w, e, p) for e in range(n)], dtype=np.float64)
     units = units_mod(n)
-    at = {k: j for j, k in enumerate(units)}
     exps = np.arange(len(units))[:, None] * np.array(units)[None, :] % n
-    return SplitPrime(
-        p,
-        np.array(wpow, dtype=np.float64)[exps],
-        np.array([at[-k % n] for k in units]),
-    )
+    return SplitPrime(p, wpow[exps], sigma_slots(n, -1))
 
 
 @functools.lru_cache(maxsize=None)
@@ -94,13 +110,72 @@ def split_primes(n: int, i: int) -> SplitPrime:
     return split_prime(n, p)
 
 
+def primes_over(n: int, bound: int) -> list[SplitPrime]:
+    """The shortest prefix of the split primes of conductor n whose
+    product exceeds ``bound``; ValueError when the first ``MAX_PRIMES``
+    do not.
+
+    That never happens to a datum the loader accepts.  Its coefficients
+    c satisfy |c| < 2^k with k = ``MAX_ENTRY_BITS`` of ``modular_data``,
+    and it has phi(N) < 2^10 and r <= 64 = 2^6, so the largest l1 norm
+    of an entry is L <= phi(N) max |c| < 2^(10+k).  The largest bound
+    asked for is the dimension ratio's 2 r L^4 < 2^(7+4(10+k)), and for
+    every N <= 1024 the first ``MAX_PRIMES`` primes exceed 2^20 (a sieve
+    in the tests shows it), so their product exceeds 2^180, which is
+    above 2^(47+4k) for any k <= 33."""
+    chosen = []
+    for i in range(MAX_PRIMES):
+        chosen.append(split_primes(n, i))
+        if math.prod(prime.p for prime in chosen) > bound:
+            return chosen
+    raise ValueError(f"the certificate bound {bound} exceeds the product of the first "
+                     f"{MAX_PRIMES} split primes of conductor {n}")
+
+
+def l1_norm(num: np.ndarray) -> int:
+    """L, the largest l1 norm of an entry's numerators: |sigma(s_xy)| <= L
+    for every embedding sigma of Q(zeta_N) into C."""
+    return int(np.abs(num).sum(axis=-1).max())
+
+
 def _images(num: np.ndarray, prime: SplitPrime, slots=slice(None)) -> np.ndarray:
     """The images of the entries of ``num`` (shape (..., phi)) in the
-    given slots, slot axis first, residues in [0, p) as float64."""
-    p = prime.p
-    flat = (num.reshape(-1, num.shape[-1]) % p).astype(np.float64)
-    img = flat @ prime.powers[:, slots] % p
-    return img.T.reshape((-1,) + num.shape[:-1])
+    given slots, slot axis first, residues in [0, p) as float64.  The
+    entries are reduced mod p in blocks of ``_BLOCK`` coefficients."""
+    flat = num.reshape(-1, num.shape[-1])
+    powers = prime.powers[:, slots].T
+    img = np.empty((len(powers), len(flat)))
+    step = max(1, _BLOCK // flat.shape[1])
+    for lo in range(0, len(flat), step):
+        block = np.remainder(flat[lo:lo + step], prime.p, dtype=np.float64)
+        img[:, lo:lo + step] = powers @ block.T
+    return np.remainder(img, prime.p, out=img).reshape((-1,) + num.shape[:-1])
+
+
+def refuted(num: np.ndarray, primes, identity) -> np.ndarray:
+    """The mask of the identities that have a nonzero residue in some
+    slot of some given prime.
+
+    ``identity(prime, img, slots)`` gets the images of s at the prime,
+    img[j, x, y] the residue of s_xy in slot j, and an array of slot
+    indices; it returns the residues of its identities there, an array
+    whose first axis runs over those slots (or over slots and a summed
+    index), each an integer below 2^53 in size.  The mask is their OR
+    over that axis.  s is imaged once per prime, and the identity is
+    evaluated in slot chunks of about ``_CHUNK`` residues.  When the
+    primes exceed a bound B on every conjugate of every identity, a
+    false mask entry proves its identity (``certify``)."""
+    bad = np.zeros((), dtype=bool)
+    for prime in primes:
+        img = _images(num, prime)
+        lo, step = 0, 1
+        while lo < len(img):
+            res = identity(prime, img, np.arange(lo, min(lo + step, len(img))))
+            # the remainder is taken in int64, several times faster than in float64
+            bad = bad | (res.astype(np.int64) % prime.p).any(axis=0)
+            lo += step
+            step = max(1, _CHUNK * step // max(res.size, 1))
+    return bad
 
 
 def _usable(num: np.ndarray, prime: SplitPrime) -> bool:
@@ -110,16 +185,19 @@ def _usable(num: np.ndarray, prime: SplitPrime) -> bool:
     return bool(dims.all() and ((dims * dims % prime.p).sum(axis=1) % prime.p).all())
 
 
+def _characters(s: np.ndarray, p: int) -> np.ndarray:
+    """chi[x, a] = s_xa / s_0a of the residues s of one slot."""
+    return s * np.array([pow(int(v), -1, p) for v in s[0]], dtype=np.float64) % p
+
+
 def _candidate(num: np.ndarray, prime: SplitPrime) -> np.ndarray:
     """N_xy^z = sum_a s_xa s_ya conj(s_za) / (s_0a dim) read in slot 0
     of a usable prime and lifted to (-p/2, p/2]."""
     p = prime.p
     s, cs = _images(num, prime, [0, prime.conj[0]])
     r = s.shape[0]
-    d = s[0]
-    inv_dim = pow(int((d * d % p).sum() % p), -1, p)
-    chi = s * np.array([pow(int(v), -1, p) for v in d], dtype=np.float64) % p
-    prods = (chi[:, None, :] * s[None, :, :] % p).reshape(r * r, r)
+    inv_dim = pow(int((s[0] * s[0] % p).sum() % p), -1, p)
+    prods = (_characters(s, p)[:, None, :] * s[None, :, :] % p).reshape(r * r, r)
     table = (prods @ cs.T % p * inv_dim % p).reshape(r, r, r).astype(np.int64)
     return np.where(table > p // 2, table - p, table)
 
@@ -131,7 +209,7 @@ def certificate_bound(num: np.ndarray, table: np.ndarray) -> int:
     identities are bounded by 2 r L^2 and the Verlinde identity of
     (x, y, a) by L^2 (1 + sum_z |N_xy^z|)."""
     r = table.shape[0]
-    l1 = int(np.abs(num).sum(axis=-1).max())
+    l1 = l1_norm(num)
     row_mass = int(np.abs(table).sum(axis=-1).max())
     return l1 * l1 * max(2 * r, 1 + row_mass)
 
@@ -165,66 +243,101 @@ def certify(num: np.ndarray, table: np.ndarray, primes) -> tuple[set, set]:
     if math.prod(prime.p for prime in primes) <= bound:
         raise ValueError(f"the primes do not exceed the certificate bound {bound}")
     r = table.shape[0]
-    xs, ys = np.array([(x, y) for x in range(r) for y in range(x, r)]).T
+    xs, ys = np.triu_indices(r)
     diag = np.arange(r)
-    bad_gram = np.zeros((r, r), dtype=bool)
-    bad_rows = np.zeros(len(xs), dtype=bool)
-    step = max(1, _CHUNK // (len(xs) * r))
-    for prime in primes:
-        p = prime.p
-        img = _images(num, prime)
-        # a row refuted at one prime needs no further check
-        live = np.flatnonzero(~bad_rows)
-        lx, ly = xs[live], ys[live]
-        rows = (table[lx, ly] % p).astype(np.float64)
-        for lo in range(0, len(img), step):
-            s = img[lo:lo + step]
-            # sum_a s_xa conj(s_ya) - dim [x = y]; each remainder is
-            # taken in int64, several times faster than in float64
-            gram = s @ img[prime.conj[lo:lo + step]].transpose(0, 2, 1)
-            gram[:, diag, diag] -= (s[:, 0] * s[:, 0]).sum(axis=1, keepdims=True)
-            bad_gram |= (gram.astype(np.int64) % p).any(axis=0)
-            flat = s.transpose(1, 0, 2).reshape(r, -1)  # flat[z, (slot, a)] = s_za
-            # s_xa s_ya - s_0a sum_z N_xy^z s_za
-            diff = flat[lx] * flat[ly] - rows @ (flat * flat[0] % p)
-            bad_rows[live] |= (diff.astype(np.int64) % p).any(axis=1)
+
+    def unitarity(prime, img, slots):
+        # sum_a s_xa conj(s_ya) - dim [x = y]
+        s = img[slots]
+        gram = s @ img[prime.conj[slots]].transpose(0, 2, 1)
+        gram[:, diag, diag] -= (s[:, 0] * s[:, 0]).sum(axis=1, keepdims=True)
+        return gram
+
+    rows = {prime.p: (table[xs, ys] % prime.p).astype(np.float64) for prime in primes}
+
+    def verlinde(prime, img, slots):
+        # s_xa s_ya - s_0a sum_z N_xy^z s_za, one row per (slot, a)
+        flat = img[slots].transpose(1, 0, 2).reshape(r, -1)  # flat[z, (slot, a)] = s_za
+        return (flat[xs] * flat[ys] - rows[prime.p] @ (flat * flat[0] % prime.p)).T
+
+    bad_gram = refuted(num, primes, unitarity)
+    bad_rows = refuted(num, primes, verlinde)
     return (
         {(int(x), int(y)) for x, y in np.argwhere(bad_gram)},
         {(int(xs[i]), int(ys[i])) for i in np.flatnonzero(bad_rows)},
     )
 
 
+def _usable_primes(num: np.ndarray, n: int):
+    """The usable ones among the first ``MAX_PRIMES`` split primes of
+    conductor n, found lazily."""
+    primes = (split_primes(n, i) for i in range(MAX_PRIMES))
+    return (prime for prime in primes if _usable(num, prime))
+
+
 def certified_verlinde(num: np.ndarray, n: int) -> tuple[np.ndarray, set, set]:
     """The candidate table read in slot 0 of the first usable split
     prime of conductor n, with the failures ``certify`` finds over the
     shortest prefix of the split primes whose product exceeds the bound
-    B.  ``certify`` divides by nothing, so a prime that is not usable
-    certifies too.  Raises ValueError when none of the first
-    ``MAX_PRIMES`` primes is usable, or when their product does not
-    exceed B.
+    B (``primes_over``).  ``certify`` divides by nothing, so a prime
+    that is not usable certifies too.  Raises ValueError when none of
+    the first ``MAX_PRIMES`` primes is usable.
 
-    The second never happens to a datum the loader accepts.  Its
-    coefficients c satisfy |c| < 2^k with k = ``MAX_ENTRY_BITS`` of
-    ``modular_data``, and it has phi(N) < 2^10 and r <= 64 = 2^6.  So
-    L <= phi(N) max |c| < 2^(10+k); the lifted candidate entries are at
-    most (p - 1)/2 < 2^20 in size, so the row mass is below 2^26 and
-    max(2r, 1 + row mass) <= 2^26.  Hence B = L^2 max(2r, 1 + row mass)
-    < 2^(46+2k).  For every N <= 1024 the first ``MAX_PRIMES`` primes
-    exceed 2^20 (a sieve in the tests shows it), so their product
-    exceeds 2^160 >= 2^(46+2k) for any k <= 57.
+    B = L^2 max(2r, 1 + row mass) stays below the product of those
+    primes for every datum the loader accepts: the lifted candidate
+    entries are at most (p - 1)/2 < 2^20 in size and r <= 2^6, so the
+    row mass is below 2^26 and B < 2^(2(10+k)+26), below the dimension
+    ratio's bound in ``primes_over``.
     """
     r, _, phi = num.shape
     if max(r, phi) > MAX_TERMS:
         raise ValueError(f"rank {r} and phi(N) = {phi} must be at most {MAX_TERMS}")
-    first = next((i for i in range(MAX_PRIMES) if _usable(num, split_primes(n, i))), None)
-    if first is None:
+    prime = next(_usable_primes(num, n), None)
+    if prime is None:
         raise ValueError(f"a dimension or dim(C) vanishes in a slot of each of the first "
                          f"{MAX_PRIMES} split primes of conductor {n}")
-    table = _candidate(num, split_primes(n, first))
-    bound = certificate_bound(num, table)
-    for i in range(MAX_PRIMES):
-        chosen = [split_primes(n, j) for j in range(i + 1)]
-        if math.prod(prime.p for prime in chosen) > bound:
-            return (table, *certify(num, table, chosen))
-    raise ValueError(f"the certificate bound {bound} exceeds the product of the first "
-                     f"{MAX_PRIMES} split primes of conductor {n}")
+    table = _candidate(num, prime)
+    return (table, *certify(num, table, primes_over(n, certificate_bound(num, table))))
+
+
+def _column_candidate(num: np.ndarray, n: int, at: np.ndarray) -> list[int | None]:
+    """sigma_hat read in one slot.  In slot 0 of the first usable split
+    prime whose residue characters s_xz s_0z^-1 are distinct across the
+    columns z, entry y is the column z whose residue characters equal
+    those of sigma_k(s_xy / s_0y), which slot 0 reads in slot ``at[0]``
+    of s (``at = sigma_slots(n, k)``); None where no column does."""
+    for prime in _usable_primes(num, n):
+        s, ks = _images(num, prime, [0, at[0]])
+        index = {col.tobytes(): z for z, col in enumerate(_characters(s, prime.p).T)}
+        if len(index) == len(s):
+            return [index.get(col.tobytes()) for col in _characters(ks, prime.p).T]
+    raise ValueError(f"no usable one of the first {MAX_PRIMES} split primes of "
+                     f"conductor {n} separates the character columns")
+
+
+def certified_permutation(num: np.ndarray, n: int, k: int) -> list[int | None]:
+    """sigma_hat_k: entry y is the column z with
+    sigma_k(s_xy / s_0y) = s_xz / s_0z for every x, or None where no
+    column is.
+
+    The candidate is read in one slot (``_column_candidate``).  An exact
+    match has equal residues there, and the residue columns are
+    distinct, so the candidate is that match whenever one exists.  Each
+    candidate is certified by sigma_k(s_xy) s_0z = s_xz sigma_k(s_0y)
+    for every x, which divides by nothing; both sides are products of
+    two entries, so B = 2 L^2 (the argument is ``certify``'s).  Raises
+    ValueError when no usable prime among the first ``MAX_PRIMES``
+    separates the columns."""
+    at = sigma_slots(n, k)
+    perm = _column_candidate(num, n, at)
+    ys = [y for y, z in enumerate(perm) if z is not None]
+    zs = [perm[y] for y in ys]
+
+    def matches(prime, img, slots):
+        cur, img_k = img[slots], img[at[slots]]
+        return img_k[:, :, ys] * cur[:, :1, zs] - cur[:, :, zs] * img_k[:, :1, ys]
+
+    wrong = refuted(num, primes_over(n, 2 * l1_norm(num) ** 2), matches).any(axis=0)
+    for i in np.flatnonzero(wrong):
+        perm[ys[i]] = None
+    return perm

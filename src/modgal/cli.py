@@ -12,7 +12,7 @@ Subcommands::
 Exit codes: 0 pass, 1 check failure, 2 input error.  Input errors are
 a missing or malformed ``.mtc`` file, or one whose conductor, rank or
 s-entries are above ``MAX_CONDUCTOR``, ``MAX_RANK`` or ``MAX_ENTRY_BITS``
-bits, or a datum whose Verlinde table the split primes cannot certify
+bits, or a datum whose identities the split primes cannot certify
 (the message names the file); a ``product`` whose conductor, rank or
 entries would exceed those bounds (nothing is written); a ``pointed``
 group of order above ``MAX_RANK`` without ``--count-only``; a
@@ -238,8 +238,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return FAIL
     except (ValueError, KeyError) as exc:
-        # in validate or report (the split primes cannot certify the
-        # table), the message names the file
+        # in validate or report (the split primes cannot certify an
+        # identity), the message names the file
         where = f"{args.file}: " if "file" in args else ""
         print(f"error: {where}{exc}", file=sys.stderr)
         return USAGE

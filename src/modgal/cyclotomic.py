@@ -185,7 +185,7 @@ class CycNum:
     other CycNum operands must carry an equal conductor.
     """
 
-    __slots__ = ("conductor", "num", "den", "_hash")
+    __slots__ = ("conductor", "num", "den")
 
     def __init__(self, conductor: int, coeffs) -> None:
         field = _field(conductor)
@@ -200,7 +200,6 @@ class CycNum:
         _setattr(self, "conductor", conductor)
         _setattr(self, "num", num)
         _setattr(self, "den", den)
-        _setattr(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("CycNum is immutable")
@@ -409,11 +408,7 @@ class CycNum:
         return NotImplemented
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.conductor, self.num, self.den))
-            _setattr(self, "_hash", h)
-        return h
+        return hash((self.conductor, self.num, self.den))
 
     def __bool__(self):
         return not self.is_zero
@@ -440,7 +435,6 @@ def _raw(conductor: int, num: tuple[int, ...], den: int) -> CycNum:
     _setattr(a, "conductor", conductor)
     _setattr(a, "num", num)
     _setattr(a, "den", den)
-    _setattr(a, "_hash", None)
     return a
 
 

@@ -3,11 +3,15 @@
 For a unit k mod N, sigma_k permutes the columns of the normalized
 character table: sigma_hat(Y) is the unique Z with
 
-    sigma_k(s_{X,Y} / s_{0,Y}) = s_{X,Z} / s_{0,Z}   for all X.
+    sigma_k(s_{X,Y} / s_{0,Y}) = s_{X,Z} / s_{0,Z}   for all X
 
-``galois_permutation`` performs this matching directly for one unit.
+(A. Coste and T. Gannon, *Remarks on Galois symmetry in rational
+conformal field theories*, Phys. Lett. B 1994).  No character table is
+built: ``galois_permutation`` reads sigma_hat in one split-prime slot
+and certifies it with sigma_k(s_XY) s_0Z = s_XZ sigma_k(s_0Y) in every
+slot of enough primes (``_splitprime.certified_permutation``).
 ``orbit_partition`` is the one place where the action is derived: it
-matches columns for a generating set of (Z/NZ)^x and extends to the
+certifies sigma_hat for a generating set of (Z/NZ)^x and extends to the
 full unit group by composition, which is forced by the group-action law
 sigma_j o sigma_k = sigma_{jk}; the law itself is exercised against
 direct matching in the test suite.  Its stabilizers are the fixing
@@ -17,7 +21,8 @@ datum, so it is computed once per ``ModularData`` and freed with it.
 Every other check reads the action from the partition.
 ``dims_ratio_check`` and ``subcategories.is_galois_closed`` run on the
 generators only: each identity is closed under composition, so it holds
-for the group once it holds on a generating set.
+for the group once it holds on a generating set.  ``dims_ratio_check``
+is certified in split-prime slots like sigma_hat.
 ``square_twist_consistency`` runs over every unit, since it reports a
 constant per unit.  ``verlinde_field_degree`` derives [L_X : Q] from the
 fixing group of column X directly, as the reference for the stabilizers.
@@ -28,7 +33,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from ._numtheory import permutation_orbits, unit_group_generators, units_mod
+from ._splitprime import certified_permutation, l1_norm, primes_over, refuted, sigma_slots
 from .modular_data import InvalidModularData, ModularData, memoized_on_datum
 
 __all__ = [
@@ -71,21 +79,19 @@ class GaloisOrbitPartition:
 
 
 def galois_permutation(data: ModularData, k: int) -> tuple[int, ...]:
-    """sigma_hat for one unit k, by exact column matching."""
+    """sigma_hat for one unit k, certified in split-prime slots
+    (``_splitprime.certified_permutation``).  It needs only what
+    ``ModularData._table_preconditions`` checks, and raises its first
+    failure."""
     n = data.conductor
     if math.gcd(k, n) != 1:
         raise ValueError(f"{k} is not a unit modulo {n}")
-    cols = data.character_columns
-    index = data.column_index
-    perm = []
-    for y in range(data.rank):
-        image = tuple(v.galois_apply(k) for v in cols[y])
-        z = index.get(image)
-        if z is None:
-            raise InvalidModularData(
-                f"sigma_{k} maps column {y} outside the character table"
-            )
-        perm.append(z)
+    for failure in data._table_preconditions:
+        raise InvalidModularData(failure)
+    perm = certified_permutation(data._integral_s, n, k)
+    if None in perm:
+        y = perm.index(None)
+        raise InvalidModularData(f"sigma_{k} maps column {y} outside the character table")
     if len(set(perm)) != data.rank:
         raise InvalidModularData(f"sigma_{k} does not permute the columns")
     return tuple(perm)
@@ -107,19 +113,13 @@ def orbit_partition(data: ModularData) -> GaloisOrbitPartition:
     gens = unit_group_generators(n)
     gen_perms = {g: galois_permutation(data, g) for g in gens}
 
-    one = 1 % n if n > 1 else 0
-    perms: dict[int, tuple[int, ...]] = {one: identity}
-    frontier = [one]
-    while frontier:
-        nxt = []
-        for k in frontier:
-            base = perms[k]
-            for g, gp in gen_perms.items():
-                kk = (k * g) % n
-                if kk not in perms:
-                    perms[kk] = tuple(gp[i] for i in base)  # sigma_g o sigma_k
-                    nxt.append(kk)
-        frontier = nxt
+    perms: dict[int, tuple[int, ...]] = {1 % n: identity}
+    queue = [1 % n]
+    for k in queue:  # the list grows while it is walked
+        for g, gp in gen_perms.items():
+            if (kk := k * g % n) not in perms:
+                perms[kk] = tuple(gp[i] for i in perms[k])  # sigma_g o sigma_k
+                queue.append(kk)
     assert set(perms) == set(units_mod(n))
 
     orbits = permutation_orbits(r, gen_perms.values())
@@ -145,18 +145,16 @@ def verlinde_field_degree(data: ModularData, x: int) -> int:
     """[L_X : Q] for the field L_X generated by the characters of
     column X, computed as the index of the fixing subgroup, and checked
     against the orbit size."""
-    n = data.conductor
-    col = data.character_columns[x]
-    units = units_mod(n)
+    inv = data.dims[x].inverse()
+    col = [row[x] * inv for row in data.s]
+    units = units_mod(data.conductor)
     fixing = [k for k in units if all(v.galois_apply(k) == v for v in col)]
     degree, rem = divmod(len(units), len(fixing))
     if rem:
         raise InvalidModularData(f"fixing set of column {x} is not a subgroup")
     orbit = orbit_partition(data).orbit_of(x)
     if degree != len(orbit):
-        raise InvalidModularData(
-            f"[L_{x}:Q] = {degree} but the orbit of {x} has size {len(orbit)}"
-        )
+        raise InvalidModularData(f"[L_{x}:Q] = {degree} but the orbit of {x} has size {len(orbit)}")
     return degree
 
 
@@ -212,20 +210,33 @@ def dims_ratio_check(data: ModularData) -> DimsRatioReport:
                        = f(sigma_hat_g(sigma_hat_h(X))) = f(sigma_hat_gh(X)).
 
     The group is finite, so every unit is a product of generators, and
-    the identity holds for every unit (for the unit 1 it is trivial)."""
+    the identity holds for every unit (for the unit 1 it is trivial).
+
+    Each identity is certified in split-prime slots: sigma_k moves the
+    slots (``sigma_slots``), and with L the largest l1 norm of an entry,
+    each side is at most r L^4 under every embedding, so B = 2 r L^4."""
     perms = orbit_partition(data).perm_of_unit
-    dim_c = data.global_dim
-    dims = data.dims
-    failures: list[str] = []
-    for k in unit_group_generators(data.conductor):
-        perm = perms[k]
-        sdim_c = dim_c.galois_apply(k)
-        for x in range(data.rank):
-            lhs = dims[perm[x]] * dims[perm[x]] * sdim_c
-            rhs = dim_c * (dims[x] * dims[x]).galois_apply(k)
-            if lhs != rhs:
-                failures.append(f"dimension ratio fails at unit {k}, index {x}")
-    return DimsRatioReport(tuple(failures))
+    n = data.conductor
+    gens = unit_group_generators(n)
+    if not gens:
+        return DimsRatioReport(())
+    moved = [(sigma_slots(n, g), list(perms[g])) for g in gens]
+
+    def ratio(prime, img, slots):
+        p = prime.p
+        sq = img[:, 0] * img[:, 0] % p  # sq[j, x] = dim(X)^2 in slot j
+        dim_c = sq.sum(axis=1) % p
+        return np.stack([
+            sq[slots][:, perm] * dim_c[at[slots], None] - dim_c[slots, None] * sq[at[slots]]
+            for at, perm in moved
+        ], axis=1)
+
+    num = data._integral_s
+    bad = refuted(num, primes_over(n, 2 * data.rank * l1_norm(num) ** 4), ratio)
+    return DimsRatioReport(tuple(
+        f"dimension ratio fails at unit {g}, index {x}"
+        for g, row in zip(gens, bad) for x in np.flatnonzero(row)
+    ))
 
 
 def galois_conjugate_data(data: ModularData, k: int) -> ModularData:

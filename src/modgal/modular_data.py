@@ -6,11 +6,14 @@ display labels, the symmetric r x r s-matrix over Q(zeta_N), and the
 twist exponents e_X with t_X = zeta_N^(e_X).  The unit object sits at
 index 0 (``from_parts`` rotates arbitrary input into this convention).
 
-Everything here is exact or certified.  Fusion coefficients are read
-modulo a split prime and then certified by exact identities checked in
-every embedding slot of enough primes (``_splitprime``); a coefficient
+Everything here is exact or certified.  Every identity in the entries
+of s is checked over split primes (``_splitprime``): here the fusion
+coefficients, read modulo a split prime and then certified by exact
+identities in every embedding slot of enough primes; a coefficient
 that is not a nonnegative rational integer is a data error, not a
-tolerance problem, and it is named from its exact defining sum.
+tolerance problem, and it is named from its exact defining sum.  No
+character table is built: ``fp_dims`` finds its column by signs and
+divides that one column by its dimension.
 
 The file format (``save`` / ``load``) is JSON with fields ``conductor``,
 ``rank``, ``labels``, ``t`` and ``s``, where each s-entry is a list of
@@ -25,7 +28,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property, wraps
-from itertools import chain
+from itertools import chain, product
 
 import numpy as np
 
@@ -70,9 +73,10 @@ MAX_CONDUCTOR = 1024
 MAX_RANK = 64
 
 # The loader refuses, and ``product`` does not write, an s-entry with a
-# numerator or denominator of 2^MAX_ENTRY_BITS or more; that keeps the
+# numerator or denominator of 2^MAX_ENTRY_BITS or more; that keeps every
 # certificate bound below the split primes (argued in
-# ``certified_verlinde``).  Catalog coefficients are at most 3 in size.
+# ``_splitprime.primes_over``) and the numerators in int64.  Catalog
+# coefficients are at most 3 in size.
 MAX_ENTRY_BITS = 32
 
 
@@ -153,33 +157,6 @@ class ModularData:
     def dims(self) -> tuple[CycNum, ...]:
         return tuple(self.s[0])
 
-    @cached_property
-    def character_columns(self) -> tuple[tuple[CycNum, ...], ...]:
-        """columns[Y][X] = s_{X,Y} / s_{0,Y}, the character of the
-        Grothendieck ring attached to Y evaluated at X."""
-        dims = self.dims
-        for y, d in enumerate(dims):
-            if d.is_zero:
-                raise InvalidModularData(f"zero dimension at index {y}")
-        # one inverse for all: with P_y = d_0 ... d_(y-1),
-        # 1/d_y = P_y / P_(y+1) and 1/P_y = d_y / P_(y+1)
-        prefix = [CycNum.one(self.conductor)]
-        for d in dims:
-            prefix.append(prefix[-1] * d)
-        inv, invs = prefix.pop().inverse(), []
-        for d, p in zip(dims[::-1], prefix[::-1]):
-            invs.append(p * inv)
-            inv = inv * d
-        invs.reverse()
-        return tuple(tuple(row[y] * invs[y] for row in self.s) for y in range(self.rank))
-
-    @cached_property
-    def column_index(self) -> dict[tuple[CycNum, ...], int]:
-        idx = {col: y for y, col in enumerate(self.character_columns)}
-        if len(idx) != self.rank:
-            raise InvalidModularData("character columns are not distinct")
-        return idx
-
     def twist(self, x: int) -> CycNum:
         return root_of_unity(self.conductor, self.t_exponents[x])
 
@@ -220,54 +197,46 @@ class ModularData:
         N_xy^w: the candidate is the table.  Where an identity fails, the
         coefficients it concerns are computed exactly, one ``dot`` each,
         in the order x <= y, z, so the first coefficient that is not a
-        nonnegative integer is the one named.  If unitarity fails, those
-        are N_0x^y = (s conj(s)^T)_xy / dim(C) over the failing pairs; if
-        each of them is a nonnegative integer, the failing pairs are
-        reported, since without unitarity the other rows are not tied to
-        the identities.  The first failure of ``_table_preconditions``
-        is raised before any of this, and a ValueError where the split
-        primes cannot certify (``certified_verlinde``).
+        nonnegative integer is the one named; the r weights
+        1 / (s_0a dim(C)) are built only when a Verlinde row fails.  If
+        unitarity fails, those coefficients are N_0x^y =
+        (s conj(s)^T)_xy / dim(C) over the failing pairs, which is the
+        rational integer n exactly when (s conj(s)^T)_xy = n dim(C), with
+        n read off one nonzero power-basis coordinate of dim(C): no
+        inverse.  If each of them is a nonnegative integer, the failing
+        pairs are reported, since without unitarity the other rows are
+        not tied to the identities.  The first failure of
+        ``_table_preconditions`` is raised before any of this, and a
+        ValueError where the split primes cannot certify
+        (``certified_verlinde``).
         """
-        r = self.rank
-        for failure in self._table_preconditions():
+        r, s = self.rank, self.s
+        for failure in self._table_preconditions:
             raise InvalidModularData(failure)
-        table, bad_pairs, bad_rows = certified_verlinde(self._integral_s(), self.conductor)
-        if bad_pairs or bad_rows:
-            weights = [(d * self.global_dim).inverse() for d in self.dims]
-
-        def exact(x: int, y: int, z: int) -> int:
-            s = self.s
-            acc = dot(
-                (s[x][a] * s[y][a] * weights[a] for a in range(r)),
-                (s[z][a].conjugate() for a in range(r)),
-            )
-            if not acc.is_rational_integer:
-                raise InvalidModularData(
-                    f"fusion coefficient N({x},{y})^{z} is not an integer"
-                )
-            return int(acc.as_rational())
-
+        table, bad_pairs, bad_rows = certified_verlinde(self._integral_s, self.conductor)
         if bad_pairs:
+            dim = self.global_dim
+            i = next(i for i, c in enumerate(dim.num) if c)
             for x, y in sorted(bad_pairs):
-                n = exact(0, x, y)
-                if n < 0:
-                    raise InvalidModularData(
-                        f"fusion coefficient N(0,{x})^{y} = {n} is negative"
-                    )
+                gram = dot(s[x], map(CycNum.conjugate, s[y])).num
+                n, rem = divmod(gram[i], dim.num[i])
+                exact = not rem and gram == tuple(n * c for c in dim.num)
+                _check_coefficient(0, x, y, n if exact else None)
             raise InvalidModularData(*(
                 f"s * conj(s)^T fails at ({x},{y})" for x, y in sorted(bad_pairs) if x <= y
             ))
+        if bad_rows:
+            weights = [(d * self.global_dim).inverse() for d in self.dims]
         coeffs = table.tolist()
         for x in range(r):
             for y in range(x, r):
                 row = coeffs[x][y]
                 for z in range(r):
-                    n = exact(x, y, z) if (x, y) in bad_rows else row[z]
-                    if n < 0:
-                        raise InvalidModularData(
-                            f"fusion coefficient N({x},{y})^{z} = {n} is negative"
-                        )
-                    row[z] = n
+                    if (x, y) in bad_rows:
+                        acc = dot((s[x][a] * s[y][a] * weights[a] for a in range(r)),
+                                  (s[z][a].conjugate() for a in range(r)))
+                        row[z] = int(acc.as_rational()) if acc.is_rational_integer else None
+                    _check_coefficient(x, y, z, row[z])
                 coeffs[y][x] = row
         dual = [-1] * r
         for x in range(r):
@@ -279,46 +248,63 @@ class ModularData:
             tuple(tuple(tuple(row) for row in plane) for plane in coeffs), tuple(dual)
         )
 
-    def _table_preconditions(self):
-        """What the Verlinde table needs of s: nonzero, real dimensions and
-        entries in Z[zeta_N] (denominator 1 on the power basis)."""
+    @cached_property
+    def _table_preconditions(self) -> tuple[str, ...]:
+        """What the split-prime identities need of s: nonzero, real
+        dimensions and entries in Z[zeta_N] (denominator 1 on the power
+        basis) with coefficients below 2^MAX_ENTRY_BITS, so that they fit
+        int64 (``_integral_s``).  The failures, found once per datum."""
+        failures = []
         for x, d in enumerate(self.dims):
             if d.is_zero:
-                yield f"zero dimension at index {x}"
+                failures.append(f"zero dimension at index {x}")
             elif d.conjugate() != d:
-                yield f"dimension at index {x} is not real"
+                failures.append(f"dimension at index {x} is not real")
         for x, row in enumerate(self.s):
             for y, v in enumerate(row):
                 if v.den != 1:
-                    yield f"s-entry ({x},{y}) is not in Z[zeta_N]"
+                    failures.append(f"s-entry ({x},{y}) is not in Z[zeta_N]")
+                elif max(map(abs, v.num)).bit_length() > MAX_ENTRY_BITS:
+                    failures.append(_oversize(x, y))
+        return tuple(failures)
 
+    @cached_property
     def _integral_s(self) -> np.ndarray:
-        """The coefficients of s on the power basis as Python ints, shape
-        (r, r, phi), for entries in Z[zeta_N]."""
-        nums = [v.num for row in self.s for v in row]
-        return np.array(nums, dtype=object).reshape(self.rank, self.rank, -1)
+        """The coefficients of s on the power basis as read-only int64,
+        shape (r, r, phi), for entries that pass ``_table_preconditions``."""
+        nums = np.array([v.num for row in self.s for v in row], dtype=np.int64)
+        nums.flags.writeable = False
+        return nums.reshape(self.rank, self.rank, -1)
 
     # -- Frobenius-Perron dimensions --------------------------------------
 
     @cached_property
     def fp_dims(self) -> tuple[CycNum, ...]:
         """FPdim(X) = s_{X,Y0} / s_{0,Y0} where Y0 is the unique column
-        whose characters are all real and positive."""
-        cols = self.character_columns
+        whose characters s_{X,Y} / s_{0,Y} are all real and positive.
+
+        d_Y = s_{0,Y} is real and nonzero (``_table_preconditions``), so
+        s_{X,Y} / d_Y is real and positive exactly when s_{X,Y} is real
+        and has the sign of d_Y: the search divides by nothing.  Only
+        column Y0 is divided by d_Y0, with no inverse when d_Y0 = 1, as
+        at Y0 = 0, since s_00 = 1."""
+        for failure in self._table_preconditions:
+            raise InvalidModularData(failure)
+        s = self.s
         candidates = []
-        for y in range(self.rank):
-            ok = True
-            for v in cols[y]:
-                if v.conjugate() != v or sign_of_real(v) <= 0:
-                    ok = False
-                    break
-            if ok:
+        for y, d in enumerate(self.dims):
+            sign = sign_of_real(d)
+            if all(s[x][y].conjugate() == s[x][y] and sign_of_real(s[x][y]) == sign
+                   for x in range(1, self.rank)):
                 candidates.append(y)
         if len(candidates) != 1:
-            raise InvalidModularData(
-                f"expected one totally positive column, found {candidates}"
-            )
-        return cols[candidates[0]]
+            raise InvalidModularData(f"expected one totally positive column, found {candidates}")
+        y0 = candidates[0]
+        column = tuple(row[y0] for row in s)
+        if self.dims[y0] == 1:
+            return column
+        inv = self.dims[y0].inverse()
+        return tuple(v * inv for v in column)
 
     # -- validation -------------------------------------------------------
 
@@ -328,11 +314,12 @@ class ModularData:
         Phase 1 collects every failure of the cheap checks: s is
         symmetric, s_00 = 1, t_0 = 1, the twist orders have lcm N, every
         dimension s_0x is nonzero and real, and every s-entry lies in
-        Z[zeta_N].  Phase 2 builds the certified Verlinde table at every
-        rank: ``_verlinde`` proves or refutes unitarity,
-        s conj(s)^T = dim(C) * I, and stops at the first coefficient that
-        is not a nonnegative integer or the first object without a unique
-        dual.  No check is skipped: every datum that passes has had each
+        Z[zeta_N] with coefficients below 2^MAX_ENTRY_BITS (the loader
+        refuses larger ones before this).  Phase 2 builds the certified
+        Verlinde table at every rank: ``_verlinde`` proves or refutes
+        unitarity, s conj(s)^T = dim(C) * I, and stops at the first
+        coefficient that is not a nonnegative integer or the first object
+        without a unique dual.  No check is skipped: every datum that passes has had each
         identity below proved exactly.
 
         * s^2 = dim(C) * C.  As s_0a is real, the sum in ``_verlinde``
@@ -370,7 +357,7 @@ class ModularData:
             t_order = math.lcm(t_order, n // math.gcd(n, e))
         if t_order != n:
             failures.append(f"lcm of twist orders is {t_order}, conductor is {n}")
-        failures.extend(self._table_preconditions())
+        failures.extend(self._table_preconditions)
         if failures:
             return ValidationReport(tuple(failures))
 
@@ -379,6 +366,19 @@ class ModularData:
         except InvalidModularData as exc:
             return ValidationReport(exc.failures)
         return ValidationReport(())
+
+
+def _check_coefficient(x: int, y: int, z: int, n: int | None) -> None:
+    """Raise the failure that names the Verlinde coefficient N_xy^z = n
+    when n is not a nonnegative integer (None: not an integer)."""
+    if n is None:
+        raise InvalidModularData(f"fusion coefficient N({x},{y})^{z} is not an integer")
+    if n < 0:
+        raise InvalidModularData(f"fusion coefficient N({x},{y})^{z} = {n} is negative")
+
+
+def _oversize(x: int, y: int) -> str:
+    return f"s-entry ({x},{y}) has a numerator or denominator of 2^{MAX_ENTRY_BITS} or more"
 
 
 def memoized_on_datum(fn):
@@ -407,22 +407,11 @@ def deligne_product(a: ModularData, b: ModularData) -> ModularData:
     sa = [[v.embed(n) for v in row] for row in a.s]
     sb = [[v.embed(n) for v in row] for row in b.s]
     ka, kb = n // a.conductor, n // b.conductor
-    rank = a.rank * b.rank
-    labels = []
-    t_exp = []
-    for i in range(a.rank):
-        for j in range(b.rank):
-            labels.append(f"({a.labels[i]},{b.labels[j]})")
-            t_exp.append((a.t_exponents[i] * ka + b.t_exponents[j] * kb) % n)
-    s = []
-    for i in range(a.rank):
-        for j in range(b.rank):
-            row = []
-            for k in range(a.rank):
-                for l in range(b.rank):
-                    row.append(sa[i][k] * sb[j][l])
-            s.append(tuple(row))
-    return ModularData(n, rank, tuple(labels), tuple(s), tuple(t_exp))
+    pairs = list(product(range(a.rank), range(b.rank)))
+    labels = tuple(f"({a.labels[i]},{b.labels[j]})" for i, j in pairs)
+    t_exp = tuple((a.t_exponents[i] * ka + b.t_exponents[j] * kb) % n for i, j in pairs)
+    s = tuple(tuple(sa[i][k] * sb[j][l] for k, l in pairs) for i, j in pairs)
+    return ModularData(n, len(pairs), labels, s, t_exp)
 
 
 # -- file format ------------------------------------------------------------
@@ -486,10 +475,7 @@ def check_entry_bits(s) -> None:
     for x, row in enumerate(s):
         for y, v in enumerate(row):
             if max(v.den, *map(abs, v.num)).bit_length() > MAX_ENTRY_BITS:
-                raise InvalidModularData(
-                    f"s-entry ({x},{y}) has a numerator or denominator of "
-                    f"2^{MAX_ENTRY_BITS} or more"
-                )
+                raise InvalidModularData(_oversize(x, y))
 
 
 def _loads_entry(n: int, entry) -> CycNum:

@@ -34,6 +34,7 @@ import numpy as np
 
 from ._numtheory import (
     divisors,
+    divisors_of,
     euler_phi,
     factorize,
     is_prime,
@@ -383,6 +384,7 @@ def cyclic_subgroup_count(group: FiniteAbelianGroup) -> int:
     if not facs:
         return 1
     tuples = 1
+    factorizations = []
     for n in facs:
         factors, rest = trial_factor(n, MAX_COUNT_PRIME)
         if rest > 1:
@@ -396,8 +398,9 @@ def cyclic_subgroup_count(group: FiniteAbelianGroup) -> int:
                 f"the divisor-tuple sum of {group} has more than "
                 f"{MAX_DIVISOR_TUPLES} terms"
             )
+        factorizations.append(factors)
     total = 0
-    for tup in itertools.product(*(divisors(n) for n in facs)):
+    for tup in itertools.product(*map(divisors_of, factorizations)):
         num = 1
         for d in tup:
             num *= euler_phi(d)

@@ -13,8 +13,10 @@ no fixpoint; every fusion subcategory is a join of cyclic ones, so the
 enumeration is complete (the argument is in ``all_subcategories``).
 
 Centralizers use the exact criterion: X centralizes Y iff
-s_{X,Y} = dim(X) * dim(Y).  A centralizer is the intersection of the
-table rows of its members and does no cyclotomic arithmetic.
+s_{X,Y} = dim(X) * dim(Y), an identity certified for every pair at once
+in split-prime slots (``_splitprime.refuted``).  A centralizer is the
+intersection of the table rows of its members and does no cyclotomic
+arithmetic.
 
 The lattice is memoized on the datum, so it is enumerated once per
 ``ModularData`` and freed with it.
@@ -24,7 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._numtheory import factorize, is_prime, unit_group_generators, units_mod
+from ._numtheory import factorize, is_prime, unit_group_generators
+from ._splitprime import l1_norm, primes_over, refuted
 from .cyclotomic import CycNum, dot
 from .galois_action import orbit_partition
 from .modular_data import InvalidModularData, ModularData, memoized_on_datum
@@ -88,17 +91,24 @@ def _relations(data: ModularData) -> tuple[tuple[_Rows, ...], _Rows]:
     """The two tables the lattice is read from: ``support[x][y]``, the
     simple summands {z : N_xy^z != 0} of x (x) y, and
     ``centralizing[y]``, the objects {x : s_xy = d_x d_y} that
-    centralize y.  No dimension is zero (``character_columns`` raises
-    otherwise), so s_xy = d_x d_y iff the character entry s_xy / d_y
-    equals d_x: the table costs comparisons only."""
+    centralize y.  With d_x = s_0x, the relation is the identity
+    s_xy - s_0x s_0y = 0, certified in split-prime slots for every pair
+    at once; with L the largest l1 norm of an entry, its conjugates are
+    at most L + L^2 in size (``_splitprime.certify``)."""
     support = tuple(
         tuple(frozenset(z for z, n in enumerate(row) if n) for row in rows)
         for rows in data.fusion.coeffs
     )
-    cols, dims = data.character_columns, data.dims
+
+    def relation(prime, img, slots):
+        s = img[slots]
+        return s - s[:, 0, :, None] * s[:, 0, None, :]
+
+    num = data._integral_s
+    l1 = l1_norm(num)
+    apart = refuted(num, primes_over(data.conductor, l1 + l1 * l1), relation)
     centralizing = tuple(
-        frozenset(x for x, v in enumerate(col) if v == dims[x]) for col in cols
-    )
+        frozenset(x for x, no in enumerate(col) if not no) for col in apart.T.tolist())
     return support, centralizing
 
 
@@ -296,27 +306,24 @@ class Counting2Report:
 
 def counting2_degree_check(data: ModularData, sub: FusionSubcategory) -> Counting2Report:
     """|O_X meet D| = |O_X| / [K_D meet L_X : Q] for X in D, where K_D is
-    generated by the dimensions of the centralizer of D.  Field degrees
-    are computed as indices of fixing subgroups of (Z/NZ)^x; the fixing
-    group of L_X is the stabilizer of X (see ``orbit_partition``)."""
+    generated by the dimensions of the centralizer of D and L_X by the
+    characters of column X.  Field degrees are indices of fixing
+    subgroups of (Z/NZ)^x.
+
+    The degree is the same for every X in D.  With s_00 = 1,
+    d_Y = s_Y0 / s_00, so sigma_k(d_Y) = s_{Y,Z} / d_Z with
+    Z = sigma_hat_k(0), which is d_Y exactly when Z centralizes Y.  So
+    sigma_k fixes K_D exactly when sigma_hat_k(0) lies in C(C(D)).  For
+    X in D and Y in C(D), the character s_YX / d_X is d_Y, so
+    K_D is contained in L_X and [K_D meet L_X : Q] = [K_D : Q]."""
     part = orbit_partition(data)
-    units = units_mod(data.conductor)
-    cent = centralizer(data, sub)
-    dims = data.dims
-    fix_kd = {
-        k
-        for k in units
-        if all(dims[y].galois_apply(k) == dims[y] for y in cent.members)
-    }
+    double = centralizer(data, centralizer(data, sub)).members
+    fixing = sum(perm[0] in double for perm in part.perm_of_unit.values())
+    degree = len(part.perm_of_unit) // fixing  # [K_D : Q]
     entries = []
     failures = []
     for x in sorted(sub.members):
         orbit = part.orbit_of(x)
-        fix_lx = set(part.stabilizers[x])
-        # the group both fixing groups generate is H1 H2, as (Z/NZ)^x is
-        # abelian, and |H1 H2| = |H1| |H2| / |H1 meet H2|
-        joint = len(fix_kd) * len(fix_lx) // len(fix_kd & fix_lx)
-        degree = len(units) // joint  # [K_D meet L_X : Q]
         direct = len(set(orbit) & sub.members)
         expected, rem = divmod(len(orbit), degree)
         entries.append((x, direct, len(orbit), degree))

@@ -1,14 +1,44 @@
 import pytest
 
+from modgal._numtheory import unit_group_generators
 from modgal.cyclotomic import CycNum
-from modgal.families import catalog, fibonacci, ising, sl2_level_adjoint
+from modgal.families import catalog, fibonacci, fixture, fixture_names, ising, sl2_level_adjoint
+from modgal.galois_action import galois_conjugate_data
 from modgal.modular_data import ModularData, deligne_product
+from modgal.pointed import FiniteAbelianGroup, build_pointed
 
 # The report rungs of the benchmark ladder
 LADDER = {
     "fib_x_sl2_7": lambda: deligne_product(fibonacci(2), sl2_level_adjoint(7, 3)),
     "ising_x_sl2_7": lambda: deligne_product(ising(3), sl2_level_adjoint(7, 2)),
     "sl2_19_ad": lambda: sl2_level_adjoint(19, 2),
+}
+
+# The Deligne products of rank 12, 25 and 30 (conductors 65, 55 and 143)
+PRODUCTS = {
+    "fib_x_sl2_13": lambda: deligne_product(fibonacci(0), sl2_level_adjoint(13)),
+    "z5_x_sl2_11": lambda: deligne_product(build_pointed(FiniteAbelianGroup((5,))),
+                                           sl2_level_adjoint(11)),
+    "sl2_11_x_sl2_13": lambda: deligne_product(sl2_level_adjoint(11), sl2_level_adjoint(13)),
+}
+
+
+def _conjugate(name):
+    """The fixture conjugated by the first generator of its unit group."""
+    data = fixture(name)
+    gens = unit_group_generators(data.conductor)
+    return galois_conjugate_data(data, gens[0]) if gens else data
+
+
+# The fixtures and their conjugates, the ladder rungs and three pointed
+# data, which the exact references are compared on
+DIFFERENTIAL = {
+    **{name: lambda name=name: fixture(name) for name in fixture_names()},
+    **{f"{name}_sigma": lambda name=name: _conjugate(name) for name in fixture_names()},
+    **LADDER,
+    "Z2^4": lambda: build_pointed(FiniteAbelianGroup((2, 2, 2, 2))),
+    "Z2xZ4xZ4": lambda: build_pointed(FiniteAbelianGroup((2, 4, 4))),
+    "Z2^2_x_ising": lambda: deligne_product(build_pointed(FiniteAbelianGroup((2, 2))), ising(0)),
 }
 
 

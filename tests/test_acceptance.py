@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from conftest import PRODUCTS
 from modgal.cli import main as cli_main
 from modgal.cyclotomic import CycNum
 from modgal.families import (
@@ -233,10 +234,8 @@ def test_criterion_9_three_by_three_square():
 @pytest.mark.parametrize(
     "name,build",
     [
-        ("Z/5 x sl2_11 (rank 25, N = 55)",
-         lambda: deligne_product(build_pointed(FiniteAbelianGroup((5,))), sl2_level_adjoint(11))),
-        ("sl2_11 x sl2_13 (rank 30, N = 143)",
-         lambda: deligne_product(sl2_level_adjoint(11), sl2_level_adjoint(13))),
+        ("Z/5 x sl2_11 (rank 25, N = 55)", PRODUCTS["z5_x_sl2_11"]),
+        ("sl2_11 x sl2_13 (rank 30, N = 143)", PRODUCTS["sl2_11_x_sl2_13"]),
     ],
 )
 def test_criterion_10_every_rank_is_checked(tmp_path, capsys, name, build):

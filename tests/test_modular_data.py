@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 
 from conftest import LADDER
+from reference import character_columns
 from modgal.cyclotomic import CycNum, dot, numeric_value, root_of_unity
 from modgal.families import fibonacci, fixture_names, ising
-from modgal.galois_action import orbit_partition
+from modgal.galois_action import galois_permutation, orbit_partition
 from modgal.modular_data import (
     MAX_CONDUCTOR,
     MAX_ENTRY_BITS,
@@ -173,12 +174,14 @@ class TestValidationFailures:
 
 
 class TestCharacterColumns:
+    """The test-side character table that the exact references read."""
+
     @pytest.mark.parametrize("name", fixture_names() + tuple(LADDER))
     def test_match_one_inverse_per_dimension(self, name, fixture_catalog):
         # the columns share one inverse of the product of the dimensions
         data = fixture_catalog[name] if name in fixture_catalog else LADDER[name]()
         s = data.s
-        for y, column in enumerate(data.character_columns):
+        for y, column in enumerate(character_columns(data)):
             inv = s[0][y].inverse()
             assert column == tuple(s[x][y] * inv for x in range(data.rank)), (name, y)
 
@@ -186,7 +189,11 @@ class TestCharacterColumns:
         one, zero = CycNum.one(1), CycNum.zero(1)
         data = ModularData(1, 3, ("1", "x", "y"), ((one, zero, zero),) * 3, (0, 0, 0))
         with pytest.raises(InvalidModularData, match="zero dimension at index 1"):
-            data.character_columns
+            character_columns(data)
+        # the library reads no column, and names it before any residue too
+        for read in (lambda: galois_permutation(data, 0), lambda: data.fp_dims):
+            with pytest.raises(InvalidModularData, match="zero dimension at index 1"):
+                read()
 
 
 class TestTableIdentities:

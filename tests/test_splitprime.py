@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import LADDER, _double_pair, _edited
+from conftest import LADDER, PRODUCTS, _double_pair, _edited
+from reference import character_columns
 from modgal import _splitprime
 from modgal._numtheory import factorize, is_prime, unit_group_generators, units_mod
 from modgal._splitprime import certified_verlinde, certify, split_prime, split_primes
@@ -32,7 +33,6 @@ from modgal.modular_data import (
     deligne_product,
     save_modular_data,
 )
-from modgal.pointed import FiniteAbelianGroup, build_pointed
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -42,7 +42,7 @@ def exact_verlinde(data):
     ``InvalidModularData`` at the first coefficient, in the order
     x <= y, z, that is not a nonnegative integer."""
     r = data.rank
-    cols = data.character_columns
+    cols = character_columns(data)
     dim_inv = data.global_dim.inverse()
     weights = [data.s[0][a] * data.s[0][a] * dim_inv for a in range(r)]
     conj_rows = [tuple(cols[a][z].conjugate() for a in range(r)) for z in range(r)]
@@ -59,14 +59,6 @@ def exact_verlinde(data):
                     raise InvalidModularData(f"fusion coefficient N({x},{y})^{z} = {n} is negative")
                 coeffs[x][y][z] = coeffs[y][x][z] = n
     return tuple(tuple(tuple(row) for row in plane) for plane in coeffs)
-
-
-def _fib_x_sl2_13():
-    return deligne_product(fibonacci(0), sl2_level_adjoint(13))
-
-
-def _z5_x_sl2_11():
-    return deligne_product(build_pointed(FiniteAbelianGroup((5,))), sl2_level_adjoint(11))
 
 
 def _conjugates(fixture_catalog):
@@ -91,7 +83,7 @@ class TestDifferential:
         assert data.fusion.coeffs == exact_verlinde(data)
 
     def test_rank_12(self):
-        data = _fib_x_sl2_13()
+        data = PRODUCTS["fib_x_sl2_13"]()
         assert data.rank == 12 and data.conductor == 65
         assert data.fusion.coeffs == exact_verlinde(data)
 
@@ -103,7 +95,7 @@ class TestDifferential:
 
 
 def _num_and_table(data):
-    num = data._integral_s()
+    num = data._integral_s
     table, bad_pairs, bad_rows = certified_verlinde(num, data.conductor)
     assert not bad_pairs and not bad_rows
     return num, table
@@ -125,7 +117,7 @@ class TestCertificate:
         # the slot reading is lifted to (-p/2, p/2], so N(1,1)^1 = -1 is
         # proved like any other coefficient, with no exact fallback
         data = phase2_invalid["fibonacci-row-1-negated"]
-        table, bad_pairs, bad_rows = certified_verlinde(data._integral_s(), data.conductor)
+        table, bad_pairs, bad_rows = certified_verlinde(data._integral_s, data.conductor)
         assert not bad_pairs and not bad_rows
         assert table[1, 1, 1] == -1
 
@@ -303,7 +295,7 @@ class TestBeyondThePrimes:
         data = fibonacci(0)
         monkeypatch.setattr(_splitprime, "_usable", lambda num, prime: False)
         with pytest.raises(ValueError, match="vanishes"):
-            certified_verlinde(data._integral_s(), data.conductor)
+            certified_verlinde(data._integral_s, data.conductor)
         path = str(FIXTURE_DIR / "fibonacci.mtc")
         for argv in (["validate", path], ["report", path]):
             assert main(argv) == 2
@@ -313,7 +305,7 @@ class TestBeyondThePrimes:
     def test_a_prime_that_is_not_usable_still_certifies(self, monkeypatch):
         # the candidate is read at the second prime; the first, where it
         # cannot be read, is enough for the certificate
-        data = _fib_x_sl2_13()
+        data = PRODUCTS["fib_x_sl2_13"]()
         first = split_primes(data.conductor, 0)
         usable, certify_ = _splitprime._usable, _splitprime.certify
         seen = []
@@ -377,7 +369,7 @@ class TestUnitarityFailure:
 
 class TestRegression:
     def test_doubled_pair_at_rank_25_fails(self, tmp_path, capsys):
-        data = _edited(_z5_x_sl2_11(), _double_pair)
+        data = _edited(PRODUCTS["z5_x_sl2_11"](), _double_pair)
         assert data.rank == 25
         report = data.validate()
         assert not report.ok

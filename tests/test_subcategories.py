@@ -2,11 +2,9 @@
 
 import pytest
 
-from conftest import LADDER
-from modgal._numtheory import unit_group_generators
+from conftest import DIFFERENTIAL
 from modgal.cyclotomic import CycNum
-from modgal.families import fixture, fixture_names, ising
-from modgal.galois_action import galois_conjugate_data, orbit_partition
+from modgal.galois_action import orbit_partition
 from modgal.modular_data import deligne_product
 from modgal.pointed import FiniteAbelianGroup, build_pointed
 from modgal.subcategories import (
@@ -71,22 +69,6 @@ def _reference_lattice(data) -> set[frozenset[int]]:
         closed |= fresh
         frontier = fresh
     return closed
-
-
-def _conjugate(name):
-    data = fixture(name)
-    gens = unit_group_generators(data.conductor)
-    return galois_conjugate_data(data, gens[0]) if gens else data
-
-
-DIFFERENTIAL = {
-    **{name: lambda name=name: fixture(name) for name in fixture_names()},
-    **{f"{name}_sigma": lambda name=name: _conjugate(name) for name in fixture_names()},
-    **LADDER,
-    "Z2^4": lambda: build_pointed(FiniteAbelianGroup((2, 2, 2, 2))),
-    "Z2xZ4xZ4": lambda: build_pointed(FiniteAbelianGroup((2, 4, 4))),
-    "Z2^2_x_ising": lambda: deligne_product(build_pointed(FiniteAbelianGroup((2, 2))), ising(0)),
-}
 
 
 @pytest.mark.parametrize("name", sorted(DIFFERENTIAL))
