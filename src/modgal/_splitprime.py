@@ -9,15 +9,21 @@ sigma_k only permutes the slots (``sigma_slots``), and complex
 conjugation sends slot k to slot -k.
 
 This is the one route by which ``modgal`` checks an identity in the
-entries of s.  ``refuted`` evaluates a batch of denominator-free
-identities in every slot of enough primes; a nonzero residue refutes
-its identity, and residues that vanish in every slot prove it once the
-primes exceed a bound on its conjugates (the argument is in
-``certify``).  Each caller reads a candidate in one slot, where
-division is free, and certifies it with an identity that divides by
-nothing: the Verlinde table (``certified_verlinde``), the Galois
-permutation of the columns (``certified_permutation``), and, in their
-modules, the centralizer relation and the dimension-ratio identity.
+entries of s.  A datum's ``Residues`` hold s on the power basis, its
+conductor and the largest l1 norm of an entry, and image s at a split
+prime the first time an identity asks for that prime; the image is
+kept as long as the view, which its datum holds
+(``ModularData._residues``), so s is imaged once per split prime per
+datum, and only this module builds or lays out the images.
+``refuted`` evaluates a batch of denominator-free identities in every
+slot of enough primes; a nonzero residue refutes its identity, and
+residues that vanish in every slot prove it once the primes exceed a
+bound on its conjugates (the argument is in ``certify``).  Each caller
+reads a candidate in one slot of the kept image, where division is
+free, and certifies it with an identity that divides by nothing: the
+Verlinde table (``certified_verlinde``), the Galois permutation of the
+columns (``certified_permutation``), and, in their modules, the
+centralizer relation and the dimension-ratio identity.
 
 Residues are held as float64, so that every matrix product runs in
 BLAS: they lie in [0, p) with p - 1 < 2^PRIME_BITS, so a product of
@@ -40,7 +46,7 @@ import numpy as np
 from ._numtheory import factorize, is_prime, units_mod
 
 __all__ = [
-    "SplitPrime", "certified_permutation", "certified_verlinde", "certify", "l1_norm",
+    "Residues", "SplitPrime", "certified_permutation", "certified_verlinde", "certify",
     "primes_over", "refuted", "sigma_slots", "split_prime", "split_primes",
 ]
 
@@ -132,27 +138,48 @@ def primes_over(n: int, bound: int) -> list[SplitPrime]:
                      f"{MAX_PRIMES} split primes of conductor {n}")
 
 
-def l1_norm(num: np.ndarray) -> int:
-    """L, the largest l1 norm of an entry's numerators: |sigma(s_xy)| <= L
-    for every embedding sigma of Q(zeta_N) into C."""
-    return int(np.abs(num).sum(axis=-1).max())
-
-
-def _images(num: np.ndarray, prime: SplitPrime, slots=slice(None)) -> np.ndarray:
-    """The images of the entries of ``num`` (shape (..., phi)) in the
-    given slots, slot axis first, residues in [0, p) as float64.  The
-    entries are reduced mod p in blocks of ``_BLOCK`` coefficients."""
+def _images(num: np.ndarray, prime: SplitPrime) -> np.ndarray:
+    """The images of the int64 entries of ``num`` (shape (..., phi)) in
+    every slot, slot axis first, residues in [0, p) as float64.  The
+    entries are reduced mod p in blocks of ``_BLOCK`` coefficients.
+    Both remainders are taken in int64, several times faster than in
+    float64 and exact: the coefficients are integers, and each product
+    sum is an integer below 2^53."""
     flat = num.reshape(-1, num.shape[-1])
-    powers = prime.powers[:, slots].T
-    img = np.empty((len(powers), len(flat)))
+    img = np.empty((prime.powers.shape[1], len(flat)))
     step = max(1, _BLOCK // flat.shape[1])
     for lo in range(0, len(flat), step):
-        block = np.remainder(flat[lo:lo + step], prime.p, dtype=np.float64)
-        img[:, lo:lo + step] = powers @ block.T
-    return np.remainder(img, prime.p, out=img).reshape((-1,) + num.shape[:-1])
+        block = (flat[lo:lo + step] % prime.p).astype(np.float64)
+        img[:, lo:lo + step] = (prime.powers.T @ block.T).astype(np.int64) % prime.p
+    return img.reshape((-1,) + num.shape[:-1])
 
 
-def refuted(num: np.ndarray, primes, identity) -> np.ndarray:
+class Residues:
+    """The entries of s in Z[zeta_n] on the power basis, ``num`` of
+    shape (r, r, phi), copied to int64 from the coefficients given, with
+    L = ``l1``, the largest l1 norm of an entry's coefficients:
+    |sigma(s_xy)| <= L for every embedding sigma of Q(zeta_n) into C.
+    ``at(prime)`` is the image of s at a split prime of n, built the
+    first time it is asked for and kept as long as the view.  ``num``
+    and the images are read-only, since every identity shares them."""
+
+    def __init__(self, num, n: int):
+        self.num = np.array(num, dtype=np.int64)
+        self.num.flags.writeable = False
+        self.n = n
+        self.l1 = int(np.abs(self.num).sum(axis=-1).max())
+        self._kept: dict[int, np.ndarray] = {}
+
+    def at(self, prime: SplitPrime) -> np.ndarray:
+        """img[j, x, y], the residue of s_xy in slot j of the prime."""
+        img = self._kept.get(prime.p)
+        if img is None:
+            img = self._kept[prime.p] = _images(self.num, prime)
+            img.flags.writeable = False
+        return img
+
+
+def refuted(residues: Residues, primes, identity) -> np.ndarray:
     """The mask of the identities that have a nonzero residue in some
     slot of some given prime.
 
@@ -161,13 +188,13 @@ def refuted(num: np.ndarray, primes, identity) -> np.ndarray:
     indices; it returns the residues of its identities there, an array
     whose first axis runs over those slots (or over slots and a summed
     index), each an integer below 2^53 in size.  The mask is their OR
-    over that axis.  s is imaged once per prime, and the identity is
-    evaluated in slot chunks of about ``_CHUNK`` residues.  When the
+    over that axis.  The identity reads the image ``residues`` keeps for
+    each prime, in slot chunks of about ``_CHUNK`` residues.  When the
     primes exceed a bound B on every conjugate of every identity, a
     false mask entry proves its identity (``certify``)."""
     bad = np.zeros((), dtype=bool)
     for prime in primes:
-        img = _images(num, prime)
+        img = residues.at(prime)
         lo, step = 0, 1
         while lo < len(img):
             res = identity(prime, img, np.arange(lo, min(lo + step, len(img))))
@@ -178,10 +205,10 @@ def refuted(num: np.ndarray, primes, identity) -> np.ndarray:
     return bad
 
 
-def _usable(num: np.ndarray, prime: SplitPrime) -> bool:
+def _usable(residues: Residues, prime: SplitPrime) -> bool:
     """No dimension s_0a and not dim = sum_a s_0a^2 vanishes in a slot
     of this prime, so slot 0 can divide by them."""
-    dims = _images(num[0], prime)
+    dims = residues.at(prime)[:, 0]
     return bool(dims.all() and ((dims * dims % prime.p).sum(axis=1) % prime.p).all())
 
 
@@ -190,11 +217,11 @@ def _characters(s: np.ndarray, p: int) -> np.ndarray:
     return s * np.array([pow(int(v), -1, p) for v in s[0]], dtype=np.float64) % p
 
 
-def _candidate(num: np.ndarray, prime: SplitPrime) -> np.ndarray:
+def _candidate(residues: Residues, prime: SplitPrime) -> np.ndarray:
     """N_xy^z = sum_a s_xa s_ya conj(s_za) / (s_0a dim) read in slot 0
     of a usable prime and lifted to (-p/2, p/2]."""
     p = prime.p
-    s, cs = _images(num, prime, [0, prime.conj[0]])
+    s, cs = residues.at(prime)[[0, prime.conj[0]]]
     r = s.shape[0]
     inv_dim = pow(int((s[0] * s[0] % p).sum() % p), -1, p)
     prods = (_characters(s, p)[:, None, :] * s[None, :, :] % p).reshape(r * r, r)
@@ -202,26 +229,26 @@ def _candidate(num: np.ndarray, prime: SplitPrime) -> np.ndarray:
     return np.where(table > p // 2, table - p, table)
 
 
-def certificate_bound(num: np.ndarray, table: np.ndarray) -> int:
+def certificate_bound(residues: Residues, table: np.ndarray) -> int:
     """B >= |sigma(y)| for every identity y of ``certify`` and every
-    embedding sigma of Q(zeta_N) into C: with L the largest l1 norm of
-    an entry's numerators, |sigma(s_xa)| <= L, so the unitarity
-    identities are bounded by 2 r L^2 and the Verlinde identity of
-    (x, y, a) by L^2 (1 + sum_z |N_xy^z|)."""
-    r = table.shape[0]
-    l1 = l1_norm(num)
+    embedding sigma of Q(zeta_N) into C: with L = ``residues.l1``,
+    |sigma(s_xa)| <= L, so the unitarity identities are bounded by
+    2 r L^2 and the Verlinde identity of (x, y, a) by
+    L^2 (1 + sum_z |N_xy^z|)."""
     row_mass = int(np.abs(table).sum(axis=-1).max())
-    return l1 * l1 * max(2 * r, 1 + row_mass)
+    return residues.l1 ** 2 * max(2 * table.shape[0], 1 + row_mass)
 
 
-def certify(num: np.ndarray, table: np.ndarray, primes) -> tuple[set, set]:
+def certify(residues: Residues, table: np.ndarray, primes) -> tuple[set, set]:
     """Check s conj(s)^T = dim I and s_xa s_ya = s_0a sum_z N_xy^z s_za
     (x <= y, every a) in every slot of every given prime.
 
-    ``num`` holds the entries of s, which lie in Z[zeta_N], on the power
-    basis, shape (r, r, phi); dim = sum_a s_0a^2.  Returns the pairs
-    (x, y) where the unitarity identity fails and the pairs x <= y where
-    some Verlinde identity of (x, y) fails.
+    ``residues`` holds the entries of s, which lie in Z[zeta_N];
+    dim = sum_a s_0a^2.  Returns the pairs (x, y) where the unitarity
+    identity fails and, when it fails nowhere, the pairs x <= y where
+    some Verlinde identity of (x, y) fails.  Without unitarity the
+    Verlinde identities are not evaluated: the caller reads only the
+    failing pairs then.
 
     A nonzero residue proves its identity false.  A residue that is zero
     in every slot proves it true once prod p > B (``certificate_bound``),
@@ -239,7 +266,7 @@ def certify(num: np.ndarray, table: np.ndarray, primes) -> tuple[set, set]:
       leaves y = 0.
     """
     primes = {prime.p: prime for prime in primes}.values()
-    bound = certificate_bound(num, table)
+    bound = certificate_bound(residues, table)
     if math.prod(prime.p for prime in primes) <= bound:
         raise ValueError(f"the primes do not exceed the certificate bound {bound}")
     r = table.shape[0]
@@ -260,24 +287,23 @@ def certify(num: np.ndarray, table: np.ndarray, primes) -> tuple[set, set]:
         flat = img[slots].transpose(1, 0, 2).reshape(r, -1)  # flat[z, (slot, a)] = s_za
         return (flat[xs] * flat[ys] - rows[prime.p] @ (flat * flat[0] % prime.p)).T
 
-    bad_gram = refuted(num, primes, unitarity)
-    bad_rows = refuted(num, primes, verlinde)
-    return (
-        {(int(x), int(y)) for x, y in np.argwhere(bad_gram)},
-        {(int(xs[i]), int(ys[i])) for i in np.flatnonzero(bad_rows)},
-    )
+    bad_pairs = {(int(x), int(y)) for x, y in np.argwhere(refuted(residues, primes, unitarity))}
+    if bad_pairs:
+        return bad_pairs, set()
+    bad_rows = refuted(residues, primes, verlinde)
+    return set(), {(int(xs[i]), int(ys[i])) for i in np.flatnonzero(bad_rows)}
 
 
-def _usable_primes(num: np.ndarray, n: int):
+def _usable_primes(residues: Residues):
     """The usable ones among the first ``MAX_PRIMES`` split primes of
-    conductor n, found lazily."""
-    primes = (split_primes(n, i) for i in range(MAX_PRIMES))
-    return (prime for prime in primes if _usable(num, prime))
+    the conductor, found lazily."""
+    primes = (split_primes(residues.n, i) for i in range(MAX_PRIMES))
+    return (prime for prime in primes if _usable(residues, prime))
 
 
-def certified_verlinde(num: np.ndarray, n: int) -> tuple[np.ndarray, set, set]:
+def certified_verlinde(residues: Residues) -> tuple[np.ndarray, set, set]:
     """The candidate table read in slot 0 of the first usable split
-    prime of conductor n, with the failures ``certify`` finds over the
+    prime of the conductor n, with the failures ``certify`` finds over the
     shortest prefix of the split primes whose product exceeds the bound
     B (``primes_over``).  ``certify`` divides by nothing, so a prime
     that is not usable certifies too.  Raises ValueError when none of
@@ -289,33 +315,34 @@ def certified_verlinde(num: np.ndarray, n: int) -> tuple[np.ndarray, set, set]:
     row mass is below 2^26 and B < 2^(2(10+k)+26), below the dimension
     ratio's bound in ``primes_over``.
     """
-    r, _, phi = num.shape
+    r, _, phi = residues.num.shape
     if max(r, phi) > MAX_TERMS:
         raise ValueError(f"rank {r} and phi(N) = {phi} must be at most {MAX_TERMS}")
-    prime = next(_usable_primes(num, n), None)
+    prime = next(_usable_primes(residues), None)
     if prime is None:
         raise ValueError(f"a dimension or dim(C) vanishes in a slot of each of the first "
-                         f"{MAX_PRIMES} split primes of conductor {n}")
-    table = _candidate(num, prime)
-    return (table, *certify(num, table, primes_over(n, certificate_bound(num, table))))
+                         f"{MAX_PRIMES} split primes of conductor {residues.n}")
+    table = _candidate(residues, prime)
+    bound = certificate_bound(residues, table)
+    return (table, *certify(residues, table, primes_over(residues.n, bound)))
 
 
-def _column_candidate(num: np.ndarray, n: int, at: np.ndarray) -> list[int | None]:
+def _column_candidate(residues: Residues, at: np.ndarray) -> list[int | None]:
     """sigma_hat read in one slot.  In slot 0 of the first usable split
     prime whose residue characters s_xz s_0z^-1 are distinct across the
     columns z, entry y is the column z whose residue characters equal
     those of sigma_k(s_xy / s_0y), which slot 0 reads in slot ``at[0]``
     of s (``at = sigma_slots(n, k)``); None where no column does."""
-    for prime in _usable_primes(num, n):
-        s, ks = _images(num, prime, [0, at[0]])
+    for prime in _usable_primes(residues):
+        s, ks = residues.at(prime)[[0, at[0]]]
         index = {col.tobytes(): z for z, col in enumerate(_characters(s, prime.p).T)}
         if len(index) == len(s):
             return [index.get(col.tobytes()) for col in _characters(ks, prime.p).T]
     raise ValueError(f"no usable one of the first {MAX_PRIMES} split primes of "
-                     f"conductor {n} separates the character columns")
+                     f"conductor {residues.n} separates the character columns")
 
 
-def certified_permutation(num: np.ndarray, n: int, k: int) -> list[int | None]:
+def certified_permutation(residues: Residues, k: int) -> list[int | None]:
     """sigma_hat_k: entry y is the column z with
     sigma_k(s_xy / s_0y) = s_xz / s_0z for every x, or None where no
     column is.
@@ -328,8 +355,8 @@ def certified_permutation(num: np.ndarray, n: int, k: int) -> list[int | None]:
     two entries, so B = 2 L^2 (the argument is ``certify``'s).  Raises
     ValueError when no usable prime among the first ``MAX_PRIMES``
     separates the columns."""
-    at = sigma_slots(n, k)
-    perm = _column_candidate(num, n, at)
+    at = sigma_slots(residues.n, k)
+    perm = _column_candidate(residues, at)
     ys = [y for y, z in enumerate(perm) if z is not None]
     zs = [perm[y] for y in ys]
 
@@ -337,7 +364,7 @@ def certified_permutation(num: np.ndarray, n: int, k: int) -> list[int | None]:
         cur, img_k = img[slots], img[at[slots]]
         return img_k[:, :, ys] * cur[:, :1, zs] - cur[:, :, zs] * img_k[:, :1, ys]
 
-    wrong = refuted(num, primes_over(n, 2 * l1_norm(num) ** 2), matches).any(axis=0)
+    wrong = refuted(residues, primes_over(residues.n, 2 * residues.l1 ** 2), matches).any(axis=0)
     for i in np.flatnonzero(wrong):
         perm[ys[i]] = None
     return perm

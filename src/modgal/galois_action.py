@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._numtheory import permutation_orbits, unit_group_generators, units_mod
-from ._splitprime import certified_permutation, l1_norm, primes_over, refuted, sigma_slots
+from ._splitprime import certified_permutation, primes_over, refuted, sigma_slots
 from .modular_data import InvalidModularData, ModularData, memoized_on_datum
 
 __all__ = [
@@ -86,9 +86,7 @@ def galois_permutation(data: ModularData, k: int) -> tuple[int, ...]:
     n = data.conductor
     if math.gcd(k, n) != 1:
         raise ValueError(f"{k} is not a unit modulo {n}")
-    for failure in data._table_preconditions:
-        raise InvalidModularData(failure)
-    perm = certified_permutation(data._integral_s, n, k)
+    perm = certified_permutation(data._residues, k)
     if None in perm:
         y = perm.index(None)
         raise InvalidModularData(f"sigma_{k} maps column {y} outside the character table")
@@ -231,8 +229,7 @@ def dims_ratio_check(data: ModularData) -> DimsRatioReport:
             for at, perm in moved
         ], axis=1)
 
-    num = data._integral_s
-    bad = refuted(num, primes_over(n, 2 * data.rank * l1_norm(num) ** 4), ratio)
+    bad = refuted(data._residues, primes_over(n, 2 * data.rank * data._residues.l1 ** 4), ratio)
     return DimsRatioReport(tuple(
         f"dimension ratio fails at unit {g}, index {x}"
         for g, row in zip(gens, bad) for x in np.flatnonzero(row)

@@ -7,13 +7,17 @@ twist exponents e_X with t_X = zeta_N^(e_X).  The unit object sits at
 index 0 (``from_parts`` rotates arbitrary input into this convention).
 
 Everything here is exact or certified.  Every identity in the entries
-of s is checked over split primes (``_splitprime``): here the fusion
-coefficients, read modulo a split prime and then certified by exact
-identities in every embedding slot of enough primes; a coefficient
-that is not a nonnegative rational integer is a data error, not a
-tolerance problem, and it is named from its exact defining sum.  No
-character table is built: ``fp_dims`` finds its column by signs and
-divides that one column by its dimension.
+of s is checked over split primes (``_splitprime``), on one residue
+view per datum (``_residues``): s is imaged once per split prime, when
+an identity first asks for that prime, and every later identity of
+the datum reads the kept image, which lives and dies with the datum.
+Here the fusion coefficients are read modulo a split prime and then
+certified by exact identities in every embedding slot of enough
+primes; a coefficient that is not a nonnegative rational integer is a
+data error, not a tolerance problem, and it is named from its exact
+defining sum.  No character table is built: ``fp_dims`` reads which
+columns are real from the dual permutation, finds its column among
+them by signs and divides that one column by its dimension.
 
 The file format (``save`` / ``load``) is JSON with fields ``conductor``,
 ``rank``, ``labels``, ``t`` and ``s``, where each s-entry is a list of
@@ -30,9 +34,7 @@ from dataclasses import dataclass
 from functools import cached_property, wraps
 from itertools import chain, product
 
-import numpy as np
-
-from ._splitprime import certified_verlinde
+from ._splitprime import Residues, certified_verlinde
 from .cyclotomic import CycNum, _fold_terms, dot, root_of_unity, sign_of_real
 
 __all__ = [
@@ -206,14 +208,12 @@ class ModularData:
         inverse.  If each of them is a nonnegative integer, the failing
         pairs are reported, since without unitarity the other rows are
         not tied to the identities.  The first failure of
-        ``_table_preconditions`` is raised before any of this, and a
-        ValueError where the split primes cannot certify
-        (``certified_verlinde``).
+        ``_table_preconditions`` is raised before any of this
+        (``_residues``), and a ValueError where the split primes cannot
+        certify (``certified_verlinde``).
         """
         r, s = self.rank, self.s
-        for failure in self._table_preconditions:
-            raise InvalidModularData(failure)
-        table, bad_pairs, bad_rows = certified_verlinde(self._integral_s, self.conductor)
+        table, bad_pairs, bad_rows = certified_verlinde(self._residues)
         if bad_pairs:
             dim = self.global_dim
             i = next(i for i, c in enumerate(dim.num) if c)
@@ -253,7 +253,7 @@ class ModularData:
         """What the split-prime identities need of s: nonzero, real
         dimensions and entries in Z[zeta_N] (denominator 1 on the power
         basis) with coefficients below 2^MAX_ENTRY_BITS, so that they fit
-        int64 (``_integral_s``).  The failures, found once per datum."""
+        int64 (``_residues``).  The failures, found once per datum."""
         failures = []
         for x, d in enumerate(self.dims):
             if d.is_zero:
@@ -269,12 +269,15 @@ class ModularData:
         return tuple(failures)
 
     @cached_property
-    def _integral_s(self) -> np.ndarray:
-        """The coefficients of s on the power basis as read-only int64,
-        shape (r, r, phi), for entries that pass ``_table_preconditions``."""
-        nums = np.array([v.num for row in self.s for v in row], dtype=np.int64)
-        nums.flags.writeable = False
-        return nums.reshape(self.rank, self.rank, -1)
+    def _residues(self) -> Residues:
+        """The residue view of s that every split-prime identity of this
+        datum reads: the coefficients on the power basis as int64, shape
+        (r, r, phi), and their image at each split prime, built once.
+        Raises the first failure of ``_table_preconditions``, without
+        which the coefficients are not those of s or do not fit int64."""
+        for failure in self._table_preconditions:
+            raise InvalidModularData(failure)
+        return Residues([[v.num for v in row] for row in self.s], self.conductor)
 
     # -- Frobenius-Perron dimensions --------------------------------------
 
@@ -285,16 +288,22 @@ class ModularData:
 
         d_Y = s_{0,Y} is real and nonzero (``_table_preconditions``), so
         s_{X,Y} / d_Y is real and positive exactly when s_{X,Y} is real
-        and has the sign of d_Y: the search divides by nothing.  Only
-        column Y0 is divided by d_Y0, with no inverse when d_Y0 = 1, as
-        at Y0 = 0, since s_00 = 1."""
-        for failure in self._table_preconditions:
-            raise InvalidModularData(failure)
-        s = self.s
+        and has the sign of d_Y: the search divides by nothing.  No entry
+        is conjugated: ``fusion`` certifies s conj(s)^T = dim(C) I and,
+        as d_Y is real, s s^T = dim(C) C for the dual permutation C
+        (``validate``).  So conj(s)^T = dim(C) s^-1 = s^T C, that is,
+        conj(s_XY) = s_{X*,Y}, and column Y is real exactly when
+        s_{X*,Y} = s_{X,Y} for every X, a comparison of coefficients.
+        For symmetric s, as ``validate`` demands, conj(s_XY) = s_{X,Y*};
+        s is invertible, so its columns are distinct, and the real
+        columns are exactly the self-dual ones, Y* = Y.  Only column Y0
+        is divided by d_Y0, with no inverse when d_Y0 = 1, as at Y0 = 0,
+        since s_00 = 1.  Raises the first failure of ``fusion``."""
+        s, dual = self.s, self.charge_conjugation
         candidates = []
         for y, d in enumerate(self.dims):
             sign = sign_of_real(d)
-            if all(s[x][y].conjugate() == s[x][y] and sign_of_real(s[x][y]) == sign
+            if all(s[dual[x]][y] == s[x][y] and sign_of_real(s[x][y]) == sign
                    for x in range(1, self.rank)):
                 candidates.append(y)
         if len(candidates) != 1:

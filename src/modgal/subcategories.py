@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._numtheory import factorize, is_prime, unit_group_generators
-from ._splitprime import l1_norm, primes_over, refuted
+from ._splitprime import primes_over, refuted
 from .cyclotomic import CycNum, dot
 from .galois_action import orbit_partition
 from .modular_data import InvalidModularData, ModularData, memoized_on_datum
@@ -104,9 +104,8 @@ def _relations(data: ModularData) -> tuple[tuple[_Rows, ...], _Rows]:
         s = img[slots]
         return s - s[:, 0, :, None] * s[:, 0, None, :]
 
-    num = data._integral_s
-    l1 = l1_norm(num)
-    apart = refuted(num, primes_over(data.conductor, l1 + l1 * l1), relation)
+    l1 = data._residues.l1
+    apart = refuted(data._residues, primes_over(data.conductor, l1 + l1 * l1), relation)
     centralizing = tuple(
         frozenset(x for x, no in enumerate(col) if not no) for col in apart.T.tolist())
     return support, centralizing

@@ -113,13 +113,13 @@ def test_a_wrong_sigma_hat_candidate_is_refuted(monkeypatch):
     right = galois_permutation(data, g)
     candidate = _splitprime._column_candidate
 
-    def swapped(num, n, at):
-        perm = candidate(num, n, at)
+    def swapped(residues, at):
+        perm = candidate(residues, at)
         perm[3], perm[7] = perm[7], perm[3]
         return perm
 
     monkeypatch.setattr(_splitprime, "_column_candidate", swapped)
-    got = _splitprime.certified_permutation(data._integral_s, data.conductor, g)
+    got = _splitprime.certified_permutation(data._residues, g)
     assert got == [None if y in (3, 7) else z for y, z in enumerate(right)]
     with pytest.raises(InvalidModularData, match=f"sigma_{g} maps column 3 outside"):
         galois_permutation(data, g)

@@ -6,11 +6,13 @@ sum N_xy^z = sum_a chi_x(a) chi_y(a) conj(chi_z(a)) s_0a^2 / dim(C),
 computed exactly.
 """
 
+import gc
 import json
 import math
 import random
 import re
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +22,8 @@ from conftest import LADDER, PRODUCTS, _double_pair, _edited
 from reference import character_columns
 from modgal import _splitprime
 from modgal._numtheory import factorize, is_prime, unit_group_generators, units_mod
-from modgal._splitprime import certified_verlinde, certify, split_prime, split_primes
+from modgal._splitprime import Residues, certified_verlinde, certify, split_prime, split_primes
+from modgal.analysis import run_analysis
 from modgal.cli import main
 from modgal.cyclotomic import CycNum, dot, numeric_value
 from modgal.families import fibonacci, fixture_names, sl2_level_adjoint
@@ -94,30 +97,30 @@ class TestDifferential:
             assert data.validate().failures == (str(reference.value),), name
 
 
-def _num_and_table(data):
-    num = data._integral_s
-    table, bad_pairs, bad_rows = certified_verlinde(num, data.conductor)
+def _residues_and_table(data):
+    residues = data._residues
+    table, bad_pairs, bad_rows = certified_verlinde(residues)
     assert not bad_pairs and not bad_rows
-    return num, table
+    return residues, table
 
 
 class TestCertificate:
     def test_one_coefficient_off_by_one_is_rejected(self):
         data = deligne_product(fibonacci(0), sl2_level_adjoint(7))
-        num, table = _num_and_table(data)
+        residues, table = _residues_and_table(data)
         primes = [split_primes(data.conductor, 0)]
-        assert certify(num, table, primes) == (set(), set())
+        assert certify(residues, table, primes) == (set(), set())
         for x, y, z in [(0, 0, 0), (1, 2, 3), (4, 2, 5)]:
             wrong = table.copy()
             wrong[x, y, z] += 1
             wrong[y, x, z] = wrong[x, y, z]
-            assert certify(num, wrong, primes) == (set(), {(min(x, y), max(x, y))})
+            assert certify(residues, wrong, primes) == (set(), {(min(x, y), max(x, y))})
 
     def test_negative_coefficients_are_certified(self, phase2_invalid):
         # the slot reading is lifted to (-p/2, p/2], so N(1,1)^1 = -1 is
         # proved like any other coefficient, with no exact fallback
         data = phase2_invalid["fibonacci-row-1-negated"]
-        table, bad_pairs, bad_rows = certified_verlinde(data._integral_s, data.conductor)
+        table, bad_pairs, bad_rows = certified_verlinde(data._residues)
         assert not bad_pairs and not bad_rows
         assert table[1, 1, 1] == -1
 
@@ -128,8 +131,8 @@ class TestCertificate:
         reference = exact_verlinde(data)
         candidate = _splitprime._candidate
 
-        def off_by_one(num, prime):
-            table = candidate(num, prime)
+        def off_by_one(residues, prime):
+            table = candidate(residues, prime)
             table[1, 2, 3] += 1
             table[2, 1, 3] += 1
             return table
@@ -139,37 +142,37 @@ class TestCertificate:
 
     def test_primes_below_the_bound_are_never_a_certificate(self):
         data = fibonacci(0)
-        num, table = _num_and_table(data)
-        bound = _splitprime.certificate_bound(num, table)
+        residues, table = _residues_and_table(data)
+        bound = _splitprime.certificate_bound(residues, table)
         small = [p for p in range(11, bound + 1, 5) if _is_split(p)]
         assert small, bound
         for p in small:
             with pytest.raises(ValueError, match="bound"):
-                certify(num, table, [split_prime(5, p)])
+                certify(residues, table, [split_prime(5, p)])
         # a repeated prime counts once
         p = small[-1]
         assert p * p > bound
         with pytest.raises(ValueError, match="bound"):
-            certify(num, table, [split_prime(5, p), split_prime(5, p)])
+            certify(residues, table, [split_prime(5, p), split_prime(5, p)])
         above = [split_prime(5, p) for p in (11, 31, 41)]
         assert 11 * 31 * 41 > bound
-        assert certify(num, table, above) == (set(), set())
+        assert certify(residues, table, above) == (set(), set())
 
     def test_bound_by_hand(self):
         # fibonacci: the entries 1, -1 and -zeta^2 - zeta^3 have l1 norms
         # 1, 1, 2, and tau x tau = 1 + tau has row mass 2, so
         # B = 2^2 * max(2 * 2, 1 + 2) = 16
-        num, table = _num_and_table(fibonacci(0))
-        assert _splitprime.certificate_bound(num, table) == 16
+        residues, table = _residues_and_table(fibonacci(0))
+        assert _splitprime.certificate_bound(residues, table) == 16
 
     def test_bound_covers_every_conjugate_of_a_residue(self):
         data = deligne_product(fibonacci(0), sl2_level_adjoint(7))
-        num, table = _num_and_table(data)
+        view, table = _residues_and_table(data)
         n, r, s = data.conductor, data.rank, data.s
         wrong = table.copy()
         wrong[1, 2, 3] += 5
         wrong[2, 1, 3] += 5
-        bound = _splitprime.certificate_bound(num, wrong)
+        bound = _splitprime.certificate_bound(view, wrong)
         row = [CycNum.rational(int(v), n) for v in wrong[1, 2]]
         residues = [s[1][a] * s[2][a] - s[0][a] * dot(row, [s[z][a] for z in range(r)])
                     for a in range(r)]
@@ -183,10 +186,10 @@ class TestCertificate:
     def test_small_primes_still_refute(self):
         # a nonzero residue is a proof on its own, at any prime
         data = fibonacci(0)
-        num, table = _num_and_table(data)
+        residues, table = _residues_and_table(data)
         wrong = table.copy()
         wrong[1, 1, 1] = 0
-        assert certify(num, wrong, [split_prime(5, p) for p in (11, 31, 41)])[1] == {(1, 1)}
+        assert certify(residues, wrong, [split_prime(5, p) for p in (11, 31, 41)])[1] == {(1, 1)}
 
     def test_every_slot_is_checked(self, monkeypatch):
         # e = (zeta - w)(zeta^-1 - w) = 1 + w + w^2 + w zeta^2 + w zeta^3
@@ -194,30 +197,32 @@ class TestCertificate:
         # but not in k = 2 and k = 3.  Adding it to s_11 changes the
         # identities only where the slots 2 and 3 can see it.
         fib = fibonacci(0)
-        num, table = _num_and_table(fib)
+        residues, table = _residues_and_table(fib)
         prime = split_prime(5, 11)
         w = int(prime.powers[1, 0])
         e = np.array([1 + w + w * w, 0, w, w])
         images = _splitprime._images(e, prime).ravel()
         assert images[0] == images[3] == 0 and images[1] and images[2]
-        bad = num.copy()
+        bad = residues.num.copy()
         bad[1, 1] += e
-        # one prime is below the bound, so lift the bound for this check
-        monkeypatch.setattr(_splitprime, "certificate_bound", lambda num, table: 1)
-        assert certify(bad, table, [prime]) == ({(0, 1), (1, 0), (1, 1)}, {(1, 1)})
-        assert certify(num, table, [prime]) == (set(), set())
+        # one prime is below the bound, so lift the bound for this check;
+        # unitarity fails, so the Verlinde rows are not evaluated
+        monkeypatch.setattr(_splitprime, "certificate_bound", lambda residues, table: 1)
+        assert certify(Residues(bad, 5), table, [prime]) == ({(0, 1), (1, 0), (1, 1)}, set())
+        assert certify(residues, table, [prime]) == (set(), set())
 
     def test_every_prime_is_checked(self, monkeypatch):
         # s_11 + 11 agrees with s_11 in every slot of p = 11, so only
         # p = 31 can refute it, after p = 11 has passed every row
-        num, table = _num_and_table(fibonacci(0))
-        bad = num.copy()
+        residues, table = _residues_and_table(fibonacci(0))
+        bad = residues.num.copy()
         bad[1, 1, 0] += 11
-        monkeypatch.setattr(_splitprime, "certificate_bound", lambda num, table: 1)
+        bad = Residues(bad, 5)
+        monkeypatch.setattr(_splitprime, "certificate_bound", lambda residues, table: 1)
         p11, p31 = split_prime(5, 11), split_prime(5, 31)
         assert certify(bad, table, [p11]) == (set(), set())
         refuted = certify(bad, table, [p31])
-        assert refuted[0] and refuted[1]
+        assert refuted[0] and not refuted[1]
         assert certify(bad, table, [p11, p31]) == refuted
 
     def test_primes_are_split_and_roots_primitive(self):
@@ -293,9 +298,9 @@ class TestBeyondThePrimes:
 
     def test_no_usable_prime_is_refused(self, monkeypatch, capsys):
         data = fibonacci(0)
-        monkeypatch.setattr(_splitprime, "_usable", lambda num, prime: False)
+        monkeypatch.setattr(_splitprime, "_usable", lambda residues, prime: False)
         with pytest.raises(ValueError, match="vanishes"):
-            certified_verlinde(data._integral_s, data.conductor)
+            certified_verlinde(data._residues)
         path = str(FIXTURE_DIR / "fibonacci.mtc")
         for argv in (["validate", path], ["report", path]):
             assert main(argv) == 2
@@ -310,12 +315,13 @@ class TestBeyondThePrimes:
         usable, certify_ = _splitprime._usable, _splitprime.certify
         seen = []
 
-        def recorded(num, table, primes):
+        def recorded(residues, table, primes):
             seen.append([prime.p for prime in primes])
-            return certify_(num, table, primes)
+            return certify_(residues, table, primes)
 
         monkeypatch.setattr(
-            _splitprime, "_usable", lambda num, prime: prime is not first and usable(num, prime)
+            _splitprime, "_usable",
+            lambda residues, prime: prime is not first and usable(residues, prime),
         )
         monkeypatch.setattr(_splitprime, "certify", recorded)
         assert ModularData(*_parts(data)).fusion.coeffs == exact_verlinde(data)
@@ -336,6 +342,45 @@ class TestBeyondThePrimes:
 def _parts(data):
     """A fresh datum with nothing cached."""
     return data.conductor, data.rank, data.labels, data.s, data.t_exponents
+
+
+def _counted_images(monkeypatch):
+    """Record the prime of every imaging of s from here on, and a weak
+    reference to each image."""
+    primes, refs = [], []
+    images = _splitprime._images
+
+    def counting(num, prime):
+        img = images(num, prime)
+        primes.append(prime.p)
+        refs.append(weakref.ref(img))
+        return img
+
+    monkeypatch.setattr(_splitprime, "_images", counting)
+    return primes, refs
+
+
+class TestKeptImages:
+    def test_report_images_s_once_per_prime(self, monkeypatch):
+        data = PRODUCTS["sl2_11_x_sl2_13"]()
+        primes, _ = _counted_images(monkeypatch)
+        assert run_analysis(data, "sl2_11 x sl2_13").ok
+        assert primes and len(primes) == len(set(primes)), primes
+
+    def test_pointed_64_images_s_once(self, monkeypatch, capsys):
+        primes, _ = _counted_images(monkeypatch)
+        assert main(["pointed", "64"]) == 0
+        capsys.readouterr()
+        assert len(primes) == 1, primes
+
+    def test_a_datum_and_its_images_are_freed_after_report(self, monkeypatch):
+        data = PRODUCTS["fib_x_sl2_13"]()
+        _, refs = _counted_images(monkeypatch)
+        assert run_analysis(data, "fib x sl2_13").ok
+        refs.append(weakref.ref(data))
+        del data
+        gc.collect()
+        assert len(refs) > 1 and all(ref() is None for ref in refs)
 
 
 class TestUnitarityFailure:
