@@ -27,10 +27,11 @@ with :meth:`CycNum.galois_apply`; complex conjugation is sigma_{-1}.
 
 Sign decisions for real elements are certified, never epsilon-based: an
 exact symbolic zero test runs first.  A real a = num/den then has the
-sign of sum_j num_j cos(2*pi*j/N), which is summed from integers times
-rigorous interval enclosures of the cosines (computed once per
-conductor and precision), doubling the working precision until the
-enclosing interval excludes zero.  See :func:`sign_of_real`.
+sign of S = sum_j num_j cos(2*pi*j/N).  Each conductor keeps, per
+precision p, integers K_j within 1 of cos(2*pi*j/N) 2^p, so the int
+T = sum_j num_j K_j is within sum_j |num_j| of S 2^p; the sign is
+certified once |T| exceeds that slack, and p doubles until it does.
+See :func:`sign_of_real`.
 
 Phi_N is computed by iterated exact division of x^N - 1 by Phi_d over
 the proper divisors d and memoized per process (thread-safe: the memo
@@ -49,6 +50,7 @@ import operator
 from fractions import Fraction
 
 import mpmath
+from mpmath.libmp import to_fixed
 
 from ._numtheory import divisors, euler_phi, unit_group_generators, units_mod
 
@@ -108,7 +110,8 @@ class _Field:
     ``rows[e]`` holds the integer coefficients of x^e mod Phi_n for
     0 <= e < max(n, 2*phi - 1), and ``terms[e]`` the nonzero entries of
     ``rows[e]`` as (index, coefficient) pairs, which the kernels loop
-    over.  ``cosines(prec)`` are the enclosures the sign oracle sums.
+    over.  ``cosines(prec)`` is the fixed-point cosine table the sign
+    oracle sums against.
     """
 
     __slots__ = ("n", "phi", "poly", "rows", "terms", "_monomials", "_cosines")
@@ -139,27 +142,37 @@ class _Field:
             tuple((i, r) for i, r in enumerate(row) if r) for row in self.rows
         )
         self._monomials: dict[tuple[int, ...], int] | None = None
-        self._cosines: dict[int, tuple] = {}
+        self._cosines: dict[int, tuple[int, ...]] = {}
 
     def monomials(self) -> dict[tuple[int, ...], int]:
         if self._monomials is None:
             self._monomials = {self.rows[k]: k for k in range(self.n - 1, -1, -1)}
         return self._monomials
 
-    def cosines(self, prec: int) -> tuple:
-        """Interval enclosures of cos(2*pi*j/n) for 0 <= j < phi, computed
-        at ``prec`` bits once and kept for later calls."""
+    def cosines(self, prec: int) -> tuple[int, ...]:
+        """Integers K_j with |cos(2*pi*j/n) * 2^prec - K_j| <= 1 for
+        0 <= j < phi, computed once per precision and kept.
+
+        Each cosine c is enclosed in an interval [lo, hi] at prec + 8
+        bits, which is narrower than 2^-prec, so the floors of lo 2^prec
+        and hi 2^prec differ by at most 1 (asserted).  With f the first,
+        f <= c 2^prec <= hi 2^prec < f + 2, and K = f + 1 is within 1 of
+        c 2^prec.  The floors are taken exactly on the raw endpoints
+        (``to_fixed``): a detour through a 53-bit float would lose the
+        low bits of every K_j beyond prec = 53."""
         found = self._cosines.get(prec)
         if found is None:
             iv = mpmath.iv
             saved = iv.prec
             try:
-                iv.prec = prec
+                iv.prec = prec + 8
                 two_pi = 2 * iv.pi
-                found = tuple(iv.cos(two_pi * j / self.n) for j in range(self.phi))
+                ends = [iv.cos(two_pi * j / self.n)._mpi_ for j in range(self.phi)]
             finally:
                 iv.prec = saved
-            self._cosines[prec] = found
+            floors = [(to_fixed(lo, prec), to_fixed(hi, prec)) for lo, hi in ends]
+            assert all(hi - lo <= 1 for lo, hi in floors), "cosine enclosure too wide"
+            found = self._cosines[prec] = tuple(lo + 1 for lo, _ in floors)
         return found
 
 
@@ -542,14 +555,24 @@ def sign_of_real(a: CycNum) -> int:
     """Certified sign of a real element: -1, 0 or +1.
 
     Exact zero is decided symbolically first (canonical form), so the
-    numeric stage only ever certifies a nonzero sign and terminates.
-    For a = (sum_j num_j zeta_N^j) / den with den > 0 and a real,
+    numeric stage only ever certifies a nonzero sign.  For
+    a = (sum_j num_j zeta_N^j) / den with den > 0 and a real,
     a = Re(a) = (sum_j num_j cos(2*pi*j/N)) / den, so a has the sign of
-    S = sum_j num_j cos(2*pi*j/N).  ``_Field.cosines`` gives rigorous
-    interval enclosures of the cosines and interval arithmetic rounds
-    outward, so the computed interval contains S; once it excludes 0
-    its side is the sign.  Otherwise the precision doubles, up to
-    2^16 bits.
+    S = sum_j num_j cos(2*pi*j/N).  With the integers K_j of
+    ``_Field.cosines`` at prec bits, T = sum_j num_j K_j is an exact
+    int and each term is within |num_j| of num_j cos(2*pi*j/N) 2^prec,
+    so |S 2^prec - T| <= slack = sum_j |num_j|.  Hence T > slack proves
+    S > 0 and T < -slack proves S < 0; otherwise the precision doubles,
+    from ``_PREC_START`` up to ``_PREC_CAP`` = 2^16 bits.
+
+    Every s-entry the loader accepts is signed before that cap.  It is
+    a nonzero algebraic integer of Z[zeta_N] (den = 1) with
+    coefficients below 2^MAX_ENTRY_BITS = 2^32 and phi(N) <= 1020
+    (N <= 1024), so every conjugate has |sigma(a)| <= L < 2^42, where L
+    is its l1 norm, and slack <= L.  Its norm is a nonzero rational
+    integer, so |a| >= L^-(phi - 1) > 2^-42798, and |T| > slack holds
+    once 2^prec |a| > 2 slack, which is below 42,900 bits < 2^16: the
+    ``ArithmeticError`` below cannot be reached from the CLI.
     """
     if a.is_zero:
         return 0
@@ -558,23 +581,12 @@ def sign_of_real(a: CycNum) -> int:
     if a.is_rational:
         return 1 if a.num[0] > 0 else -1
     field = _field(a.conductor)
-    iv = mpmath.iv
+    slack = sum(map(abs, a.num))
     prec = _PREC_START
     while prec <= _PREC_CAP:
-        cosines = field.cosines(prec)
-        saved = iv.prec
-        try:
-            iv.prec = prec
-            total = iv.mpf(0)
-            for c, cos in zip(a.num, cosines):
-                if c:
-                    total += c * cos
-        finally:
-            iv.prec = saved
-        if total > 0:
-            return 1
-        if total < 0:
-            return -1
+        total = sum(map(operator.mul, a.num, field.cosines(prec)))
+        if abs(total) > slack:
+            return 1 if total > 0 else -1
         prec *= 2
     raise ArithmeticError(f"sign not certified below {_PREC_CAP} bits: {a!r}")
 

@@ -288,31 +288,37 @@ class ModularData:
 
         d_Y = s_{0,Y} is real and nonzero (``_table_preconditions``), so
         s_{X,Y} / d_Y is real and positive exactly when s_{X,Y} is real
-        and has the sign of d_Y: the search divides by nothing.  No entry
-        is conjugated: ``fusion`` certifies s conj(s)^T = dim(C) I and,
-        as d_Y is real, s s^T = dim(C) C for the dual permutation C
-        (``validate``).  So conj(s)^T = dim(C) s^-1 = s^T C, that is,
-        conj(s_XY) = s_{X*,Y}, and column Y is real exactly when
-        s_{X*,Y} = s_{X,Y} for every X, a comparison of coefficients.
-        For symmetric s, as ``validate`` demands, conj(s_XY) = s_{X,Y*};
-        s is invertible, so its columns are distinct, and the real
-        columns are exactly the self-dual ones, Y* = Y.  Only column Y0
-        is divided by d_Y0, with no inverse when d_Y0 = 1, as at Y0 = 0,
-        since s_00 = 1.  Raises the first failure of ``fusion``."""
+        and has the sign of d_Y: the search divides by nothing and signs
+        d_Y once per column.  No entry is conjugated: ``fusion``
+        certifies s conj(s)^T = dim(C) I and, as d_Y is real,
+        s s^T = dim(C) C for the dual permutation C (``validate``).  So
+        conj(s)^T = dim(C) s^-1 = s^T C, that is, conj(s_XY) = s_{X*,Y},
+        and column Y is real exactly when s_{X*,Y} = s_{X,Y} for every
+        X, a comparison of coefficients.  For symmetric s, as
+        ``validate`` demands, conj(s_XY) = s_{X,Y*}; s is invertible, so
+        its columns are distinct, and the real columns are exactly the
+        self-dual ones, Y* = Y.
+
+        The first column that qualifies is Y0.  As s^-1 = conj(s)^T /
+        dim(C) is also a right inverse, conj(s)^T s = dim(C) I, so two
+        real columns Y != Y' have sum_X s_XY s_XY' = 0.  Were both
+        totally positive, every term of that sum would be nonzero with
+        the sign of d_Y d_Y', so at most one column qualifies and the
+        search stops at it.  Only column Y0 is divided by d_Y0, with no
+        inverse when d_Y0 = 1, as at Y0 = 0, since s_00 = 1.  Raises the
+        first failure of ``fusion``."""
         s, dual = self.s, self.charge_conjugation
-        candidates = []
         for y, d in enumerate(self.dims):
             sign = sign_of_real(d)
             if all(s[dual[x]][y] == s[x][y] and sign_of_real(s[x][y]) == sign
                    for x in range(1, self.rank)):
-                candidates.append(y)
-        if len(candidates) != 1:
-            raise InvalidModularData(f"expected one totally positive column, found {candidates}")
-        y0 = candidates[0]
-        column = tuple(row[y0] for row in s)
-        if self.dims[y0] == 1:
+                break
+        else:
+            raise InvalidModularData("expected one totally positive column, found []")
+        column = tuple(row[y] for row in s)
+        if d == 1:
             return column
-        inv = self.dims[y0].inverse()
+        inv = d.inverse()
         return tuple(v * inv for v in column)
 
     # -- validation -------------------------------------------------------

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -166,9 +167,33 @@ class TestSign:
         assert sign_of_real(zeta(5, 2) + zeta(5, 3)) == -1
 
     def test_tiny_values_certified(self):
-        # 2 cos(2 pi / 97), a small but nonzero real number
+        # 2 cos(48 pi / 97) ~ 0.032, close to zero but not tiny
         a = zeta(97, 24) + zeta(97, 73)
-        assert sign_of_real(a) in (-1, 1)
+        assert sign_of_real(a) == 1
+
+    @pytest.mark.parametrize("n,sign", [(100, 1), (101, -1)])
+    def test_precision_doubles(self, n, sign):
+        # phi' = 1 + z5^2 + z5^3 = (1 - sqrt 5) / 2 has phi'^2 = phi' + 1,
+        # so phi'^n = F_n phi' + F_(n-1); |phi'^100| ~ 1e-21 is certified
+        # only at 256 bits, two doublings past the start
+        fib = [0, 1]
+        while len(fib) <= n:
+            fib.append(fib[-1] + fib[-2])
+        golden = 1 + zeta(5, 2) + zeta(5, 3)
+        a = fib[n] * golden + fib[n - 1]
+        assert a == golden ** n
+        assert sign_of_real(a) == sign
+
+    @pytest.mark.parametrize("n", [5, 97, 715, 1021])
+    @pytest.mark.parametrize("prec", [64, 128])
+    def test_cosine_table_bound(self, n, prec):
+        # |cos(2 pi j / n) 2^prec - K_j| <= 1, checked at 4 prec bits
+        table = _field(n).cosines(prec)
+        assert len(table) == euler_phi(n)
+        with mpmath.workprec(4 * prec):
+            scale = mpmath.ldexp(1, prec)
+            for j, k in enumerate(table):
+                assert abs(mpmath.cos(2 * mpmath.pi * j / n) * scale - k) <= 1, j
 
     def test_non_real_raises(self):
         with pytest.raises(ValueError):

@@ -11,7 +11,7 @@ import pytest
 
 import reference
 from conftest import DIFFERENTIAL, PRODUCTS, _edited
-from modgal import _splitprime
+from modgal import _splitprime, modular_data
 from modgal._numtheory import unit_group_generators, units_mod
 from modgal.analysis import run_analysis
 from modgal.cyclotomic import CycNum, sign_of_real
@@ -79,6 +79,21 @@ def test_fp_dims_are_the_positive_character_column(name):
         if all(v.conjugate() == v and sign_of_real(v) > 0 for v in col)
     ]
     assert [data.fp_dims] == positive
+
+
+def test_fp_dims_stops_at_the_positive_column(monkeypatch):
+    # at most one column is totally positive (argued in ``fp_dims``), so
+    # the search stops at Y0 = 0 here: sign(d_0) and r - 1 entries
+    data = PRODUCTS["sl2_11_x_sl2_13"]()
+    signed = []
+
+    def counting(a):
+        signed.append(a)
+        return sign_of_real(a)
+
+    monkeypatch.setattr(modular_data, "sign_of_real", counting)
+    assert data.fp_dims == tuple(data.dims)
+    assert len(signed) <= data.rank == 30, len(signed)
 
 
 def _counted(monkeypatch, *names):
