@@ -24,6 +24,14 @@ operations on mismatched conductors raise ``ConductorMismatch``.
 
 The automorphism sigma_k : zeta_N -> zeta_N^k (gcd(k, N) = 1) is applied
 with :meth:`CycNum.galois_apply`; complex conjugation is sigma_{-1}.
+Every map that moves an element sends its terms c_i zeta^i to terms
+c_i zeta^(e_i): sigma_k to e_i = i k, the embedding into Q(zeta_M) to
+e_i = i M / N, and ``CycNum.from_terms`` takes the exponents as given.
+All of them fold those terms onto the power basis in one place,
+``_fold_terms``, which reads x^(e mod N) mod Phi_N from the field's
+``terms`` table and divides out the one gcd.  :func:`root_of_unity`
+needs no fold: zeta_N^k is row k mod N of the same table, already
+canonical.
 
 Sign decisions for real elements are certified, never epsilon-based: an
 exact symbolic zero test runs first.  A real a = num/den then has the
@@ -108,13 +116,15 @@ class _Field:
     """Reduction tables for one conductor, built once and shared.
 
     ``rows[e]`` holds the integer coefficients of x^e mod Phi_n for
-    0 <= e < max(n, 2*phi - 1), and ``terms[e]`` the nonzero entries of
-    ``rows[e]`` as (index, coefficient) pairs, which the kernels loop
-    over.  ``cosines(prec)`` is the fixed-point cosine table the sign
-    oracle sums against.
+    0 <= e < max(n, 2*phi - 1); the rows below n are the distinct roots
+    of unity zeta_n^e, which :func:`root_of_unity` returns and
+    :func:`root_of_unity_order` looks up.  ``terms[e]`` holds the nonzero
+    entries of ``rows[e]`` as (index, coefficient) pairs, which the
+    product fold and ``_fold_terms`` loop over.  ``cosines(prec)`` is
+    the fixed-point cosine table the sign oracle sums against.
     """
 
-    __slots__ = ("n", "phi", "poly", "rows", "terms", "_monomials", "_cosines")
+    __slots__ = ("n", "phi", "poly", "rows", "terms", "_cosines")
 
     def __init__(self, n: int):
         self.n = n
@@ -141,13 +151,7 @@ class _Field:
         self.terms = tuple(
             tuple((i, r) for i, r in enumerate(row) if r) for row in self.rows
         )
-        self._monomials: dict[tuple[int, ...], int] | None = None
         self._cosines: dict[int, tuple[int, ...]] = {}
-
-    def monomials(self) -> dict[tuple[int, ...], int]:
-        if self._monomials is None:
-            self._monomials = {self.rows[k]: k for k in range(self.n - 1, -1, -1)}
-        return self._monomials
 
     def cosines(self, prec: int) -> tuple[int, ...]:
         """Integers K_j with |cos(2*pi*j/n) * 2^prec - K_j| <= 1 for
@@ -366,43 +370,18 @@ class CycNum:
         n = self.conductor
         if math.gcd(k, n) != 1:
             raise ValueError(f"{k} is not a unit modulo {n}")
-        if n <= 2 or k % n == 1:
-            return self
-        field = _field(n)
-        phi = field.phi
-        terms = field.terms
-        acc = [0] * phi
-        for i, c in enumerate(self.num):
-            if c:
-                e = (i * k) % n
-                if e < phi:
-                    acc[e] += c
-                else:
-                    for j, r in terms[e]:
-                        acc[j] += c * r
-        # sigma_k maps Z[zeta_N] onto itself, so a prime dividing every
-        # numerator of the image divides every numerator of self: the
-        # image over the same den is canonical without a gcd pass
-        return _raw(n, tuple(acc), self.den)
+        return _fold_terms(n, ((c, i * k) for i, c in enumerate(self.num)), self.den)
 
     def conjugate(self) -> "CycNum":
-        return self.galois_apply(self.conductor - 1 if self.conductor > 1 else 0)
+        return self.galois_apply(-1)
 
     def embed(self, conductor: int) -> "CycNum":
         """The same element viewed in Q(zeta_M) for N | M."""
         n = self.conductor
         if conductor % n != 0:
             raise ValueError(f"{n} does not divide {conductor}")
-        if conductor == n:
-            return self
         step = conductor // n
-        field = _field(conductor)
-        acc = [0] * field.phi
-        for i, c in enumerate(self.num):
-            if c:
-                for j, r in field.terms[i * step]:
-                    acc[j] += c * r
-        return _canonical(conductor, acc, self.den)
+        return _fold_terms(conductor, ((c, i * step) for i, c in enumerate(self.num)), self.den)
 
     # -- object protocol -----------------------------------------------
 
@@ -530,21 +509,20 @@ def dot(xs, ys) -> CycNum:
 
 
 def root_of_unity(conductor: int, k: int) -> CycNum:
-    """zeta_N^k in canonical form."""
+    """zeta_N^k in canonical form: row k mod N of the reduction table."""
     if conductor < 1:
         raise ValueError("conductor must be positive")
-    return CycNum.from_terms(conductor, [(1, k)])
+    return _raw(conductor, _field(conductor).rows[k % conductor], 1)
 
 
 def root_of_unity_order(a: CycNum) -> int | None:
     """If a = zeta_N^k for some k, the multiplicative order N/gcd(N, k);
     otherwise None."""
-    if a.den != 1:
+    n = a.conductor
+    roots = _field(n).rows[:n]
+    if a.den != 1 or a.num not in roots:
         return None
-    k = _field(a.conductor).monomials().get(a.num)
-    if k is None:
-        return None
-    return a.conductor // math.gcd(a.conductor, k)
+    return n // math.gcd(n, roots.index(a.num))
 
 
 _PREC_START = 64
@@ -589,15 +567,3 @@ def sign_of_real(a: CycNum) -> int:
             return 1 if total > 0 else -1
         prec *= 2
     raise ArithmeticError(f"sign not certified below {_PREC_CAP} bits: {a!r}")
-
-
-def numeric_value(a: CycNum, dps: int = 30) -> complex:
-    """Floating approximation of a at zeta_N = exp(2*pi*i/N)."""
-    with mpmath.workdps(dps):
-        z = mpmath.mpc(0)
-        for j, c in enumerate(a.coeffs):
-            if c:
-                z += mpmath.mpf(c.numerator) / c.denominator * mpmath.exp(
-                    2j * mpmath.pi * j / a.conductor
-                )
-        return complex(z)

@@ -32,7 +32,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property, wraps
-from itertools import chain, product
+from itertools import accumulate, chain, product
 
 from ._splitprime import Residues, certified_verlinde
 from .cyclotomic import CycNum, _fold_terms, dot, root_of_unity, sign_of_real
@@ -200,9 +200,9 @@ class ModularData:
         coefficients it concerns are computed exactly, one ``dot`` each,
         in the order x <= y, z, so the first coefficient that is not a
         nonnegative integer is the one named; the r weights
-        1 / (s_0a dim(C)) are built only when a Verlinde row fails.  If
-        unitarity fails, those coefficients are N_0x^y =
-        (s conj(s)^T)_xy / dim(C) over the failing pairs, which is the
+        1 / (s_0a dim(C)) are built, from one inverse, only when a
+        Verlinde row fails.  If unitarity fails, those coefficients are
+        N_0x^y = (s conj(s)^T)_xy / dim(C) over the failing pairs, which is the
         rational integer n exactly when (s conj(s)^T)_xy = n dim(C), with
         n read off one nonzero power-basis coordinate of dim(C): no
         inverse.  If each of them is a nonnegative integer, the failing
@@ -226,15 +226,16 @@ class ModularData:
                 f"s * conj(s)^T fails at ({x},{y})" for x, y in sorted(bad_pairs) if x <= y
             ))
         if bad_rows:
-            weights = [(d * self.global_dim).inverse() for d in self.dims]
+            weights = self._verlinde_weights()
         coeffs = table.tolist()
         for x in range(r):
             for y in range(x, r):
                 row = coeffs[x][y]
+                if (x, y) in bad_rows:
+                    scaled = [s[x][a] * s[y][a] * weights[a] for a in range(r)]
                 for z in range(r):
                     if (x, y) in bad_rows:
-                        acc = dot((s[x][a] * s[y][a] * weights[a] for a in range(r)),
-                                  (s[z][a].conjugate() for a in range(r)))
+                        acc = dot(scaled, map(CycNum.conjugate, s[z]))
                         row[z] = int(acc.as_rational()) if acc.is_rational_integer else None
                     _check_coefficient(x, y, z, row[z])
                 coeffs[y][x] = row
@@ -247,6 +248,19 @@ class ModularData:
         return FusionTable(
             tuple(tuple(tuple(row) for row in plane) for plane in coeffs), tuple(dual)
         )
+
+    def _verlinde_weights(self) -> list[CycNum]:
+        """The r weights 1 / (d_a dim(C)) from one inverse.  With
+        P_a = d_0 ... d_(a-1) and inv = 1 / (dim(C) P_(a+1)), the weight
+        of a is P_a inv, and inv d_a = 1 / (dim(C) P_a) is the inv of
+        a - 1: one inverse, of dim(C) P_r, serves all r, from a = r - 1
+        down."""
+        prefix = list(accumulate(self.dims, CycNum.__mul__, initial=CycNum.one(self.conductor)))
+        inv, weights = (prefix.pop() * self.global_dim).inverse(), []
+        for d, p in zip(self.dims[::-1], prefix[::-1]):
+            weights.append(p * inv)
+            inv = inv * d
+        return weights[::-1]
 
     @cached_property
     def _table_preconditions(self) -> tuple[str, ...]:
@@ -367,9 +381,9 @@ class ModularData:
             failures.append("s[0][0] != 1")
         if self.t_exponents[0] % n != 0:
             failures.append("unit object has a nontrivial twist")
-        t_order = 1
-        for e in self.t_exponents:
-            t_order = math.lcm(t_order, n // math.gcd(n, e))
+        # the lcm of the orders n/gcd(n, e): for divisors a, b of n,
+        # lcm(n/a, n/b) = n/gcd(a, b)
+        t_order = n // math.gcd(n, *self.t_exponents)
         if t_order != n:
             failures.append(f"lcm of twist orders is {t_order}, conductor is {n}")
         failures.extend(self._table_preconditions)

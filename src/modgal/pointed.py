@@ -300,10 +300,9 @@ def build_pointed(group: FiniteAbelianGroup, form: QuadraticFormSpec | None = No
     M = form.modulus
     bmat, tvec = form._tables
     n_elems = max(group.order, 1)
-    # conductor = lcm of the twist orders
-    conductor = 1
-    for e in tvec:
-        conductor = math.lcm(conductor, M // math.gcd(M, int(e)))
+    # conductor = lcm of the twist orders; for divisors a, b of M,
+    # lcm(M/a, M/b) = M/gcd(a, b)
+    conductor = M // math.gcd(M, *map(int, tvec))
     scale = conductor  # exponent e of zeta_M becomes e*conductor/M on zeta_conductor
     labels = []
     for x in group.elements() or [()]:

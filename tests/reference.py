@@ -3,11 +3,27 @@ in split-prime slots: the character table, sigma_hat by column
 matching, the centralizer relation, the dimension ratio, and the
 fixing-group degree of ``counting2_degree_check``.  Each computes its
 answer the way the library did before the residue route, so the
-differential tests compare the certified answers with them."""
+differential tests compare the certified answers with them.
+``numeric_value`` is the floating reference that certified signs and
+bounds are compared against."""
+
+import mpmath
 
 from modgal._numtheory import unit_group_generators, units_mod
 from modgal.cyclotomic import CycNum
 from modgal.modular_data import InvalidModularData
+
+
+def numeric_value(a: CycNum, dps: int = 30) -> complex:
+    """Floating approximation of a at zeta_N = exp(2*pi*i/N)."""
+    with mpmath.workdps(dps):
+        z = mpmath.mpc(0)
+        for j, c in enumerate(a.coeffs):
+            if c:
+                z += mpmath.mpf(c.numerator) / c.denominator * mpmath.exp(
+                    2j * mpmath.pi * j / a.conductor
+                )
+        return complex(z)
 
 
 def character_columns(data):

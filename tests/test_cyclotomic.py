@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import numeric_value
 from modgal.cyclotomic import (
     ConductorMismatch,
     CycNum,
@@ -15,7 +16,6 @@ from modgal.cyclotomic import (
     divisors,
     dot,
     euler_phi,
-    numeric_value,
     root_of_unity,
     root_of_unity_order,
     sign_of_real,
@@ -118,6 +118,17 @@ class TestGalois:
         for k in units_mod(12):
             assert r.galois_apply(k) == r
 
+    @pytest.mark.parametrize(
+        "n,k", [(9, 1), (9, 10), (9, -8), (1, 1), (1, -1), (2, 1), (2, -1), (12, -5), (35, -1)]
+    )
+    def test_matches_reference_at_every_unit_class(self, n, k):
+        # k = 1 (mod n), the conductors 1 and 2, and negative units
+        rng = random.Random(100 * n + k)
+        a = CycNum(n, [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(euler_phi(n))])
+        image = a.galois_apply(k)
+        assert image.coeffs == _reference_galois(n, a.coeffs, k)
+        _assert_canonical(image)
+
     def test_non_unit_raises(self):
         with pytest.raises(ValueError):
             zeta(6).galois_apply(2)
@@ -213,6 +224,13 @@ class TestRootOrder:
     def test_orders(self, value, order):
         assert root_of_unity_order(value) == order
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 12, 16, 35, 143])
+    def test_every_power(self, n):
+        for k in range(-n, 2 * n):
+            value = root_of_unity(n, k)
+            assert value == CycNum.from_terms(n, [(1, k)]), k
+            assert root_of_unity_order(value) == n // math.gcd(n, k), k
+
     def test_non_root(self):
         assert root_of_unity_order(CycNum.rational(2, 4)) is None
         assert root_of_unity_order(1 + zeta(5) + zeta(5, 4)) is None
@@ -283,6 +301,19 @@ def test_galois_is_ring_homomorphism(data):
     k = data.draw(st.sampled_from(units_mod(n)))
     assert (a + b).galois_apply(k) == a.galois_apply(k) + b.galois_apply(k)
     assert (a * b).galois_apply(k) == a.galois_apply(k) * b.galois_apply(k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_embed_is_ring_homomorphism(data):
+    n = data.draw(st.sampled_from(_CONDUCTORS))
+    a = data.draw(cyc_numbers(conductor=n))
+    b = data.draw(cyc_numbers(conductor=n))
+    assert a.embed(n) == a
+    for m in (n, 2 * n, 3 * n):
+        assert (a + b).embed(m) == a.embed(m) + b.embed(m)
+        assert (a * b).embed(m) == a.embed(m) * b.embed(m)
+        assert zeta(n).embed(m) == zeta(m, m // n)
 
 
 @settings(max_examples=60, deadline=None)

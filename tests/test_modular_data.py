@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 from conftest import LADDER
-from reference import character_columns
-from modgal.cyclotomic import CycNum, dot, numeric_value, root_of_unity
+from reference import character_columns, numeric_value
+from modgal.cyclotomic import CycNum, dot, root_of_unity
 from modgal.families import fibonacci, fixture_names, ising
 from modgal.galois_action import galois_permutation, orbit_partition
 from modgal.modular_data import (

@@ -16,7 +16,7 @@ from modgal._numtheory import unit_group_generators, units_mod
 from modgal.analysis import run_analysis
 from modgal.cyclotomic import CycNum, sign_of_real
 from modgal.galois_action import dims_ratio_check, galois_permutation, orbit_partition
-from modgal.modular_data import InvalidModularData
+from modgal.modular_data import InvalidModularData, deligne_product
 from modgal.subcategories import _relations, all_subcategories, centralizer, counting2_degree_check
 
 DATA = {**DIFFERENTIAL, **PRODUCTS}
@@ -153,3 +153,15 @@ def test_a_corrupted_rank_30_pair_is_named_within_budget():
     elapsed = time.monotonic() - start
     assert failures == ("fusion coefficient N(0,0)^3 is not an integer",)
     assert elapsed < 3, elapsed
+
+
+def test_a_failing_verlinde_row_is_named_within_budget(phase2_invalid):
+    # the r weights 1 / (d_a dim(C)) come from one inverse, and each
+    # failing row's products from one pass over a
+    data = deligne_product(phase2_invalid["non-integer-coefficient"], PRODUCTS["sl2_11_x_sl2_13"]())
+    assert (data.rank, data.conductor) == (60, 143)
+    start = time.monotonic()
+    failures = data.validate().failures
+    elapsed = time.monotonic() - start
+    assert failures == ("fusion coefficient N(30,30)^30 is not an integer",)
+    assert elapsed < 10, elapsed

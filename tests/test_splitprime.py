@@ -19,13 +19,13 @@ import numpy as np
 import pytest
 
 from conftest import LADDER, PRODUCTS, _double_pair, _edited
-from reference import character_columns
+from reference import character_columns, numeric_value
 from modgal import _splitprime
 from modgal._numtheory import factorize, is_prime, unit_group_generators, units_mod
 from modgal._splitprime import Residues, certified_verlinde, certify, split_prime, split_primes
 from modgal.analysis import run_analysis
 from modgal.cli import main
-from modgal.cyclotomic import CycNum, dot, numeric_value
+from modgal.cyclotomic import CycNum, dot
 from modgal.families import fibonacci, fixture_names, sl2_level_adjoint
 from modgal.galois_action import galois_conjugate_data
 from modgal.modular_data import (
