@@ -54,9 +54,9 @@ PRIME_BITS = 21
 MAX_TERMS = 1 << (53 - 2 * PRIME_BITS)
 
 # The split primes tried per conductor.  Each is above 2^20 for every
-# conductor the loader accepts, so their product exceeds 2^180, above
-# every certificate bound of every datum the loader accepts (the
-# argument is in ``primes_over``).
+# conductor up to ``MAX_CONDUCTOR``, so their product exceeds 2^180,
+# above every certificate bound of every datum within the conductor and
+# rank bounds (the argument is in ``primes_over``).
 MAX_PRIMES = 9
 
 # Elements of the largest residue array one slot chunk of ``refuted``
@@ -121,10 +121,13 @@ def primes_over(n: int, bound: int) -> list[SplitPrime]:
     product exceeds ``bound``; ValueError when the first ``MAX_PRIMES``
     do not.
 
-    That never happens to a datum the loader accepts.  Its coefficients
-    c satisfy |c| < 2^k with k = ``MAX_ENTRY_BITS`` of ``modular_data``,
-    and it has phi(N) < 2^10 and r <= 64 = 2^6, so the largest l1 norm
-    of an entry is L <= phi(N) max |c| < 2^(10+k).  The largest bound
+    That never happens to a datum within ``MAX_CONDUCTOR`` and
+    ``MAX_RANK`` of ``modular_data``, the bounds the loader and
+    ``product`` keep.  Its coefficients c satisfy |c| < 2^k with
+    k = ``MAX_ENTRY_BITS``, as in every ``ModularData``, whose
+    construction refuses larger ones, and it has phi(N) < 2^10 and
+    r <= 64 = 2^6, so the largest l1 norm of an entry is
+    L <= phi(N) max |c| < 2^(10+k).  The largest bound
     asked for is the dimension ratio's 2 r L^4 < 2^(7+4(10+k)), and for
     every N <= 1024 the first ``MAX_PRIMES`` primes exceed 2^20 (a sieve
     in the tests shows it), so their product exceeds 2^180, which is
@@ -310,10 +313,11 @@ def certified_verlinde(residues: Residues) -> tuple[np.ndarray, set, set]:
     the first ``MAX_PRIMES`` primes is usable.
 
     B = L^2 max(2r, 1 + row mass) stays below the product of those
-    primes for every datum the loader accepts: the lifted candidate
-    entries are at most (p - 1)/2 < 2^20 in size and r <= 2^6, so the
-    row mass is below 2^26 and B < 2^(2(10+k)+26), below the dimension
-    ratio's bound in ``primes_over``.
+    primes for every datum within the conductor and rank bounds
+    (``primes_over``): the lifted candidate entries are at most
+    (p - 1)/2 < 2^20 in size and r <= 2^6, so the row mass is below
+    2^26 and B < 2^(2(10+k)+26), below the dimension ratio's bound in
+    ``primes_over``.
     """
     r, _, phi = residues.num.shape
     if max(r, phi) > MAX_TERMS:

@@ -10,11 +10,14 @@ Subcommands::
     modgal fixture <name> -o <out>
 
 Exit codes: 0 pass, 1 check failure, 2 input error.  Input errors are
-a missing or malformed ``.mtc`` file, or one whose conductor, rank or
+a missing or malformed ``.mtc`` file, one that cannot be read (a
+directory, or no permission), or one whose conductor, rank or
 s-entries are above ``MAX_CONDUCTOR``, ``MAX_RANK`` or ``MAX_ENTRY_BITS``
 bits, or a datum whose identities the split primes cannot certify
 (the message names the file); a ``product`` whose conductor, rank or
-entries would exceed those bounds (nothing is written); a ``pointed``
+entries would exceed those bounds (nothing is written); an output path
+of ``product`` or ``fixture`` that cannot be written (a directory, or
+one in a missing directory; the message names it); a ``pointed``
 group of order above ``MAX_RANK`` without ``--count-only``; a
 ``pointed`` group whose divisor-tuple sum has more than
 ``pointed.MAX_DIVISOR_TUPLES`` terms, or with an invariant factor that
@@ -39,7 +42,6 @@ from .modular_data import (
     MAX_CONDUCTOR,
     MAX_RANK,
     InvalidModularData,
-    check_entry_bits,
     deligne_product,
     load_modular_data,
     save_modular_data,
@@ -67,8 +69,19 @@ def _load(path):
         return load_modular_data(path)
     except FileNotFoundError:
         raise _InputError(f"no such file: {path}") from None
+    except OSError as exc:
+        raise _InputError(f"cannot read {path}: {exc.strerror}") from None
     except InvalidModularData as exc:
         raise _InputError(f"{path}: {exc}") from None
+
+
+def _save(data, path) -> int:
+    try:
+        save_modular_data(data, path)
+    except OSError as exc:
+        raise _InputError(f"cannot write {path}: {exc.strerror}") from None
+    print(f"wrote {path}: conductor {data.conductor}, rank {data.rank}")
+    return PASS
 
 
 def _cmd_validate(args) -> int:
@@ -162,16 +175,11 @@ def _cmd_product(args) -> int:
             f"the product of {args.a} and {args.b} would have rank "
             f"{a.rank * b.rank}, above the bound {MAX_RANK}"
         )
-    prod = deligne_product(a, b)
     try:
-        check_entry_bits(prod.s)
+        prod = deligne_product(a, b)
     except InvalidModularData as exc:
         raise _InputError(f"the product of {args.a} and {args.b}: {exc}") from None
-    save_modular_data(prod, args.output)
-    print(
-        f"wrote {args.output}: conductor {prod.conductor}, rank {prod.rank}"
-    )
-    return PASS
+    return _save(prod, args.output)
 
 
 def _cmd_fixture(args) -> int:
@@ -180,9 +188,7 @@ def _cmd_fixture(args) -> int:
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return USAGE
-    save_modular_data(data, args.output)
-    print(f"wrote {args.output}: conductor {data.conductor}, rank {data.rank}")
-    return PASS
+    return _save(data, args.output)
 
 
 def build_parser() -> argparse.ArgumentParser:

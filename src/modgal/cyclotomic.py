@@ -543,14 +543,17 @@ def sign_of_real(a: CycNum) -> int:
     S > 0 and T < -slack proves S < 0; otherwise the precision doubles,
     from ``_PREC_START`` up to ``_PREC_CAP`` = 2^16 bits.
 
-    Every s-entry the loader accepts is signed before that cap.  It is
-    a nonzero algebraic integer of Z[zeta_N] (den = 1) with
-    coefficients below 2^MAX_ENTRY_BITS = 2^32 and phi(N) <= 1020
-    (N <= 1024), so every conjugate has |sigma(a)| <= L < 2^42, where L
-    is its l1 norm, and slack <= L.  Its norm is a nonzero rational
-    integer, so |a| >= L^-(phi - 1) > 2^-42798, and |T| > slack holds
-    once 2^prec |a| > 2 slack, which is below 42,900 bits < 2^16: the
-    ``ArithmeticError`` below cannot be reached from the CLI.
+    Every s-entry that ``fp_dims`` signs at a conductor the loader
+    accepts, N <= ``MAX_CONDUCTOR`` = 1024, is signed before that cap.
+    It lies in Z[zeta_N] (den = 1, ``_table_preconditions``), its
+    coefficients are below 2^MAX_ENTRY_BITS = 2^32, as in every
+    ``ModularData``, whose construction refuses larger ones, and
+    phi(N) <= 1020, so every conjugate has |sigma(a)| <= L < 2^42,
+    where L is its l1 norm, and slack <= L.  Its norm is a nonzero
+    rational integer, so |a| >= L^-(phi - 1) > 2^-42798, and
+    |T| > slack holds once 2^prec |a| > 2 slack, which is below 42,900
+    bits < 2^16: the ``ArithmeticError`` below cannot be reached from
+    the CLI.
     """
     if a.is_zero:
         return 0

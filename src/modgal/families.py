@@ -101,19 +101,12 @@ def _fib_x_fib() -> ModularData:
     """Rank-4 product of two golden-dimension factors, ordered so the
     two dimension-u^2 and dimension-u pairs sit as (0,1 | 2,3)."""
     prod = deligne_product(fibonacci(0), fibonacci(0))
-    return _reorder(prod, (0, 3, 1, 2), ("X0", "X1", "X2", "X3"))
+    return prod.reordered((0, 3, 1, 2), ("X0", "X1", "X2", "X3"))
 
 
 def _fib_x_fib_conj() -> ModularData:
     prod = deligne_product(fibonacci(0), fibonacci(2))
-    return _reorder(prod, (0, 3, 2, 1), ("X0", "X1", "X2", "X3"))
-
-
-def _reorder(data: ModularData, order, labels=None) -> ModularData:
-    s = tuple(tuple(data.s[i][j] for j in order) for i in order)
-    t = tuple(data.t_exponents[i] for i in order)
-    labels = labels or tuple(data.labels[i] for i in order)
-    return ModularData(data.conductor, data.rank, labels, s, t)
+    return prod.reordered((0, 3, 2, 1), ("X0", "X1", "X2", "X3"))
 
 
 def _so5_3half_ad() -> ModularData:

@@ -4,7 +4,11 @@ derived quantities, fusion coefficients, and Deligne products.
 A ``ModularData`` holds the conductor N (the order of t), the rank r,
 display labels, the symmetric r x r s-matrix over Q(zeta_N), and the
 twist exponents e_X with t_X = zeta_N^(e_X).  The unit object sits at
-index 0 (``from_parts`` rotates arbitrary input into this convention).
+index 0 (``reordered`` moves another object there).  Construction
+refuses any s-entry with a numerator or denominator of
+2^MAX_ENTRY_BITS or more, so every datum in memory, loaded or built,
+satisfies the bound the split-prime certificates and the sign oracle
+argue from.
 
 Everything here is exact or certified.  Every identity in the entries
 of s is checked over split primes (``_splitprime``), on one residue
@@ -45,7 +49,6 @@ __all__ = [
     "MAX_RANK",
     "ModularData",
     "ValidationReport",
-    "check_entry_bits",
     "deligne_product",
     "dump_modular_data",
     "load_modular_data",
@@ -74,11 +77,11 @@ MAX_CONDUCTOR = 1024
 # CHANGES.md for the ``validate`` times this bound was sized from.
 MAX_RANK = 64
 
-# The loader refuses, and ``product`` does not write, an s-entry with a
-# numerator or denominator of 2^MAX_ENTRY_BITS or more; that keeps every
-# certificate bound below the split primes (argued in
-# ``_splitprime.primes_over``) and the numerators in int64.  Catalog
-# coefficients are at most 3 in size.
+# ``ModularData`` refuses an s-entry with a numerator or denominator of
+# 2^MAX_ENTRY_BITS or more, so no datum holds one, whether loaded, built
+# or a product; that keeps every certificate bound below the split
+# primes (argued in ``_splitprime.primes_over``) and the numerators in
+# int64.  Catalog coefficients are at most 3 in size.
 MAX_ENTRY_BITS = 32
 
 
@@ -126,27 +129,32 @@ class ModularData:
         r = self.rank
         if r < 1:
             raise ValueError(f"rank must be >= 1, got {r}")
-        if len(self.labels) != r or len(self.s) != r or len(self.t_exponents) != r:
-            raise ValueError("rank does not match row/label/twist counts")
-        for row in self.s:
+        # the entries before the label and twist counts, the loader's
+        # order of messages
+        for x, row in enumerate(self.s):
             if len(row) != r:
                 raise ValueError("s is not square")
-            for entry in row:
+            for y, entry in enumerate(row):
                 if entry.conductor != self.conductor:
                     raise ValueError("s entry conductor differs from declared conductor")
+                if max(entry.den, *map(abs, entry.num)).bit_length() > MAX_ENTRY_BITS:
+                    raise InvalidModularData(
+                        f"s-entry ({x},{y}) has a numerator or denominator of "
+                        f"2^{MAX_ENTRY_BITS} or more"
+                    )
+        if len(self.labels) != r or len(self.s) != r or len(self.t_exponents) != r:
+            raise ValueError("rank does not match row/label/twist counts")
         object.__setattr__(
             self, "t_exponents", tuple(e % self.conductor for e in self.t_exponents)
         )
 
-    @classmethod
-    def from_parts(cls, conductor, labels, s_rows, t_exponents, unit_index=0):
-        """Build from raw rows, rotating the unit object to index 0."""
-        r = len(labels)
-        order = [unit_index] + [i for i in range(r) if i != unit_index]
-        labels = tuple(labels[i] for i in order)
-        s = tuple(tuple(s_rows[i][j] for j in order) for i in order)
-        t = tuple(t_exponents[i] for i in order)
-        return cls(conductor, r, labels, s, t)
+    def reordered(self, order, labels=None) -> "ModularData":
+        """The same datum with object ``order[i]`` at index i: s and t
+        permuted, and the labels too unless ``labels`` replaces them."""
+        s = tuple(tuple(self.s[i][j] for j in order) for i in order)
+        t = tuple(self.t_exponents[i] for i in order)
+        labels = labels or tuple(self.labels[i] for i in order)
+        return ModularData(self.conductor, self.rank, labels, s, t)
 
     # -- cached views ---------------------------------------------------
 
@@ -264,10 +272,12 @@ class ModularData:
 
     @cached_property
     def _table_preconditions(self) -> tuple[str, ...]:
-        """What the split-prime identities need of s: nonzero, real
-        dimensions and entries in Z[zeta_N] (denominator 1 on the power
-        basis) with coefficients below 2^MAX_ENTRY_BITS, so that they fit
-        int64 (``_residues``).  The failures, found once per datum."""
+        """What the split-prime identities need of s beyond what
+        construction checks: nonzero, real dimensions and entries in
+        Z[zeta_N] (denominator 1 on the power basis).  Construction
+        already bounds every coefficient below 2^MAX_ENTRY_BITS, so an
+        entry that passes fits int64 (``_residues``).  The failures,
+        found once per datum."""
         failures = []
         for x, d in enumerate(self.dims):
             if d.is_zero:
@@ -278,8 +288,6 @@ class ModularData:
             for y, v in enumerate(row):
                 if v.den != 1:
                     failures.append(f"s-entry ({x},{y}) is not in Z[zeta_N]")
-                elif max(map(abs, v.num)).bit_length() > MAX_ENTRY_BITS:
-                    failures.append(_oversize(x, y))
         return tuple(failures)
 
     @cached_property
@@ -288,7 +296,9 @@ class ModularData:
         datum reads: the coefficients on the power basis as int64, shape
         (r, r, phi), and their image at each split prime, built once.
         Raises the first failure of ``_table_preconditions``, without
-        which the coefficients are not those of s or do not fit int64."""
+        which the coefficients are not those of s; with it, they are
+        integers below 2^MAX_ENTRY_BITS, as construction demands, and fit
+        int64."""
         for failure in self._table_preconditions:
             raise InvalidModularData(failure)
         return Residues([[v.num for v in row] for row in self.s], self.conductor)
@@ -343,8 +353,8 @@ class ModularData:
         Phase 1 collects every failure of the cheap checks: s is
         symmetric, s_00 = 1, t_0 = 1, the twist orders have lcm N, every
         dimension s_0x is nonzero and real, and every s-entry lies in
-        Z[zeta_N] with coefficients below 2^MAX_ENTRY_BITS (the loader
-        refuses larger ones before this).  Phase 2 builds the certified
+        Z[zeta_N]; its coefficients are below 2^MAX_ENTRY_BITS, since
+        construction refuses larger ones.  Phase 2 builds the certified
         Verlinde table at every rank: ``_verlinde`` proves or refutes
         unitarity, s conj(s)^T = dim(C) * I, and stops at the first
         coefficient that is not a nonnegative integer or the first object
@@ -406,10 +416,6 @@ def _check_coefficient(x: int, y: int, z: int, n: int | None) -> None:
         raise InvalidModularData(f"fusion coefficient N({x},{y})^{z} = {n} is negative")
 
 
-def _oversize(x: int, y: int) -> str:
-    return f"s-entry ({x},{y}) has a numerator or denominator of 2^{MAX_ENTRY_BITS} or more"
-
-
 def memoized_on_datum(fn):
     """Decorate ``fn(data)`` so that its result is computed once per
     ``ModularData`` and kept in that datum's private memo.  The result
@@ -431,7 +437,9 @@ def memoized_on_datum(fn):
 
 
 def deligne_product(a: ModularData, b: ModularData) -> ModularData:
-    """Kronecker product of the modular data, conductor lcm(N_a, N_b)."""
+    """Kronecker product of the modular data, conductor lcm(N_a, N_b).
+    Raises ``InvalidModularData`` when a product entry reaches
+    2^MAX_ENTRY_BITS, which construction refuses."""
     n = math.lcm(a.conductor, b.conductor)
     sa = [[v.embed(n) for v in row] for row in a.s]
     sb = [[v.embed(n) for v in row] for row in b.s]
@@ -491,20 +499,10 @@ def loads_modular_data(text: str) -> ModularData:
     ):
         raise InvalidModularData("s is not a rank x rank array")
     s = tuple(tuple(_loads_entry(n, entry) for entry in row) for row in rows)
-    check_entry_bits(s)
     try:
         return ModularData(n, rank, tuple(labels), s, tuple(t))
     except ValueError as exc:
         raise InvalidModularData(str(exc)) from exc
-
-
-def check_entry_bits(s) -> None:
-    """Raise ``InvalidModularData`` at the first entry of the rows ``s``
-    with a numerator or denominator of 2^MAX_ENTRY_BITS or more in size."""
-    for x, row in enumerate(s):
-        for y, v in enumerate(row):
-            if max(v.den, *map(abs, v.num)).bit_length() > MAX_ENTRY_BITS:
-                raise InvalidModularData(_oversize(x, y))
 
 
 def _loads_entry(n: int, entry) -> CycNum:

@@ -21,6 +21,16 @@ Orbit counting has two routes that the tests play against each other:
   s-entries are single roots of unity, and sigma_k multiplies their
   exponents by k), which is fast enough to sweep all groups of order
   up to 64 against the formula.
+
+One partition serves every form of a group.  s_{g,h} = b(g, h) is a
+root of unity and b is a bicharacter, so
+sigma_k(s_{g,h}) = b(g, h)^k = b(g, kh): sigma_k sends column h to
+column kh.  A nondegenerate form makes the columns distinct, so
+sigma_hat_k(h) = kh, and the orbits are the generator sets of the
+cyclic subgroups (``generator_partition``) whatever the form.  The
+sweep of every group and form against that partition is therefore a
+differential test of the form enumerator and of
+``pointed_orbit_partition``.
 """
 
 from __future__ import annotations
@@ -197,7 +207,9 @@ class QuadraticFormSpec:
         twist exponent vector, both mod the modulus."""
         M = self.modulus
         coords = np.array(self.group.elements(), dtype=np.int64)
-        gram = np.array(self.gram, dtype=np.int64)
+        # q and b depend on the entries mod M only; reduced as Python
+        # ints, they fit int64 whatever their size
+        gram = np.array([[e % M for e in row] for row in self.gram], dtype=np.int64)
         if coords.size == 0:
             return np.zeros((1, 1), dtype=np.int64), np.zeros(1, dtype=np.int64)
         prod = coords @ gram @ coords.T
@@ -291,7 +303,15 @@ def enumerate_quadratic_forms(group: FiniteAbelianGroup, max_forms: int | None =
 
 
 def build_pointed(group: FiniteAbelianGroup, form: QuadraticFormSpec | None = None) -> ModularData:
-    """Rank-|A| modular data with s_{g,h} = b(g,h), t_g = q(g)."""
+    """Rank-|A| modular data with s_{g,h} = b(g,h), t_g = q(g).
+
+    The conductor is the lcm of the twist orders, M / c with
+    c = gcd(M, q(g) over g): for divisors a, b of M,
+    lcm(M/a, M/b) = M/gcd(a, b).  An exponent e of zeta_M is e / c on
+    zeta_(M/c), and that division is exact for s as well as t:
+    bmat[g, h] = 2 g^T E h = q(g + h) - q(g) - q(h) (mod M), where
+    q(g + h) is the twist of the element g + h because q is well
+    defined on A, and c divides M and every twist."""
     form = form or canonical_form(group)
     if form.group != group:
         raise ValueError("form was built for a different group")
@@ -299,31 +319,10 @@ def build_pointed(group: FiniteAbelianGroup, form: QuadraticFormSpec | None = No
         raise ValueError("quadratic form is degenerate")
     M = form.modulus
     bmat, tvec = form._tables
-    n_elems = max(group.order, 1)
-    # conductor = lcm of the twist orders; for divisors a, b of M,
-    # lcm(M/a, M/b) = M/gcd(a, b)
-    conductor = M // math.gcd(M, *map(int, tvec))
-    scale = conductor  # exponent e of zeta_M becomes e*conductor/M on zeta_conductor
-    labels = []
-    for x in group.elements() or [()]:
-        labels.append("(" + ",".join(map(str, x)) + ")" if x else "0")
-    s_rows = []
-    for g in range(n_elems):
-        row = []
-        for h in range(n_elems):
-            e = int(bmat[g, h]) * scale
-            if e % M:
-                raise ValueError("bicharacter value escapes the conductor field")
-            row.append(root_of_unity(conductor, e // M))
-        s_rows.append(tuple(row))
-    t_exponents = []
-    for g in range(n_elems):
-        e = int(tvec[g]) * scale
-        assert e % M == 0
-        t_exponents.append(e // M)
-    return ModularData(
-        conductor, n_elems, tuple(labels), tuple(s_rows), tuple(t_exponents)
-    )
+    c = math.gcd(M, *tvec.tolist())
+    labels = tuple("(" + ",".join(map(str, x)) + ")" if x else "0" for x in group.elements())
+    s = tuple(tuple(root_of_unity(M // c, e) for e in row) for row in (bmat // c).tolist())
+    return ModularData(M // c, group.order, labels, s, tuple((tvec // c).tolist()))
 
 
 def pointed_orbit_partition(group: FiniteAbelianGroup, form: QuadraticFormSpec) -> tuple[tuple[int, ...], ...]:

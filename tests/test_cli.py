@@ -69,6 +69,12 @@ class TestValidate:
         code, _, err = run(capsys, "validate", "no-such-file.mtc")
         assert code == 2 and "no such file" in err
 
+    @pytest.mark.parametrize("verb", [["validate"], ["report"], ["report", "--json"]])
+    def test_a_directory_is_an_input_error(self, tmp_path, capsys, verb):
+        code, out, err = run(capsys, *verb, str(tmp_path))
+        assert code == 2 and not out
+        assert err.startswith(f"error: cannot read {tmp_path}: ") and "Traceback" not in err
+
     @pytest.mark.parametrize(
         "path,value",
         [
@@ -177,6 +183,11 @@ class TestPointed:
     def test_explicit_form(self, capsys):
         code, out, _ = run(capsys, "pointed", "3", "--form", "2")
         assert code == 0 and "orbits (2)" in out
+
+    def test_gram_entries_beyond_int64(self, capsys):
+        # 10^23 = 1 (mod 3), the modulus of Z/3
+        assert run(capsys, "pointed", "3", "--form", str(10**23)) == run(
+            capsys, "pointed", "3", "--form", "1")
 
     def test_order_guard(self, capsys):
         code, _, err = run(capsys, "pointed", "128")
@@ -288,6 +299,15 @@ class TestProductAndFixture:
         assert code == 2 and not out
         assert paths[0] in err and paths[1] in err and f"2^{MAX_ENTRY_BITS}" in err
         assert not out_path.exists()
+
+    def test_an_unwritable_output_is_an_input_error(self, tmp_path, capsys):
+        fib = str(FIXTURE_DIR / "fibonacci.mtc")
+        for output in (tmp_path / "missing" / "x.mtc", tmp_path):
+            for argv in (["product", fib, fib], ["fixture", "ising"]):
+                code, out, err = run(capsys, *argv, "-o", str(output))
+                assert code == 2 and not out, argv
+                assert err.startswith(f"error: cannot write {output}: ") and "Traceback" not in err
+        assert not any(tmp_path.iterdir())
 
     def test_fixture_roundtrip(self, tmp_path, capsys):
         for name in fixture_names():

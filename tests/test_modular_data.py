@@ -17,7 +17,7 @@ import pytest
 from conftest import LADDER
 from reference import character_columns, numeric_value
 from modgal.cyclotomic import CycNum, dot, root_of_unity
-from modgal.families import fibonacci, fixture_names, ising
+from modgal.families import fibonacci, fixture_names, ising, sl2_level_adjoint
 from modgal.galois_action import galois_permutation, orbit_partition
 from modgal.modular_data import (
     MAX_CONDUCTOR,
@@ -229,18 +229,26 @@ class TestMemo:
 
 
 class TestUnitRotation:
-    def test_from_parts_moves_unit_first(self):
+    def test_reordered_moves_unit_first(self):
         base = fibonacci(0)
-        rotated_s = [
-            [base.s[1][1], base.s[1][0]],
-            [base.s[0][1], base.s[0][0]],
-        ]
-        data = ModularData.from_parts(
-            5, ("t", "1"), rotated_s, (2, 0), unit_index=1
+        rotated_s = (
+            (base.s[1][1], base.s[1][0]),
+            (base.s[0][1], base.s[0][0]),
         )
+        data = ModularData(5, 2, ("t", "1"), rotated_s, (2, 0)).reordered((1, 0))
         assert data.labels == ("1", "t")
         assert data.s == base.s
         assert data.t_exponents == base.t_exponents
+
+    def test_reordered_and_back(self):
+        base = sl2_level_adjoint(13)
+        order = (3, 0, 5, 1, 4, 2)
+        inverse = tuple(sorted(range(base.rank), key=order.__getitem__))
+        moved = base.reordered(order)
+        assert moved.labels == tuple(base.labels[i] for i in order)
+        assert moved.s != base.s and moved.t_exponents != base.t_exponents
+        back = moved.reordered(inverse)
+        assert (back.s, back.t_exponents, back.labels) == (base.s, base.t_exponents, base.labels)
 
 
 class TestDerivedScalars:
@@ -412,9 +420,16 @@ class TestFileFormat:
                 {"conductor": 1, "rank": 1, "labels": ["1"], "t": [0], "s": [[[[num, den, 0]]]]}
             )
 
+        def built(num, den):
+            entry = CycNum.rational(Fraction(num, den), 1)
+            return ModularData(1, 1, ("1",), ((entry,),), (0,))
+
         below = (1 << MAX_ENTRY_BITS) - 1
-        for num, den in ((below, 1), (-below, 1), (1, below)):
-            assert loads_modular_data(doc(num, den)).s[0][0].as_rational() == Fraction(num, den)
-        for num, den in ((below + 1, 1), (-below - 1, 1), (1, below + 1)):
-            with pytest.raises(InvalidModularData, match=rf"2\^{MAX_ENTRY_BITS} or more"):
-                loads_modular_data(doc(num, den))
+        message = rf"^s-entry \(0,0\) has a numerator or denominator of 2\^{MAX_ENTRY_BITS} or more$"
+        # the loader and construction in code refuse alike
+        for make in (lambda num, den: loads_modular_data(doc(num, den)), built):
+            for num, den in ((below, 1), (-below, 1), (1, below)):
+                assert make(num, den).s[0][0].as_rational() == Fraction(num, den)
+            for num, den in ((below + 1, 1), (-below - 1, 1), (1, below + 1)):
+                with pytest.raises(InvalidModularData, match=message):
+                    make(num, den)

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from modgal.cyclotomic import root_of_unity
 from modgal.galois_action import galois_permutation, orbit_partition
 from modgal.pointed import (
     FiniteAbelianGroup,
@@ -17,6 +18,15 @@ from modgal.pointed import (
     gram_steps,
     pointed_orbit_partition,
 )
+
+
+def _chains(bound, base=1):
+    """Every invariant-factor chain of multiples of ``base`` with product
+    at most ``bound``."""
+    yield ()
+    for n in range(max(base, 2), bound + 1, base):
+        for rest in _chains(bound // n, n):
+            yield (n, *rest)
 
 
 class TestGroup:
@@ -74,6 +84,13 @@ class TestForms:
         forms = list(enumerate_quadratic_forms(FiniteAbelianGroup((3,))))
         assert sorted(f.gram[0][0] for f in forms) == [1, 2]
 
+    def test_gram_entries_beyond_int64(self):
+        # q depends on the entries mod M only; both are 1 mod 3
+        g = FiniteAbelianGroup((3,))
+        for entry in (2**63 - 1, 10**23):
+            form = QuadraticFormSpec(g, ((entry,),))
+            assert form.value_vector() == tuple(map(form.q_exponent, g.elements())), entry
+
     def test_degenerate_detected(self):
         g = FiniteAbelianGroup((4,))
         q = QuadraticFormSpec(g, ((2,),))
@@ -97,6 +114,21 @@ class TestBuild:
         g = FiniteAbelianGroup((4,))
         with pytest.raises(ValueError):
             build_pointed(g, QuadraticFormSpec(g, ((2,),)))
+
+    def test_entries_match_the_per_entry_route(self):
+        # every group of order <= 16: each s_{g,h} and t_g, moved to the
+        # modulus M, is the root of unity of the form's table
+        for facs in _chains(16):
+            g = FiniteAbelianGroup(facs)
+            for form in enumerate_quadratic_forms(g, max_forms=8):
+                data = build_pointed(g, form)
+                bmat, tvec = form._tables
+                M = form.modulus
+                for x in range(g.order):
+                    assert data.twist(x).embed(M) == root_of_unity(M, int(tvec[x]))
+                    for y in range(g.order):
+                        assert data.s[x][y].embed(M) == root_of_unity(M, int(bmat[x, y])), (
+                            facs, form.gram, x, y)
 
     def test_all_fixL_groups_validate(self):
         for facs in [(3,), (4,), (2, 2), (5,), (6,), (2, 4)]:
