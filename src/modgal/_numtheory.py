@@ -99,21 +99,12 @@ def units_mod(n: int) -> tuple[int, ...]:
 
 
 def _primitive_root(q: int, p: int) -> int:
-    # q = p^a with p odd; a generator of the cyclic group (Z/qZ)^x
-    phi_p = p - 1
-    prime_parts = [f for f, _ in factorize(phi_p)]
-    g = None
-    for cand in range(2, p):
-        if all(pow(cand, phi_p // f, p) != 1 for f in prime_parts):
-            g = cand
-            break
-    assert g is not None
-    if q == p:
-        return g
-    # lift: g generates mod p^a unless g^(p-1) = 1 mod p^2
-    if pow(g, p - 1, p * p) == 1:
-        g += p
-    return g % q
+    # q = p^a with p odd: the least generator of the cyclic group (Z/qZ)^x
+    phi = q // p * (p - 1)
+    primes = [f for f, _ in factorize(phi)]
+    return next(
+        g for g in range(2, q) if g % p and all(pow(g, phi // f, q) != 1 for f in primes)
+    )
 
 
 @functools.lru_cache(maxsize=None)

@@ -132,7 +132,7 @@ def _cmd_pointed(args) -> int:
             f"order {group.order} exceeds the rank bound {MAX_RANK}; use --count-only"
         )
     count = cyclic_subgroup_count(group)
-    form = _parse_form(group, args.form) if args.form else canonical_form(group)
+    form = _parse_form(group, args.form) if args.form is not None else canonical_form(group)
     if not form.is_nondegenerate():
         raise _InputError("the quadratic form is degenerate")
     data = build_pointed(group, form)

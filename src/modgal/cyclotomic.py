@@ -14,9 +14,9 @@ element as a tuple of reduced Fractions.
 A sum of products sum_i x_i * y_i is :func:`dot`: it convolves every
 pair into one integer buffer over the common denominator and folds and
 divides out the gcd once, with the same loop as a single product.  The
-inverse is a product of Galois conjugates divided by the rational norm,
-a^-1 = prod_{k != 1} sigma_k(a) / N(a) (see :meth:`CycNum.inverse`), so
-every exact identity in the package runs on this one integer engine.
+inverse is the product of the other distinct Galois conjugates of a
+divided by the rational norm of a from Q(a) (see :meth:`CycNum.inverse`),
+so every exact identity in the package runs on this one integer engine.
 
 Conductors never mix implicitly.  An element of Q(zeta_N) is moved into
 a larger field Q(zeta_M), N | M, with :meth:`CycNum.embed`; binary
@@ -343,23 +343,23 @@ class CycNum:
         return result
 
     def inverse(self) -> "CycNum":
-        """Multiplicative inverse through the Galois norm.
+        """Multiplicative inverse through the norm from Q(a).
 
-        Let c = prod_{k != 1} sigma_k(a) over the units k mod N, and
-        N(a) = a * c = prod_k sigma_k(a).  Each sigma_j permutes the
-        factors of N(a) (k -> jk is a bijection of the units), so N(a)
-        is fixed by the whole Galois group and lies in Q.  It is nonzero:
-        a != 0, each sigma_k is injective, and a field has no zero
-        divisors.  Hence a^-1 = c / N(a).
+        Let O = {sigma_k(a)} be the Galois orbit of a, that is, its
+        distinct conjugates, and c the product of O without a, so that
+        a * c is the product of O.  Each sigma_j permutes O, since
+        sigma_j(sigma_k(a)) = sigma_jk(a) and sigma_j is injective, so
+        the product is fixed by the whole Galois group and lies in Q: it
+        is the norm of a from Q(a).  It is nonzero: a != 0, each sigma_k
+        is injective, and a field has no zero divisors.  Hence
+        a^-1 = c / (a * c).
         """
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero")
         if self.is_rational:
             return CycNum.rational(Fraction(self.den, self.num[0]), self.conductor)
-        conjugates = functools.reduce(
-            operator.mul,
-            (self.galois_apply(k) for k in units_mod(self.conductor) if k != 1),
-        )
+        others = {self.galois_apply(k) for k in units_mod(self.conductor) if k != 1} - {self}
+        conjugates = functools.reduce(operator.mul, others)
         norm = (self * conjugates).as_rational()
         return conjugates * (1 / norm)
 

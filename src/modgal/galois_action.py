@@ -58,7 +58,6 @@ class GaloisOrbitPartition:
     """Orbits of simple objects, the permutation per unit, and the
     stabilizer subgroup of each index inside (Z/NZ)^x."""
 
-    conductor: int
     orbits: tuple[tuple[int, ...], ...]
     perm_of_unit: dict[int, tuple[int, ...]]
     stabilizers: tuple[tuple[int, ...], ...]
@@ -132,7 +131,7 @@ def orbit_partition(data: ModularData) -> GaloisOrbitPartition:
             raise InvalidModularData(
                 f"orbit-stabilizer mismatch at index {i}"
             )
-    return GaloisOrbitPartition(n, orbits, perms, stabilizers)
+    return GaloisOrbitPartition(orbits, perms, stabilizers)
 
 
 def is_transitive(data: ModularData) -> bool:
@@ -237,10 +236,9 @@ def dims_ratio_check(data: ModularData) -> DimsRatioReport:
 
 
 def galois_conjugate_data(data: ModularData, k: int) -> ModularData:
-    """Entrywise conjugate data: sigma_k on s, twists t_X -> sigma_k(t_X)."""
+    """Entrywise conjugate data: sigma_k on s, twists t_X -> sigma_k(t_X).
+    ``CycNum.galois_apply`` refuses a k that is not a unit modulo N."""
     n = data.conductor
-    if math.gcd(k, n) != 1:
-        raise ValueError(f"{k} is not a unit modulo {n}")
     s = tuple(tuple(v.galois_apply(k) for v in row) for row in data.s)
     t = tuple((k * e) % n for e in data.t_exponents)
     return ModularData(n, data.rank, data.labels, s, t)

@@ -8,7 +8,8 @@ index 0 (``reordered`` moves another object there).  Construction
 refuses any s-entry with a numerator or denominator of
 2^MAX_ENTRY_BITS or more, so every datum in memory, loaded or built,
 satisfies the bound the split-prime certificates and the sign oracle
-argue from.
+argue from.  Every refusal of construction raises
+``InvalidModularData``, so the loader passes its message on unchanged.
 
 Everything here is exact or certified.  Every identity in the entries
 of s is checked over split primes (``_splitprime``), on one residue
@@ -93,17 +94,6 @@ class FusionTable:
     coeffs: tuple[tuple[tuple[int, ...], ...], ...]
     dual: tuple[int, ...]
 
-    @property
-    def rank(self) -> int:
-        return len(self.coeffs)
-
-    def n(self, x: int, y: int, z: int) -> int:
-        return self.coeffs[x][y][z]
-
-    def matrix(self, x: int) -> list[list[int]]:
-        """The fusion matrix of x: rows indexed by y, columns by z."""
-        return [list(row) for row in self.coeffs[x]]
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -128,22 +118,22 @@ class ModularData:
     def __post_init__(self):
         r = self.rank
         if r < 1:
-            raise ValueError(f"rank must be >= 1, got {r}")
+            raise InvalidModularData(f"rank must be >= 1, got {r}")
         # the entries before the label and twist counts, the loader's
         # order of messages
         for x, row in enumerate(self.s):
             if len(row) != r:
-                raise ValueError("s is not square")
+                raise InvalidModularData("s is not square")
             for y, entry in enumerate(row):
                 if entry.conductor != self.conductor:
-                    raise ValueError("s entry conductor differs from declared conductor")
+                    raise InvalidModularData("s entry conductor differs from declared conductor")
                 if max(entry.den, *map(abs, entry.num)).bit_length() > MAX_ENTRY_BITS:
                     raise InvalidModularData(
                         f"s-entry ({x},{y}) has a numerator or denominator of "
                         f"2^{MAX_ENTRY_BITS} or more"
                     )
         if len(self.labels) != r or len(self.s) != r or len(self.t_exponents) != r:
-            raise ValueError("rank does not match row/label/twist counts")
+            raise InvalidModularData("rank does not match row/label/twist counts")
         object.__setattr__(
             self, "t_exponents", tuple(e % self.conductor for e in self.t_exponents)
         )
@@ -205,47 +195,46 @@ class ModularData:
         the first holds, s is invertible, and multiplying the second by
         conj(s_wa) / dim(C) and summing over a gives the defining sum of
         N_xy^w: the candidate is the table.  Where an identity fails, the
-        coefficients it concerns are computed exactly, one ``dot`` each,
-        in the order x <= y, z, so the first coefficient that is not a
-        nonnegative integer is the one named; the r weights
-        1 / (s_0a dim(C)) are built, from one inverse, only when a
-        Verlinde row fails.  If unitarity fails, those coefficients are
-        N_0x^y = (s conj(s)^T)_xy / dim(C) over the failing pairs, which is the
-        rational integer n exactly when (s conj(s)^T)_xy = n dim(C), with
-        n read off one nonzero power-basis coordinate of dim(C): no
-        inverse.  If each of them is a nonnegative integer, the failing
-        pairs are reported, since without unitarity the other rows are
-        not tied to the identities.  The first failure of
-        ``_table_preconditions`` is raised before any of this
+        coefficients it concerns are named from that defining sum, with
+        the r weights 1 / (s_0a dim(C)) built from one inverse: if
+        unitarity fails, N_0x^y over the failing pairs (x, y), in order,
+        since s_0a / (s_0a dim(C)) = 1 / dim(C) makes N_0x^y =
+        (s conj(s)^T)_xy / dim(C); otherwise the failing Verlinde rows, in
+        the order x <= y, z.  The first coefficient that is not a nonnegative
+        integer is the one named.  If each N_0x^y is a nonnegative
+        integer, the failing pairs are reported, since without unitarity
+        the other rows are not tied to the identities.  The first failure
+        of ``_table_preconditions`` is raised before any of this
         (``_residues``), and a ValueError where the split primes cannot
         certify (``certified_verlinde``).
         """
         r, s = self.rank, self.s
         table, bad_pairs, bad_rows = certified_verlinde(self._residues)
+        if bad_pairs or bad_rows:
+            weights = self._verlinde_weights()
+
+        def exact(x, y, zs):
+            # N_xy^z for each z of zs from its defining sum, None where
+            # it is not a rational integer
+            scaled = [s[x][a] * s[y][a] * weights[a] for a in range(r)]
+            for z in zs:
+                acc = dot(scaled, map(CycNum.conjugate, s[z]))
+                yield int(acc.as_rational()) if acc.is_rational_integer else None
+
         if bad_pairs:
-            dim = self.global_dim
-            i = next(i for i, c in enumerate(dim.num) if c)
             for x, y in sorted(bad_pairs):
-                gram = dot(s[x], map(CycNum.conjugate, s[y])).num
-                n, rem = divmod(gram[i], dim.num[i])
-                exact = not rem and gram == tuple(n * c for c in dim.num)
-                _check_coefficient(0, x, y, n if exact else None)
+                _check_coefficient(0, x, y, next(exact(0, x, (y,))))
             raise InvalidModularData(*(
                 f"s * conj(s)^T fails at ({x},{y})" for x, y in sorted(bad_pairs) if x <= y
             ))
-        if bad_rows:
-            weights = self._verlinde_weights()
         coeffs = table.tolist()
         for x in range(r):
             for y in range(x, r):
                 row = coeffs[x][y]
-                if (x, y) in bad_rows:
-                    scaled = [s[x][a] * s[y][a] * weights[a] for a in range(r)]
-                for z in range(r):
-                    if (x, y) in bad_rows:
-                        acc = dot(scaled, map(CycNum.conjugate, s[z]))
-                        row[z] = int(acc.as_rational()) if acc.is_rational_integer else None
-                    _check_coefficient(x, y, z, row[z])
+                values = exact(x, y, range(r)) if (x, y) in bad_rows else row
+                for z, n in enumerate(values):
+                    _check_coefficient(x, y, z, n)
+                    row[z] = n
                 coeffs[y][x] = row
         dual = [-1] * r
         for x in range(r):
@@ -499,10 +488,7 @@ def loads_modular_data(text: str) -> ModularData:
     ):
         raise InvalidModularData("s is not a rank x rank array")
     s = tuple(tuple(_loads_entry(n, entry) for entry in row) for row in rows)
-    try:
-        return ModularData(n, rank, tuple(labels), s, tuple(t))
-    except ValueError as exc:
-        raise InvalidModularData(str(exc)) from exc
+    return ModularData(n, rank, tuple(labels), s, tuple(t))
 
 
 def _loads_entry(n: int, entry) -> CycNum:

@@ -46,7 +46,6 @@ from ._numtheory import (
     divisors,
     divisors_of,
     euler_phi,
-    factorize,
     is_prime,
     permutation_orbits,
     trial_factor,
@@ -95,26 +94,6 @@ class FiniteAbelianGroup:
         for a, b in zip(facs, facs[1:]):
             if b % a != 0:
                 raise ValueError(f"not a divisibility chain: {a} does not divide {b}")
-
-    @classmethod
-    def from_orders(cls, orders) -> "FiniteAbelianGroup":
-        """Canonicalize an arbitrary direct sum of cyclic groups."""
-        primary: dict[int, list[int]] = {}
-        for n in orders:
-            if n < 1:
-                raise ValueError("cyclic orders must be positive")
-            for p, e in factorize(n):
-                primary.setdefault(p, []).append(p**e)
-        k = max((len(v) for v in primary.values()), default=0)
-        factors = []
-        for i in range(k):
-            f = 1
-            for p, powers in primary.items():
-                powers_sorted = sorted(powers, reverse=True)
-                if i < len(powers_sorted):
-                    f *= powers_sorted[i]
-            factors.append(f)
-        return cls(tuple(sorted(factors)))
 
     @property
     def order(self) -> int:

@@ -79,9 +79,6 @@ class FusionSubcategory:
         dims = [self.data.dims[x] for x in self.members]
         return dot(dims, dims)
 
-    def __contains__(self, x: int) -> bool:
-        return x in self.members
-
 
 _Rows = tuple[frozenset[int], ...]
 

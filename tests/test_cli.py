@@ -35,6 +35,12 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+# s = ((1, i), (i, -1)) at N = 4: symmetric, s_00 = 1, lcm of the twist
+# orders 4, and the dimension of object 1 is i
+NON_REAL = {"conductor": 4, "rank": 2, "labels": ["1", "x"], "t": [0, 1],
+            "s": [[[[1, 1, 0]], [[1, 1, 1]]], [[[1, 1, 1]], [[-1, 1, 0]]]]}
+
+
 class TestValidate:
     def test_valid_fixture(self, capsys):
         code, out, _ = run(capsys, "validate", str(FIXTURE_DIR / "so5_3half_ad.mtc"))
@@ -49,6 +55,12 @@ class TestValidate:
         code, out, _ = run(capsys, "validate", str(bad))
         assert code == 1
         assert "not symmetric" in out
+
+    def test_a_non_real_dimension_is_named(self, tmp_path, capsys):
+        bad = tmp_path / "bad.mtc"
+        bad.write_text(json.dumps(NON_REAL))
+        assert run(capsys, "validate", str(bad)) == (
+            1, f"{bad}: INVALID\n  dimension at index 1 is not real\n", "")
 
     def test_invalid_verlinde_table(self, tmp_path, capsys, phase2_invalid):
         for name, data in phase2_invalid.items():
@@ -145,6 +157,15 @@ class TestReport:
         doc = json.loads(out)
         assert doc["transitive"] is True and doc["ok"] is True
 
+    def test_invalid_data_stops_after_validation(self, tmp_path, capsys):
+        bad = tmp_path / "bad.mtc"
+        bad.write_text(json.dumps(NON_REAL))
+        assert run(capsys, "report", str(bad)) == (1, (
+            f"input: {bad}\n"
+            "conductor 4, rank 2\n"
+            "validation: dimension at index 1 is not real\n"
+        ), "")
+
     def test_deterministic(self, capsys):
         _, first, _ = run(capsys, "report", str(FIXTURE_DIR / "ising.mtc"))
         _, second, _ = run(capsys, "report", str(FIXTURE_DIR / "ising.mtc"))
@@ -183,6 +204,18 @@ class TestPointed:
     def test_explicit_form(self, capsys):
         code, out, _ = run(capsys, "pointed", "3", "--form", "2")
         assert code == 0 and "orbits (2)" in out
+
+    @pytest.mark.parametrize(
+        "group,form,err",
+        [
+            ("2", "0", "error: the quadratic form is degenerate\n"),
+            ("3", "x", "error: bad form 'x': invalid literal for int() with base 10: 'x'\n"),
+            ("3", "", "error: bad form '': invalid literal for int() with base 10: ''\n"),
+        ],
+        ids=["degenerate", "not-an-integer", "empty"],
+    )
+    def test_bad_form(self, capsys, group, form, err):
+        assert run(capsys, "pointed", group, "--form", form) == (2, "", err)
 
     def test_gram_entries_beyond_int64(self, capsys):
         # 10^23 = 1 (mod 3), the modulus of Z/3

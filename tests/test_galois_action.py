@@ -40,8 +40,9 @@ class TestGaloisPermutation:
         assert galois_permutation(data, 2) == (1, 0, 3, 2)
 
     def test_non_unit_rejected(self, fixture_catalog):
-        with pytest.raises(ValueError):
-            galois_permutation(fixture_catalog["fibonacci"], 5)
+        for act in (galois_permutation, galois_conjugate_data):
+            with pytest.raises(ValueError, match="^5 is not a unit modulo 5$"):
+                act(fixture_catalog["fibonacci"], 5)
 
 
 class TestOrbits:

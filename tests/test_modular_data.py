@@ -8,6 +8,7 @@ pairs of Fractions, evaluating the character sums directly.
 import dataclasses
 import gc
 import json
+import re
 import weakref
 from fractions import Fraction
 
@@ -99,9 +100,9 @@ class TestFibonacci:
         oracle = verlinde_oracle(s, dim)
         table = fibonacci(0).fusion
         for (x, y, z), val in oracle.items():
-            assert val == table.n(x, y, z), (x, y, z)
-        assert table.n(1, 1, 1) == 1
-        assert table.n(1, 1, 0) == 1
+            assert val == table.coeffs[x][y][z], (x, y, z)
+        assert table.coeffs[1][1][1] == 1
+        assert table.coeffs[1][1][0] == 1
 
     def test_global_dim(self):
         data = fibonacci(0)
@@ -114,7 +115,7 @@ class TestFibonacci:
         assert fp == data.dims
         # each FPdim is the Perron eigenvalue of its fusion matrix
         for x in range(data.rank):
-            radius = max(abs(np.linalg.eigvals(np.array(data.fusion.matrix(x), dtype=float))))
+            radius = max(abs(np.linalg.eigvals(np.array(data.fusion.coeffs[x], dtype=float))))
             assert radius == pytest.approx(numeric_value(fp[x]).real, rel=1e-8)
 
 
@@ -127,10 +128,10 @@ class TestIsing:
         oracle = verlinde_oracle(s, Quad(4, 0, 2))
         table = ising(0).fusion
         for (x, y, z), val in oracle.items():
-            assert val == table.n(x, y, z), (x, y, z)
+            assert val == table.coeffs[x][y][z], (x, y, z)
         # the sqrt(2) object squares to 1 + f and never to itself
-        assert table.n(1, 1, 2) == 1
-        assert table.n(1, 1, 1) == 0
+        assert table.coeffs[1][1][2] == 1
+        assert table.coeffs[1][1][1] == 0
 
     def test_charge_conjugation_trivial(self):
         assert ising(0).charge_conjugation == (0, 1, 2)
@@ -208,8 +209,8 @@ class TestTableIdentities:
         conj_s = [[v.conjugate() for v in row] for row in s]
         for x in range(r):
             for y in range(r):
-                assert dim * table.n(x, y, 0) == dot(s[x], s[y]), (x, y)
-                assert dim * table.n(0, x, y) == dot(s[x], conj_s[y]), (x, y)
+                assert dim * table.coeffs[x][y][0] == dot(s[x], s[y]), (x, y)
+                assert dim * table.coeffs[0][x][y] == dot(s[x], conj_s[y]), (x, y)
         columns = list(zip(*s))
         square = [[dot(s[i], columns[j]) for j in range(r)] for i in range(r)]
         assert data.charge_conjugation == tuple(row.index(dim) for row in square)
@@ -299,9 +300,9 @@ class TestDeligneProduct:
                     for y2 in range(b.rank):
                         for z1 in range(a.rank):
                             for z2 in range(b.rank):
-                                assert tp.n(
-                                    x1 * rb + x2, y1 * rb + y2, z1 * rb + z2
-                                ) == ta.n(x1, y1, z1) * tb.n(x2, y2, z2)
+                                assert tp.coeffs[x1 * rb + x2][y1 * rb + y2][
+                                    z1 * rb + z2
+                                ] == ta.coeffs[x1][y1][z1] * tb.coeffs[x2][y2][z2]
 
 
 class TestFusionTableInvariants:
@@ -312,19 +313,19 @@ class TestFusionTableInvariants:
         r = data.rank
         for x in range(r):
             for z in range(r):
-                assert table.n(x, 0, z) == (1 if x == z else 0)
-                assert table.n(x, z, 0) == (1 if z == table.dual[x] else 0)
+                assert table.coeffs[x][0][z] == (1 if x == z else 0)
+                assert table.coeffs[x][z][0] == (1 if z == table.dual[x] else 0)
 
     @pytest.mark.parametrize("name", ["fibonacci", "ising", "sl2_7_ad", "fib_x_fib"])
     def test_associativity(self, name, fixture_catalog):
         table = fixture_catalog[name].fusion
-        r = table.rank
+        r = len(table.coeffs)
         for x in range(r):
             for y in range(r):
                 for z in range(r):
                     for v in range(r):
-                        lhs = sum(table.n(x, y, w) * table.n(w, z, v) for w in range(r))
-                        rhs = sum(table.n(y, z, w) * table.n(x, w, v) for w in range(r))
+                        lhs = sum(table.coeffs[x][y][w] * table.coeffs[w][z][v] for w in range(r))
+                        rhs = sum(table.coeffs[y][z][w] * table.coeffs[x][w][v] for w in range(r))
                         assert lhs == rhs
 
 
@@ -433,3 +434,28 @@ class TestFileFormat:
             for num, den in ((below + 1, 1), (-below - 1, 1), (1, below + 1)):
                 with pytest.raises(InvalidModularData, match=message):
                     make(num, den)
+
+    @pytest.mark.parametrize(
+        "parts,message,loadable",
+        [
+            ((1, 0, (), (), ()), "rank must be >= 1, got 0", True),
+            ((1, 2, ("1", "x"), ((CycNum.one(1),) * 2, (CycNum.one(1),)), (0, 0)),
+             "s is not square", False),
+            ((1, 1, ("1",), ((CycNum.one(5),),), (0,)),
+             "s entry conductor differs from declared conductor", False),
+            ((1, 1, ("1", "x"), ((CycNum.one(1),),), (0,)),
+             "rank does not match row/label/twist counts", True),
+        ],
+        ids=["rank-0", "not-square", "conductor", "counts"],
+    )
+    def test_construction_refusals(self, parts, message, loadable):
+        # built in code, and loaded where the loader's own checks let
+        # the datum through to construction
+        with pytest.raises(InvalidModularData, match=f"^{re.escape(message)}$"):
+            ModularData(*parts)
+        if loadable:
+            n, rank, labels, s, t = parts
+            doc = {"conductor": n, "rank": rank, "labels": list(labels), "t": list(t),
+                   "s": [[[[1, 1, 0]] for _ in row] for row in s]}
+            with pytest.raises(InvalidModularData, match=f"^{re.escape(message)}$"):
+                loads_modular_data(json.dumps(doc))

@@ -13,6 +13,7 @@ from modgal._numtheory import (
     is_prime,
     permutation_orbits,
     trial_factor,
+    unit_group_generators,
 )
 
 N = range(1, 2001)
@@ -56,6 +57,40 @@ def test_factorize_edges():
         for n in (0, -1, -12):
             with pytest.raises(ValueError):
                 fn(n)
+
+
+def _order(g, q):
+    k, x = 1, g % q
+    while x != 1:
+        x, k = x * g % q, k + 1
+    return k
+
+
+def test_unit_group_generators_against_brute_force():
+    least_root = {}
+    for n in N:
+        gens = unit_group_generators(n)
+        assert all(math.gcd(g, n) == 1 for g in gens), n
+        # the products of units are units, so a closure of phi(n)
+        # elements is the whole group
+        seen = {1 % n}
+        frontier = list(seen)
+        for k in frontier:  # the list grows while it is walked
+            for g in gens:
+                if (kk := k * g % n) not in seen:
+                    seen.add(kk)
+                    frontier.append(kk)
+        assert len(seen) == euler_phi(n), n
+        # one generator per odd prime power q, the least primitive root
+        # mod q, and 1 mod q for the others
+        for p, a in factorize(n):
+            if p == 2:
+                continue
+            q = p**a
+            if q not in least_root:
+                phi = euler_phi(q)
+                least_root[q] = next(g for g in range(2, q) if g % p and _order(g, q) == phi)
+            assert [g % q for g in gens if g % q != 1] == [least_root[q]], n
 
 
 def _brute_orbits(size, images):

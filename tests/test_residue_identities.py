@@ -14,7 +14,7 @@ from conftest import DIFFERENTIAL, PRODUCTS, _edited
 from modgal import _splitprime, modular_data
 from modgal._numtheory import unit_group_generators, units_mod
 from modgal.analysis import run_analysis
-from modgal.cyclotomic import CycNum, sign_of_real
+from modgal.cyclotomic import CycNum, root_of_unity, sign_of_real
 from modgal.galois_action import dims_ratio_check, galois_permutation, orbit_partition
 from modgal.modular_data import InvalidModularData, deligne_product
 from modgal.subcategories import _relations, all_subcategories, centralizer, counting2_degree_check
@@ -122,6 +122,16 @@ def test_run_analysis_makes_almost_no_cyclotomic_products(monkeypatch):
     assert calls["inverse"] <= 1, calls
 
 
+def test_an_inverse_multiplies_only_the_distinct_conjugates(monkeypatch):
+    # the golden ratio has two conjugates at every conductor, so its
+    # inverse is one product for the norm and one for the division
+    golden = (1 + root_of_unity(5, 1) + root_of_unity(5, 4)).embed(715)
+    calls = _counted(monkeypatch, "__mul__", "__rmul__")
+    inverse = golden.inverse()
+    assert calls["__mul__"] + calls["__rmul__"] <= 2, calls
+    assert golden * inverse == 1
+
+
 def test_a_wrong_sigma_hat_candidate_is_refuted(monkeypatch):
     data = PRODUCTS["z5_x_sl2_11"]()
     g = unit_group_generators(data.conductor)[0]
@@ -146,7 +156,8 @@ def _flip_pair_3_7(s):
 
 
 def test_a_corrupted_rank_30_pair_is_named_within_budget():
-    # N_0x^y is tested against dim(C) without an inverse
+    # N_0x^y is named from its defining sum, whose weights come from
+    # one inverse
     data = _edited(PRODUCTS["sl2_11_x_sl2_13"](), _flip_pair_3_7)
     start = time.monotonic()
     failures = data.validate().failures
