@@ -8,8 +8,14 @@ The associated bicharacter is b(g, h) = zeta_M^(2 g^T E h), and the
 built s-matrix is s_{g,h} = b(g,h) with twists t_g = q(g).
 
 Well-definedness on A constrains the Gram entries to multiples of
-per-entry step sizes (``gram_steps``); nondegeneracy means the radical
-{g : b(g, .) = 1} is trivial, certified on construction.
+per-entry step sizes (``gram_steps``), checked on construction.
+Nondegeneracy means the radical {g : b(g, .) = 1} is trivial; it is
+decided by ``is_nondegenerate``, which ``build_pointed`` and the
+enumerator call.  b is a bicharacter, so
+b(g, h) = prod_j b(g, e_j)^(h_j) over the generators e_j, and
+b(g, .) = 1 iff b(g, e_j) = 1 for every j: the decision reads the |A| x k
+table of b(g, e_j), and the |A| x |A| table b(g, h) = G[g] . h mod M is
+built only for a form that is used.
 
 Orbit counting has two routes that the tests play against each other:
 
@@ -110,6 +116,32 @@ class FiniteAbelianGroup:
     def elements(self) -> list[tuple[int, ...]]:
         return list(itertools.product(*(range(n) for n in self.invariant_factors)))
 
+    @cached_property
+    def _coords(self) -> np.ndarray:
+        """The elements, in ``elements`` order, as the rows of a
+        read-only |A| x k int64 array."""
+        coords = np.array(self.elements(), dtype=np.int64)
+        coords.flags.writeable = False
+        return coords
+
+    @cached_property
+    def _steps(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """The answer of ``gram_steps``."""
+        facs = self.invariant_factors
+        L = self.exponent
+        M = 2 * L if self.order % 2 == 0 else L
+        steps = []
+        for i, ni in enumerate(facs):
+            row = []
+            for j, nj in enumerate(facs):
+                if i == j:
+                    c = math.gcd(M, ni * math.gcd(2, ni))
+                else:
+                    c = math.gcd(M, 2 * min(ni, nj))
+                row.append(M // c)
+            steps.append(tuple(row))
+        return M, tuple(steps)
+
     def element_order(self, x) -> int:
         o = 1
         for xi, ni in zip(x, self.invariant_factors):
@@ -125,22 +157,11 @@ class FiniteAbelianGroup:
         return " + ".join(f"Z/{n}" for n in self.invariant_factors)
 
 
-def gram_steps(group: FiniteAbelianGroup) -> tuple[int, list[list[int]]]:
+def gram_steps(group: FiniteAbelianGroup) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """(modulus M, per-entry step sizes): entry (i, j) of a well-defined
-    Gram matrix must be a multiple of step[i][j] modulo M."""
-    facs = group.invariant_factors
-    L = group.exponent
-    M = 2 * L if group.order % 2 == 0 else L
-    k = len(facs)
-    steps = [[1] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                c = math.gcd(M, facs[i] * math.gcd(2, facs[i]))
-            else:
-                c = math.gcd(M, 2 * min(facs[i], facs[j]))
-            steps[i][j] = M // c
-    return M, steps
+    Gram matrix must be a multiple of step[i][j] modulo M.  Computed
+    once per group."""
+    return group._steps
 
 
 @dataclass(frozen=True)
@@ -151,20 +172,19 @@ class QuadraticFormSpec:
     gram: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        gram = self.gram
         k = len(self.group.invariant_factors)
-        if len(self.gram) != k or any(len(row) != k for row in self.gram):
+        if len(gram) != k or any(len(row) != k for row in gram):
             raise ValueError("gram matrix shape does not match the group")
-        for i in range(k):
-            for j in range(k):
-                if self.gram[i][j] != self.gram[j][i]:
-                    raise ValueError("gram matrix must be symmetric")
+        if any(gram[i][j] != gram[j][i] for i in range(k) for j in range(i)):
+            raise ValueError("gram matrix must be symmetric")
         M, steps = gram_steps(self.group)
-        for i in range(k):
-            for j in range(k):
-                if self.gram[i][j] % steps[i][j] != 0:
+        for i, (row, step_row) in enumerate(zip(gram, steps)):
+            for j, (entry, step) in enumerate(zip(row, step_row)):
+                if entry % step != 0:
                     raise ValueError(
-                        f"gram entry ({i},{j}) = {self.gram[i][j]} is not a multiple "
-                        f"of {steps[i][j]}, so q is not well defined on the group"
+                        f"gram entry ({i},{j}) = {entry} is not a multiple "
+                        f"of {step}, so q is not well defined on the group"
                     )
 
     @property
@@ -182,29 +202,33 @@ class QuadraticFormSpec:
 
     @cached_property
     def _tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """(B, T): bicharacter exponent matrix over all elements, and the
-        twist exponent vector, both mod the modulus."""
+        """(G, T) over the elements g, rows in ``elements`` order:
+        G[g, j] = 2 (E g)_j, the exponent of b(g, e_j) on zeta_M, left
+        unreduced, and T[g] = g^T E g mod M, the exponent of q(g).
+        b is a bicharacter, so b(g, h) = zeta_M^(G[g] . h mod M)."""
         M = self.modulus
-        coords = np.array(self.group.elements(), dtype=np.int64)
+        coords = self.group._coords
+        k = coords.shape[1]
         # q and b depend on the entries mod M only; reduced as Python
         # ints, they fit int64 whatever their size
-        gram = np.array([[e % M for e in row] for row in self.gram], dtype=np.int64)
-        if coords.size == 0:
-            return np.zeros((1, 1), dtype=np.int64), np.zeros(1, dtype=np.int64)
-        prod = coords @ gram @ coords.T
-        bmat = (2 * prod) % M
-        tvec = np.diag(prod) % M
-        return bmat, tvec
+        gram = np.array([[e % M for e in row] for row in self.gram], dtype=np.int64).reshape(k, k)
+        half = coords @ gram
+        tvec = np.einsum("ij,ij->i", half, coords) % M
+        return 2 * half, tvec
 
     def is_nondegenerate(self) -> bool:
-        bmat, _ = self._tables
-        zero_rows = int(np.sum(~np.any(bmat % self.modulus, axis=1)))
+        """Whether the radical {g : b(g, .) = 1} is the identity alone.
+        b(g, h) = prod_j b(g, e_j)^(h_j), so b(g, .) = 1 iff
+        b(g, e_j) = 1 for every generator e_j, that is, iff row g of G
+        is zero mod M."""
+        gmat, _ = self._tables
+        zero_rows = len(gmat) - int(np.count_nonzero((gmat % self.modulus).any(axis=1)))
         return zero_rows == 1
 
     def value_vector(self) -> tuple[int, ...]:
         """q on all elements as exponents mod M; identifies the form."""
         _, tvec = self._tables
-        return tuple(int(v) for v in tvec)
+        return tuple(tvec.tolist())
 
 
 def canonical_form(group: FiniteAbelianGroup) -> QuadraticFormSpec:
@@ -288,7 +312,7 @@ def build_pointed(group: FiniteAbelianGroup, form: QuadraticFormSpec | None = No
     c = gcd(M, q(g) over g): for divisors a, b of M,
     lcm(M/a, M/b) = M/gcd(a, b).  An exponent e of zeta_M is e / c on
     zeta_(M/c), and that division is exact for s as well as t:
-    bmat[g, h] = 2 g^T E h = q(g + h) - q(g) - q(h) (mod M), where
+    bmat[g, h] = G[g] . h = 2 g^T E h = q(g + h) - q(g) - q(h) (mod M), where
     q(g + h) is the twist of the element g + h because q is well
     defined on A, and c divides M and every twist."""
     form = form or canonical_form(group)
@@ -297,7 +321,8 @@ def build_pointed(group: FiniteAbelianGroup, form: QuadraticFormSpec | None = No
     if not form.is_nondegenerate():
         raise ValueError("quadratic form is degenerate")
     M = form.modulus
-    bmat, tvec = form._tables
+    gmat, tvec = form._tables
+    bmat = gmat @ group._coords.T % M
     c = math.gcd(M, *tvec.tolist())
     labels = tuple("(" + ",".join(map(str, x)) + ")" if x else "0" for x in group.elements())
     s = tuple(tuple(root_of_unity(M // c, e) for e in row) for row in (bmat // c).tolist())
@@ -307,16 +332,17 @@ def build_pointed(group: FiniteAbelianGroup, form: QuadraticFormSpec | None = No
 def pointed_orbit_partition(group: FiniteAbelianGroup, form: QuadraticFormSpec) -> tuple[tuple[int, ...], ...]:
     """Galois orbit partition of the pointed data, computed directly
     from the bicharacter matrix by column matching in exponent space."""
-    bmat, _ = form._tables
+    gmat, _ = form._tables
     M = form.modulus
-    n = bmat.shape[0]
-    col_key = {bmat[:, y].tobytes(): y for y in range(n)}
+    # row h is column h of b: b(g, h) = G[g] . h
+    cols = form.group._coords @ gmat.T % M
+    n = cols.shape[0]
+    col_key = {col.tobytes(): y for y, col in enumerate(cols)}
     if len(col_key) != n:
         raise ValueError("bicharacter columns are not distinct (degenerate form)")
     images = []
     for k in unit_group_generators(M):
-        image = (k * bmat) % M
-        perm = [col_key.get(image[:, y].tobytes()) for y in range(n)]
+        perm = [col_key.get(col.tobytes()) for col in k * cols % M]
         if None in perm:
             raise ValueError(f"unit {k} does not permute the columns")
         images.append(perm)

@@ -5,9 +5,12 @@ fixing-group degree of ``counting2_degree_check``.  Each computes its
 answer the way the library did before the residue route, so the
 differential tests compare the certified answers with them.
 ``numeric_value`` is the floating reference that certified signs and
-bounds are compared against."""
+bounds are compared against.  ``full_table_nondegenerate`` decides
+pointed nondegeneracy on the whole |A| x |A| bicharacter table, as the
+library did before it read the generator columns alone."""
 
 import mpmath
+import numpy as np
 
 from modgal._numtheory import unit_group_generators, units_mod
 from modgal.cyclotomic import CycNum
@@ -102,3 +105,16 @@ def counting2_degrees(data, sub, cent, stabilizers):
         joint = len(fix_kd) * len(fix_lx) // len(fix_kd & fix_lx)
         degrees.append(len(units) // joint)
     return degrees
+
+
+def full_table_nondegenerate(form) -> bool:
+    """Whether exactly one row of the table b(g, h) = zeta_M^(2 g^T E h)
+    over all pairs of elements vanishes mod M: the radical
+    {g : b(g, .) = 1} is the identity alone."""
+    M = form.modulus
+    coords = np.array(form.group.elements(), dtype=np.int64)
+    if coords.size == 0:
+        return True
+    gram = np.array([[e % M for e in row] for row in form.gram], dtype=np.int64)
+    bmat = (2 * (coords @ gram @ coords.T)) % M
+    return int(np.sum(~np.any(bmat, axis=1))) == 1

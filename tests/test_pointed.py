@@ -1,9 +1,14 @@
 """Group/form machinery, orbit counting, and the two computation routes."""
 
+import itertools
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from reference import full_table_nondegenerate
 from modgal.cyclotomic import root_of_unity
 from modgal.galois_action import galois_permutation, orbit_partition
 from modgal.pointed import (
@@ -27,6 +32,40 @@ def _chains(bound, base=1):
     for n in range(max(base, 2), bound + 1, base):
         for rest in _chains(bound // n, n):
             yield (n, *rest)
+
+
+def _gram_matrices(group):
+    """Every well-defined symmetric Gram matrix of the group with its
+    diagonal entries in [0, M) and, when M is even, its off-diagonal
+    entries in [0, M/2): adding M/2 to E_ij and E_ji adds
+    M x_i x_j to x^T E x and M to 2 E_ij, so it changes neither q nor b,
+    and every well-defined form is met once.  Without that bound (Z/2)^4
+    would have 4^10 matrices, each form met 64 times."""
+    M, steps = gram_steps(group)
+    k = len(group.invariant_factors)
+    positions = [(i, j) for i in range(k) for j in range(i, k)]
+    tops = [M if i == j or M % 2 else M // 2 for i, j in positions]
+    ranges = [range(0, top, steps[i][j]) for (i, j), top in zip(positions, tops)]
+    for values in itertools.product(*ranges):
+        gram = [[0] * k for _ in range(k)]
+        for (i, j), v in zip(positions, values):
+            gram[i][j] = gram[j][i] = v
+        yield tuple(map(tuple, gram))
+
+
+@st.composite
+def _drawn_forms(draw):
+    """A group of order <= 64 and a well-defined Gram matrix on it, each
+    entry a multiple of its step up to 3M, degenerate or not."""
+    group = FiniteAbelianGroup(draw(st.sampled_from(list(_chains(64)))))
+    M, steps = gram_steps(group)
+    k = len(group.invariant_factors)
+    gram = [[0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            gram[i][j] = gram[j][i] = steps[i][j] * draw(
+                st.integers(min_value=0, max_value=3 * M // steps[i][j]))
+    return QuadraticFormSpec(group, tuple(map(tuple, gram)))
 
 
 class TestGroup:
@@ -91,6 +130,26 @@ class TestForms:
         q = QuadraticFormSpec(g, ((2,),))
         assert not q.is_nondegenerate()
 
+    def test_nondegeneracy_matches_the_full_table(self):
+        # every well-defined form of every group of order <= 16, the
+        # degenerate ones included: the k generator columns decide as
+        # the whole |A| x |A| table does
+        degenerate = 0
+        for facs in _chains(16):
+            g = FiniteAbelianGroup(facs)
+            for gram in _gram_matrices(g):
+                form = QuadraticFormSpec(g, gram)
+                expected = full_table_nondegenerate(form)
+                assert form.is_nondegenerate() == expected, (facs, gram)
+                degenerate += not expected
+        assert degenerate > 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(_drawn_forms())
+    def test_nondegeneracy_matches_the_full_table_on_drawn_forms(self, form):
+        assert form.is_nondegenerate() == full_table_nondegenerate(form), (
+            form.group.invariant_factors, form.gram)
+
 
 class TestBuild:
     def test_semion(self):
@@ -112,18 +171,45 @@ class TestBuild:
 
     def test_entries_match_the_per_entry_route(self):
         # every group of order <= 16: each s_{g,h} and t_g, moved to the
-        # modulus M, is the root of unity of the form's table
+        # modulus M, is the root of unity of the form's tables, with
+        # b(g, h) = zeta_M^(G[g] . h)
         for facs in _chains(16):
             g = FiniteAbelianGroup(facs)
+            elements = g.elements()
             for form in enumerate_quadratic_forms(g, max_forms=8):
                 data = build_pointed(g, form)
-                bmat, tvec = form._tables
+                gmat, tvec = form._tables
                 M = form.modulus
                 for x in range(g.order):
                     assert data.twist(x).embed(M) == root_of_unity(M, int(tvec[x]))
-                    for y in range(g.order):
-                        assert data.s[x][y].embed(M) == root_of_unity(M, int(bmat[x, y])), (
+                    row = gmat[x].tolist()
+                    for y, h in enumerate(elements):
+                        exponent = sum(e * hj for e, hj in zip(row, h))
+                        assert data.s[x][y].embed(M) == root_of_unity(M, exponent), (
                             facs, form.gram, x, y)
+
+    def test_bicharacter_is_the_polarisation_of_q(self):
+        # every yielded form of every group of order <= 32:
+        # G[g] . h = q(g + h) - q(g) - q(h) (mod M), with q read
+        # through q_exponent, as build_pointed's docstring argues
+        forms = 0
+        for facs in _chains(32):
+            g = FiniteAbelianGroup(facs)
+            elements = g.elements()
+            index = {x: i for i, x in enumerate(elements)}
+            plus = np.array([
+                [index[tuple((a + b) % n for a, b, n in zip(x, y, facs))] for y in elements]
+                for x in elements
+            ])
+            coords = np.array(elements, dtype=np.int64)
+            for form in enumerate_quadratic_forms(g):
+                M = form.modulus
+                gmat, _ = form._tables
+                q = np.array([form.q_exponent(x) for x in elements])
+                polar = (q[plus] - q[:, None] - q[None, :]) % M
+                assert np.array_equal(gmat @ coords.T % M, polar), (facs, form.gram)
+                forms += 1
+        assert forms == 5605
 
     def test_all_fixL_groups_validate(self):
         for facs in [(3,), (4,), (2, 2), (5,), (6,), (2, 4)]:
