@@ -127,13 +127,10 @@ def unit_group_generators(n: int) -> tuple[int, ...]:
         else:
             local = [_primitive_root(q, p)]
         for g in local:
-            if rest == 1:
-                gens.append(g % n)
-            else:
-                # x = g mod q, x = 1 mod rest
-                inv = pow(q % rest, -1, rest)
-                x = (g + q * ((1 - g) * inv % rest)) % n
-                gens.append(x)
+            # x = g mod q, x = 1 mod rest (when rest is 1, pow gives 0
+            # and x = g mod n)
+            inv = pow(q % rest, -1, rest)
+            gens.append((g + q * ((1 - g) * inv % rest)) % n)
     return tuple(gens)
 
 

@@ -15,7 +15,8 @@ directory, or no permission), or one whose conductor, rank or
 s-entries are above ``MAX_CONDUCTOR``, ``MAX_RANK`` or ``MAX_ENTRY_BITS``
 bits, or a datum whose identities the split primes cannot certify
 (the message names the file); a ``product`` whose conductor, rank or
-entries would exceed those bounds (nothing is written); an output path
+entries would exceed those bounds (nothing is written); a ``fixture``
+name that is not one of the named fixtures; an output path
 of ``product`` or ``fixture`` that cannot be written (a directory, or
 one in a missing directory; the message names it); a ``pointed``
 group of order above ``MAX_RANK`` without ``--count-only``; a

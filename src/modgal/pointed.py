@@ -33,7 +33,10 @@ root of unity and b is a bicharacter, so
 sigma_k(s_{g,h}) = b(g, h)^k = b(g, kh): sigma_k sends column h to
 column kh.  A nondegenerate form makes the columns distinct, so
 sigma_hat_k(h) = kh, and the orbits are the generator sets of the
-cyclic subgroups (``generator_partition``) whatever the form.  The
+cyclic subgroups whatever the form.  ``generator_partition`` computes
+them from the group alone, as the orbits of the units modulo the
+exponent acting by scaling on the element table, through the same
+``permutation_orbits`` that ``pointed_orbit_partition`` calls.  The
 sweep of every group and form against that partition is therefore a
 differential test of the form enumerator and of
 ``pointed_orbit_partition``.
@@ -56,7 +59,6 @@ from ._numtheory import (
     permutation_orbits,
     trial_factor,
     unit_group_generators,
-    units_mod,
 )
 from .cyclotomic import root_of_unity
 from .modular_data import ModularData
@@ -141,15 +143,6 @@ class FiniteAbelianGroup:
                 row.append(M // c)
             steps.append(tuple(row))
         return M, tuple(steps)
-
-    def element_order(self, x) -> int:
-        o = 1
-        for xi, ni in zip(x, self.invariant_factors):
-            o = math.lcm(o, ni // math.gcd(ni, xi))
-        return o
-
-    def scale(self, k: int, x) -> tuple[int, ...]:
-        return tuple((k * xi) % ni for xi, ni in zip(x, self.invariant_factors))
 
     def __str__(self) -> str:
         if self.is_trivial:
@@ -249,9 +242,10 @@ def enumerate_quadratic_forms(group: FiniteAbelianGroup, max_forms: int | None =
     """Nondegenerate forms on the group, deduplicated by value vector.
 
     All well-defined Gram matrices are scanned when there are at most
-    MAX_CANDIDATES of them; otherwise a deterministic tridiagonal family
-    (free diagonal, superdiagonal off-entries only) is used.  ``max_forms``
-    caps the yield.
+    MAX_CANDIDATES of them; otherwise the tridiagonal family (free
+    diagonal, superdiagonal off-entries only) when it has at most that
+    many, and otherwise the diagonal family.  ``max_forms`` caps the
+    yield.
     """
     M, steps = gram_steps(group)
     k = len(group.invariant_factors)
@@ -259,27 +253,14 @@ def enumerate_quadratic_forms(group: FiniteAbelianGroup, max_forms: int | None =
         yield QuadraticFormSpec(group, ())
         return
 
-    positions = [(i, j) for i in range(k) for j in range(i, k)]
-
-    def ranges(pos):
-        total = 1
-        rngs = []
-        for i, j in pos:
-            step = steps[i][j]
-            count = M // step
-            rngs.append([step * v for v in range(count)])
-            total *= count
-        return rngs, total
-
-    rngs, total = ranges(positions)
-    if total > MAX_CANDIDATES:
-        # tridiagonal fallback: keep diagonal plus the superdiagonal
-        positions = [(i, i) for i in range(k)] + [(i, i + 1) for i in range(k - 1)]
-        rngs, total = ranges(positions)
-        if total > MAX_CANDIDATES:
-            # final fallback: diagonal only
-            positions = [(i, i) for i in range(k)]
-            rngs, total = ranges(positions)
+    for positions in (
+        [(i, j) for i in range(k) for j in range(i, k)],
+        [(i, i) for i in range(k)] + [(i, i + 1) for i in range(k - 1)],
+        [(i, i) for i in range(k)],
+    ):
+        rngs = [range(0, M, steps[i][j]) for i, j in positions]
+        if math.prod(map(len, rngs)) <= MAX_CANDIDATES:
+            break
 
     seen: set[tuple[int, ...]] = set()
     produced = 0
@@ -332,10 +313,12 @@ def build_pointed(group: FiniteAbelianGroup, form: QuadraticFormSpec | None = No
 def pointed_orbit_partition(group: FiniteAbelianGroup, form: QuadraticFormSpec) -> tuple[tuple[int, ...], ...]:
     """Galois orbit partition of the pointed data, computed directly
     from the bicharacter matrix by column matching in exponent space."""
+    if form.group != group:
+        raise ValueError("form was built for a different group")
     gmat, _ = form._tables
     M = form.modulus
     # row h is column h of b: b(g, h) = G[g] . h
-    cols = form.group._coords @ gmat.T % M
+    cols = group._coords @ gmat.T % M
     n = cols.shape[0]
     col_key = {col.tobytes(): y for y, col in enumerate(cols)}
     if len(col_key) != n:
@@ -351,21 +334,19 @@ def pointed_orbit_partition(group: FiniteAbelianGroup, form: QuadraticFormSpec) 
 
 def generator_partition(group: FiniteAbelianGroup) -> tuple[tuple[int, ...], ...]:
     """Partition of the element indices into generator sets of cyclic
-    subgroups: h ~ h' iff <h> = <h'>."""
-    elems = group.elements()
-    index = {e: i for i, e in enumerate(elems)}
-    seen: set[int] = set()
-    parts = []
-    for i, h in enumerate(elems):
-        if i in seen:
-            continue
-        m = group.element_order(h)
-        orbit = sorted(
-            {index[group.scale(k, h)] for k in units_mod(m)}
-        )
-        seen.update(orbit)
-        parts.append(tuple(orbit))
-    return tuple(sorted(parts, key=min))
+    subgroups: h ~ h' iff <h> = <h'>.
+
+    h and h' generate the same cyclic subgroup iff h' = kh for a unit k
+    modulo the order of h.  Every unit modulo that order lifts to a unit
+    modulo the exponent (units modulo the exponent reduce onto the units
+    modulo each of its divisors), so the parts are the orbits of the
+    generators of (Z/exponent)^x acting on A by scaling."""
+    facs = group.invariant_factors
+    images = [
+        np.ravel_multi_index((k * group._coords % facs).T, facs).tolist()
+        for k in unit_group_generators(group.exponent)
+    ]
+    return permutation_orbits(group.order, images)
 
 
 # -- counting ------------------------------------------------------------------

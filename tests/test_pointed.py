@@ -81,12 +81,6 @@ class TestGroup:
         g = FiniteAbelianGroup(())
         assert g.order == 1 and g.exponent == 1 and g.elements() == [()]
 
-    def test_element_orders(self):
-        g = FiniteAbelianGroup((2, 4))
-        assert g.element_order((0, 0)) == 1
-        assert g.element_order((1, 2)) == 2
-        assert g.element_order((1, 1)) == 4
-
 
 class TestForms:
     def test_gram_well_definedness(self):
@@ -296,7 +290,22 @@ class TestOrbitRoutes:
         g = FiniteAbelianGroup((5,))
         assert pointed_orbit_partition(g, canonical_form(g)) == ((0,), (1, 2, 3, 4))
 
+    def test_form_of_another_group_refused(self):
+        with pytest.raises(ValueError, match="different group"):
+            pointed_orbit_partition(
+                FiniteAbelianGroup((3,)), canonical_form(FiniteAbelianGroup((5,))))
+
     def test_generator_partition_against_counts(self):
         for facs in [(2, 30), (12,), (2, 2, 4), (9, 9)]:
             g = FiniteAbelianGroup(facs)
             assert len(generator_partition(g)) == cyclic_subgroup_count(g)
+        # against the definition, on every group of order <= 64: h and h'
+        # share a part iff their sets of multiples are equal
+        for facs in _chains(64):
+            g = FiniteAbelianGroup(facs)
+            parts: dict[frozenset, list[int]] = {}
+            for i, h in enumerate(g.elements()):
+                multiples = frozenset(
+                    tuple(m * x % n for x, n in zip(h, facs)) for m in range(g.exponent))
+                parts.setdefault(multiples, []).append(i)
+            assert generator_partition(g) == tuple(map(tuple, parts.values())), facs
