@@ -99,11 +99,13 @@ def units_mod(n: int) -> tuple[int, ...]:
 
 
 def _primitive_root(q: int, p: int) -> int:
-    # q = p^a with p odd: the least generator of the cyclic group (Z/qZ)^x
+    # q = p^a with p odd, or q = p = 2: the least generator of the cyclic
+    # group (Z/qZ)^x.  g = 1 passes only for q = 2, where phi(q) = 1 has
+    # no prime factor.
     phi = q // p * (p - 1)
     primes = [f for f, _ in factorize(phi)]
     return next(
-        g for g in range(2, q) if g % p and all(pow(g, phi // f, q) != 1 for f in primes)
+        g for g in range(1, q) if g % p and all(pow(g, phi // f, q) != 1 for f in primes)
     )
 
 

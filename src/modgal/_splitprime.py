@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numtheory import factorize, is_prime, units_mod
+from ._numtheory import _primitive_root, is_prime, units_mod
 
 __all__ = [
     "Residues", "SplitPrime", "certified_permutation", "certified_verlinde", "certify",
@@ -93,11 +93,7 @@ def split_prime(n: int, p: int) -> SplitPrime:
     """The slots of a prime p = 1 (mod n)."""
     if p % n != 1 % n or not is_prime(p):
         raise ValueError(f"{p} is not a prime congruent to 1 mod {n}")
-    factors = [q for q, _ in factorize(n)]
-    for h in range(2, p):
-        w = pow(h, (p - 1) // n, p)
-        if all(pow(w, n // q, p) != 1 for q in factors):
-            break
+    w = pow(_primitive_root(p, p), (p - 1) // n, p)  # of order exactly n
     wpow = np.array([pow(w, e, p) for e in range(n)], dtype=np.float64)
     units = units_mod(n)
     exps = np.arange(len(units))[:, None] * np.array(units)[None, :] % n

@@ -187,8 +187,7 @@ def _cmd_fixture(args) -> int:
     try:
         data = fixture(args.name)
     except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return USAGE
+        raise _InputError(exc.args[0]) from None
     return _save(data, args.output)
 
 

@@ -11,21 +11,24 @@ built: ``galois_permutation`` reads sigma_hat in one split-prime slot
 and certifies it with sigma_k(s_XY) s_0Z = s_XZ sigma_k(s_0Y) in every
 slot of enough primes (``_splitprime.certified_permutation``).
 ``orbit_partition`` is the one place where the action is derived: it
-certifies sigma_hat for a generating set of (Z/NZ)^x and extends to the
-full unit group by composition, which is forced by the group-action law
-sigma_j o sigma_k = sigma_{jk}; the law itself is exercised against
-direct matching in the test suite.  Its stabilizers are the fixing
-groups of the character fields.  The partition is memoized on the
+certifies sigma_hat_g for each g in a generating set of (Z/NZ)^x and
+keeps those permutations alone.  The partition is memoized on the
 datum, so it is computed once per ``ModularData`` and freed with it.
 
-Every other check reads the action from the partition.
-``dims_ratio_check`` and ``subcategories.is_galois_closed`` run on the
-generators only: each identity is closed under composition, so it holds
-for the group once it holds on a generating set.  ``dims_ratio_check``
-is certified in split-prime slots like sigma_hat.
-``square_twist_consistency`` runs over every unit, since it reports a
-constant per unit.  ``verlinde_field_degree`` derives [L_X : Q] from the
-fixing group of column X directly, as the reference for the stabilizers.
+Every other check reads the action from the partition, and runs on the
+generators only.  That suffices because sigma_hat is a group action:
+sigma_j o sigma_k = sigma_{jk} on the field and the character columns
+are distinct, so sigma_hat_jk = sigma_hat_j o sigma_hat_k, and every
+unit is a product of generators (the group is finite).  An identity
+that is closed under composition therefore holds for every unit once
+it holds on the generators (``dims_ratio_check``,
+``subcategories.is_galois_closed``); ``square_twist_consistency``
+reports its constant per generator, which fixes the constant of every
+unit; and ``subcategories.counting2_degree_check`` reads a fixing-group
+index off the orbit of the unit object.  ``dims_ratio_check`` is
+certified in split-prime slots like sigma_hat.
+``verlinde_field_degree`` derives [L_X : Q] from the fixing group of
+column X over every unit, as the exact reference for the orbit sizes.
 """
 
 from __future__ import annotations
@@ -55,12 +58,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GaloisOrbitPartition:
-    """Orbits of simple objects, the permutation per unit, and the
-    stabilizer subgroup of each index inside (Z/NZ)^x."""
+    """Orbits of simple objects under (Z/NZ)^x, and sigma_hat_g for each
+    g in ``unit_group_generators(N)``."""
 
     orbits: tuple[tuple[int, ...], ...]
-    perm_of_unit: dict[int, tuple[int, ...]]
-    stabilizers: tuple[tuple[int, ...], ...]
+    perms: dict[int, tuple[int, ...]]
 
     @property
     def count(self) -> int:
@@ -96,42 +98,19 @@ def galois_permutation(data: ModularData, k: int) -> tuple[int, ...]:
 
 @memoized_on_datum
 def orbit_partition(data: ModularData) -> GaloisOrbitPartition:
-    """The orbits of (Z/NZ)^x on the simple objects, sigma_hat for every
-    unit, and the stabilizer of each object.
+    """The orbits of (Z/NZ)^x on the simple objects, and sigma_hat_g for
+    each generator g.
 
-    The stabilizer of X is also the fixing group of the field L_X
-    generated by the characters of column X: the columns are distinct,
-    so sigma_k fixes column X iff sigma_hat_k(X) = X.  Hence
-    Fix(L_X) = Stab(X), and [L_X : Q] = |orbit of X|, because this
-    function raises unless |orbit| * |Stab| = phi(N) at every index."""
-    n = data.conductor
-    r = data.rank
-    identity = tuple(range(r))
-    gens = unit_group_generators(n)
-    gen_perms = {g: galois_permutation(data, g) for g in gens}
-
-    perms: dict[int, tuple[int, ...]] = {1 % n: identity}
-    queue = [1 % n]
-    for k in queue:  # the list grows while it is walked
-        for g, gp in gen_perms.items():
-            if (kk := k * g % n) not in perms:
-                perms[kk] = tuple(gp[i] for i in perms[k])  # sigma_g o sigma_k
-                queue.append(kk)
-    assert set(perms) == set(units_mod(n))
-
-    orbits = permutation_orbits(r, gen_perms.values())
-
-    stabilizers = tuple(
-        tuple(k for k in sorted(perms) if perms[k][i] == i) for i in range(r)
-    )
-    phi = len(perms)
-    for i in range(r):
-        orbit_len = len(orbits[[i in o for o in orbits].index(True)])
-        if orbit_len * len(stabilizers[i]) != phi:
-            raise InvalidModularData(
-                f"orbit-stabilizer mismatch at index {i}"
-            )
-    return GaloisOrbitPartition(orbits, perms, stabilizers)
+    Each sigma_hat_g is certified to be the action of sigma_g on the
+    character columns, and the columns are distinct (their residues
+    differ in the slot that ``_splitprime._column_candidate`` reads),
+    so sigma_hat_k is unique for every unit k and k -> sigma_hat_k is a
+    homomorphism: sigma_j o sigma_k = sigma_jk maps column Y to column
+    sigma_hat_j(sigma_hat_k(Y)).  Every unit is a product of generators,
+    so the orbits of the group are the orbits of the generators, and
+    orbit-stabilizer holds at every object, as for any group action."""
+    perms = {g: galois_permutation(data, g) for g in unit_group_generators(data.conductor)}
+    return GaloisOrbitPartition(permutation_orbits(data.rank, perms.values()), perms)
 
 
 def is_transitive(data: ModularData) -> bool:
@@ -140,8 +119,11 @@ def is_transitive(data: ModularData) -> bool:
 
 def verlinde_field_degree(data: ModularData, x: int) -> int:
     """[L_X : Q] for the field L_X generated by the characters of
-    column X, computed as the index of the fixing subgroup, and checked
-    against the orbit size."""
+    column X, computed as the index of the fixing subgroup over every
+    unit, and checked against the orbit size.  The columns are
+    distinct, so sigma_k fixes column X iff sigma_hat_k(X) = X: the
+    fixing group is the stabilizer of X, and the index is the orbit
+    size by orbit-stabilizer."""
     inv = data.dims[x].inverse()
     col = [row[x] * inv for row in data.s]
     units = units_mod(data.conductor)
@@ -157,8 +139,9 @@ def verlinde_field_degree(data: ModularData, x: int) -> int:
 
 @dataclass(frozen=True)
 class SquareTwistReport:
-    """Per unit k, the constant c_k with sigma_k^2(t_X) = zeta^c_k *
-    t_{sigma_hat_k(X)} for all X (exponents mod the conductor)."""
+    """Per generator g of (Z/NZ)^x, the constant c_g with
+    sigma_g^2(t_X) = zeta^c_g * t_{sigma_hat_g(X)} for all X (exponents
+    mod the conductor)."""
 
     constants: dict[int, int]
     failures: tuple[str, ...]
@@ -169,18 +152,30 @@ class SquareTwistReport:
 
 
 def square_twist_consistency(data: ModularData) -> SquareTwistReport:
+    """Whether sigma_k^2(t_X) / t_{sigma_hat_k(X)} is one root of unity
+    zeta^c_k across X, for every unit k.
+
+    It is checked on the generators only.  If the constants c_g and c_h
+    exist, then, since sigma_hat_gh = sigma_hat_g o sigma_hat_h,
+
+        (gh)^2 t_X - t_{sigma_hat_gh(X)}
+            = g^2 (h^2 t_X - t_{sigma_hat_h(X)})
+              + (g^2 t_{sigma_hat_h(X)} - t_{sigma_hat_g(sigma_hat_h(X))})
+            = g^2 c_h + c_g   (mod N)
+
+    for every X, so c_gh = c_g + g^2 c_h exists too, and every unit is a
+    product of generators.  ``constants`` is keyed by generator."""
     n = data.conductor
-    part = orbit_partition(data)
     t = data.t_exponents
     constants: dict[int, int] = {}
     failures: list[str] = []
-    for k, perm in sorted(part.perm_of_unit.items()):
-        ratios = {(k * k * t[x] - t[perm[x]]) % n for x in range(data.rank)}
+    for g, perm in orbit_partition(data).perms.items():
+        ratios = {(g * g * t[x] - t[perm[x]]) % n for x in range(data.rank)}
         if len(ratios) == 1:
-            constants[k] = ratios.pop()
+            constants[g] = ratios.pop()
         else:
             failures.append(
-                f"sigma_{k}^2(t_X)/t_sigma(X) is not constant: exponents {sorted(ratios)}"
+                f"sigma_{g}^2(t_X)/t_sigma(X) is not constant: exponents {sorted(ratios)}"
             )
     return SquareTwistReport(constants, tuple(failures))
 
@@ -212,12 +207,11 @@ def dims_ratio_check(data: ModularData) -> DimsRatioReport:
     Each identity is certified in split-prime slots: sigma_k moves the
     slots (``sigma_slots``), and with L the largest l1 norm of an entry,
     each side is at most r L^4 under every embedding, so B = 2 r L^4."""
-    perms = orbit_partition(data).perm_of_unit
+    perms = orbit_partition(data).perms
     n = data.conductor
-    gens = unit_group_generators(n)
-    if not gens:
+    if not perms:
         return DimsRatioReport(())
-    moved = [(sigma_slots(n, g), list(perms[g])) for g in gens]
+    moved = [(sigma_slots(n, g), list(perm)) for g, perm in perms.items()]
 
     def ratio(prime, img, slots):
         p = prime.p
@@ -231,7 +225,7 @@ def dims_ratio_check(data: ModularData) -> DimsRatioReport:
     bad = refuted(data._residues, primes_over(n, 2 * data.rank * data._residues.l1 ** 4), ratio)
     return DimsRatioReport(tuple(
         f"dimension ratio fails at unit {g}, index {x}"
-        for g, row in zip(gens, bad) for x in np.flatnonzero(row)
+        for g, row in zip(perms, bad) for x in np.flatnonzero(row)
     ))
 
 

@@ -250,7 +250,8 @@ def enumerate_quadratic_forms(group: FiniteAbelianGroup, max_forms: int | None =
     M, steps = gram_steps(group)
     k = len(group.invariant_factors)
     if k == 0:
-        yield QuadraticFormSpec(group, ())
+        if max_forms != 0:
+            yield QuadraticFormSpec(group, ())
         return
 
     for positions in (
@@ -263,8 +264,9 @@ def enumerate_quadratic_forms(group: FiniteAbelianGroup, max_forms: int | None =
             break
 
     seen: set[tuple[int, ...]] = set()
-    produced = 0
     for values in itertools.product(*rngs):
+        if max_forms is not None and len(seen) >= max_forms:
+            return
         gram = [[0] * k for _ in range(k)]
         for (i, j), v in zip(positions, values):
             gram[i][j] = v
@@ -278,9 +280,6 @@ def enumerate_quadratic_forms(group: FiniteAbelianGroup, max_forms: int | None =
             continue
         seen.add(key)
         yield form
-        produced += 1
-        if max_forms is not None and produced >= max_forms:
-            return
 
 
 # -- building modular data ----------------------------------------------------

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._numtheory import factorize, is_prime, unit_group_generators
+from ._numtheory import factorize, is_prime
 from ._splitprime import primes_over, refuted
 from .cyclotomic import CycNum, dot
 from .galois_action import orbit_partition
@@ -159,10 +159,11 @@ def all_subcategories(data: ModularData) -> tuple[FusionSubcategory, ...]:
     return tuple(subs)
 
 
-def centralizer(data: ModularData, sub: FusionSubcategory) -> FusionSubcategory:
+def centralizer(sub: FusionSubcategory) -> FusionSubcategory:
     """{X : s_{X,Y} = dim(X) dim(Y) for all Y in the subcategory}: the
     intersection of the ``centralizing`` rows of its members
     (Mueger, *On the structure of modular categories*, 2003)."""
+    data = sub.data
     _, centralizing = _relations(data)
     members = frozenset(range(data.rank)).intersection(
         *(centralizing[y] for y in sub.members)
@@ -185,7 +186,7 @@ def adjoint_part(data: ModularData) -> FusionSubcategory:
     adj = generated_subcategory(
         data, frozenset().union(*(support[x][dual[x]] for x in range(data.rank)))
     )
-    if centralizer(data, pointed_part(data)).members != adj.members:
+    if centralizer(pointed_part(data)).members != adj.members:
         raise InvalidModularData(
             "adjoint subcategory differs from the centralizer of the pointed part"
         )
@@ -195,8 +196,8 @@ def adjoint_part(data: ModularData) -> FusionSubcategory:
 # -- predicates --------------------------------------------------------------
 
 
-def is_integral(data: ModularData, sub: FusionSubcategory) -> bool:
-    fp = data.fp_dims
+def is_integral(sub: FusionSubcategory) -> bool:
+    fp = sub.data.fp_dims
     return all(fp[x].is_rational_integer for x in sub.members)
 
 
@@ -207,11 +208,8 @@ def is_galois_closed(sub: FusionSubcategory) -> bool:
     sigma_hat_gh = sigma_hat_g o sigma_hat_h, and every unit is a
     product of generators."""
     members = sub.members
-    perms = orbit_partition(sub.data).perm_of_unit
-    return all(
-        {perms[g][x] for x in members} == members
-        for g in unit_group_generators(sub.data.conductor)
-    )
+    perms = orbit_partition(sub.data).perms.values()
+    return all({perm[x] for x in members} == members for perm in perms)
 
 
 def pseudoinvertibles(data: ModularData) -> frozenset[int]:
@@ -249,7 +247,7 @@ def check_theorem_galois_closure(data: ModularData) -> ClosureTheoremReport:
     failures = []
     for sub in all_subcategories(data):
         closed = is_galois_closed(sub)
-        integral = is_integral(data, centralizer(data, sub))
+        integral = is_integral(centralizer(sub))
         entries.append((sub.sorted_members, closed, integral))
         if closed != integral:
             failures.append(
@@ -257,7 +255,7 @@ def check_theorem_galois_closure(data: ModularData) -> ClosureTheoremReport:
                 f"integral centralizer={integral}"
             )
         # double centralizer must return the subcategory itself
-        if centralizer(data, centralizer(data, sub)).members != sub.members:
+        if centralizer(centralizer(sub)).members != sub.members:
             failures.append(
                 f"double centralizer fails for {sub.sorted_members}"
             )
@@ -300,7 +298,7 @@ class Counting2Report:
         return not self.failures
 
 
-def counting2_degree_check(data: ModularData, sub: FusionSubcategory) -> Counting2Report:
+def counting2_degree_check(sub: FusionSubcategory) -> Counting2Report:
     """|O_X meet D| = |O_X| / [K_D meet L_X : Q] for X in D, where K_D is
     generated by the dimensions of the centralizer of D and L_X by the
     characters of column X.  Field degrees are indices of fixing
@@ -311,11 +309,15 @@ def counting2_degree_check(data: ModularData, sub: FusionSubcategory) -> Countin
     Z = sigma_hat_k(0), which is d_Y exactly when Z centralizes Y.  So
     sigma_k fixes K_D exactly when sigma_hat_k(0) lies in C(C(D)).  For
     X in D and Y in C(D), the character s_YX / d_X is d_Y, so
-    K_D is contained in L_X and [K_D meet L_X : Q] = [K_D : Q]."""
-    part = orbit_partition(data)
-    double = centralizer(data, centralizer(data, sub)).members
-    fixing = sum(perm[0] in double for perm in part.perm_of_unit.values())
-    degree = len(part.perm_of_unit) // fixing  # [K_D : Q]
+    K_D is contained in L_X and [K_D meet L_X : Q] = [K_D : Q].
+
+    It is read off the orbit O_0 of the unit object: k -> sigma_hat_k(0)
+    maps (Z/NZ)^x onto O_0, and each fibre is a coset of the stabilizer
+    of 0, so the fixing group of K_D has |O_0 meet C(C(D))| |Stab(0)|
+    elements, and [K_D : Q] = |O_0| / |O_0 meet C(C(D))|."""
+    part = orbit_partition(sub.data)
+    unit_orbit = part.orbit_of(0)
+    degree = len(unit_orbit) // len(centralizer(centralizer(sub)).members & set(unit_orbit))
     entries = []
     failures = []
     for x in sorted(sub.members):
@@ -344,7 +346,7 @@ class TwoOrbitDiagnosis:
 def _factor_pairs(data: ModularData, subs) -> list[tuple[FusionSubcategory, FusionSubcategory]]:
     pairs = []
     for sub in subs:
-        cent = centralizer(data, sub)
+        cent = centralizer(sub)
         if sub.members & cent.members != {0}:
             continue
         if sub.rank * cent.rank == data.rank:
@@ -404,8 +406,8 @@ def two_orbit_diagnosis(data: ModularData) -> TwoOrbitDiagnosis:
                 if (
                     sub.rank == 2
                     and cent.rank == 2
-                    and not is_integral(data, sub)
-                    and not is_integral(data, cent)
+                    and not is_integral(sub)
+                    and not is_integral(cent)
                 ):
                     return TwoOrbitDiagnosis(
                         "fib_x_fib",

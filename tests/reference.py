@@ -91,16 +91,17 @@ def dims_ratio_failures(data, perms):
     return tuple(failures)
 
 
-def counting2_degrees(data, sub, cent, stabilizers):
+def counting2_degrees(data, sub, cent, perms):
     """[K_D meet L_X : Q] for each X in D, in member order, from the
     fixing group of K_D, found by applying every unit to the dimensions
-    of the centralizer ``cent``, joined with the stabilizer of X."""
+    of the centralizer ``cent``, joined with the stabilizer of X under
+    the permutations ``perms`` (every unit -> sigma_hat)."""
     units = units_mod(data.conductor)
     dims = data.dims
     fix_kd = {k for k in units if all(dims[y].galois_apply(k) == dims[y] for y in cent)}
     degrees = []
     for x in sorted(sub):
-        fix_lx = set(stabilizers[x])
+        fix_lx = {k for k in units if perms[k][x] == x}
         # |H1 H2| = |H1| |H2| / |H1 meet H2| in the abelian unit group
         joint = len(fix_kd) * len(fix_lx) // len(fix_kd & fix_lx)
         degrees.append(len(units) // joint)

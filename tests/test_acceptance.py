@@ -257,5 +257,5 @@ def test_criterion_10_data_contract(fixture_catalog):
             assert square_twist_consistency(data).ok, name
             assert dims_ratio_check(data).ok, name
             for sub in all_subcategories(data):
-                cc = centralizer(data, centralizer(data, sub))
+                cc = centralizer(centralizer(sub))
                 assert cc.members == sub.members, (name, sub.sorted_members)

@@ -111,6 +111,11 @@ class TestForms:
     def test_z3_has_two_forms(self):
         forms = list(enumerate_quadratic_forms(FiniteAbelianGroup((3,))))
         assert sorted(f.gram[0][0] for f in forms) == [1, 2]
+        # the cap holds from the first form on, for the trivial group too
+        for facs, total in (((3,), 2), ((), 1)):
+            for cap in (0, 1):
+                capped = list(enumerate_quadratic_forms(FiniteAbelianGroup(facs), max_forms=cap))
+                assert len(capped) == min(cap, total), (facs, cap)
 
     def test_gram_entries_beyond_int64(self):
         # q depends on the entries mod M only; both are 1 mod 3

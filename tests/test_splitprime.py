@@ -226,8 +226,8 @@ class TestCertificate:
         assert certify(bad, table, [p11, p31]) == refuted
 
     def test_primes_are_split_and_roots_primitive(self):
-        for n in (1, 2, 5, 12, 55, 143, 1024):
-            prime = split_primes(n, 0)
+        cases = [(n, split_primes(n, 0)) for n in (1, 2, 5, 12, 55, 143, 1024)]
+        for n, prime in cases + [(1, split_prime(1, 2))]:
             p = prime.p
             assert p % n == 1 % n and p < 1 << _splitprime.PRIME_BITS
             if prime.powers.shape[0] > 1:
