@@ -20,9 +20,11 @@ and p^lam with p odd and lam <= 3, with the levels of one N summing to
 at most ``MAX_LEVEL_SUM``; anything else raises ``ValueError``.  ``verify_rows`` recomputes the orbit
 count from the spectrum and cross-checks the multiplicity-free flag
 against the cardinality/dimension relation, with one result per row.
-The count needs no orbit walk: once the spectrum is closed under the
-squares of the generators of the unit group, every orbit of its roots
-of order n has |(Z/nZ)^x^2| elements (``square_galois_orbit_count``).
+The count needs no orbit walk (``square_galois_orbit_count``): the
+exponents, sorted into one int64 array, are closed under the squares
+g^2 of the unit group's generators when each sorted image e g^2 equals
+the array, and then the roots of order n, counted by their class of
+gcd(e, level), fill orbits of |(Z/nZ)^x^2| elements each.
 
 Three printed rows are internally inconsistent in the source text and
 are encoded with the unique reading consistent with their dimension and
@@ -34,11 +36,12 @@ the sigma-parameterized family.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
-from ._numtheory import trial_factor, unit_group_generators, units_mod
+import numpy as np
+
+from ._numtheory import trial_factor, unit_group_generators
 from .cyclotomic import CycNum, dot, root_of_unity
 
 __all__ = [
@@ -86,7 +89,7 @@ class RootSet:
         total: set[int] = set()
         for part in (self, *others):
             k = big // part.level
-            lifted = {e * k for e in part.exps}
+            lifted = part.exps if k == 1 else {e * k for e in part.exps}
             overlap = total & lifted
             if overlap:
                 pairs = sorted(_pair(big, e) for e in overlap)
@@ -101,10 +104,28 @@ def _pair(m: int, e: int) -> tuple[int, int]:
     return (m // g, e // g)
 
 
+def _units(n: int) -> np.ndarray:
+    # the canonical residues of (Z/nZ)^x, ascending; [0] for n = 1
+    k = np.arange(n, dtype=np.int64)
+    return k[np.gcd(k, n) == 1]
+
+
+def _distinct(residues: np.ndarray, n: int) -> np.ndarray:
+    # the distinct entries of an array of residues mod n, ascending: one
+    # pass over a mask of the n residues, where np.unique sorts or hashes
+    present = np.zeros(n, dtype=bool)
+    present[residues] = True
+    return np.flatnonzero(present)
+
+
 @lru_cache(maxsize=None)
-def _unit_squares(n: int) -> frozenset[int]:
-    """{u^2 mod n : u a unit mod n}; {0} for n = 1."""
-    return frozenset((u * u) % n for u in units_mod(n))
+def _unit_squares(n: int) -> np.ndarray:
+    """{u^2 mod n : u a unit mod n}, ascending, as a read-only int64
+    array; [0] for n = 1."""
+    units = _units(n)
+    squares = _distinct(units * units % n, n)
+    squares.flags.writeable = False
+    return squares
 
 
 def make_phi(n: int) -> RootSet:
@@ -114,7 +135,7 @@ def make_phi(n: int) -> RootSet:
 
 def make_gamma(n: int) -> RootSet:
     """The primitive n-th roots of unity."""
-    return RootSet(n, frozenset(units_mod(n)))
+    return RootSet(n, frozenset(_units(n).tolist()))
 
 
 def make_gamma_res(p: int, lam: int, r: int) -> RootSet:
@@ -124,12 +145,17 @@ def make_gamma_res(p: int, lam: int, r: int) -> RootSet:
     q = p**lam
     if math.gcd(r, p) != 1:
         raise ValueError(f"residue {r} is not coprime to {p}")
-    return RootSet(q, frozenset(r * s % q for s in _unit_squares(q)))
+    return RootSet(q, frozenset((r % q * _unit_squares(q) % q).tolist()))
 
 
 def make_phi_res(n: int, r: int) -> RootSet:
     """{zeta_n^(r x^2) : x in Z}."""
     return RootSet.of(n, {r * x * x % n for x in range(n)})
+
+
+# The largest level m with m^2 < 2^63, so that e k for residues e, k
+# mod m is exact in int64.
+_MAX_INT64_LEVEL = math.isqrt(2**63 - 1)
 
 
 def square_galois_orbit_count(s: RootSet) -> int:
@@ -141,25 +167,45 @@ def square_galois_orbit_count(s: RootSet) -> int:
 
     Squaring is a homomorphism of the abelian group (Z/mZ)^x, so the
     squares g^2 of its generators generate its squares.  Each map
-    e -> e g^2 mod m is injective, g^2 being a unit; a finite set it
-    maps into itself it permutes, so closure under the g^2 is closure
+    e -> e g^2 mod m is injective, g^2 being a unit, so the image of the
+    set has as many elements as the set, and it is the set exactly when
+    the sorted images equal the sorted exponents.  A finite set a map
+    sends into itself it permutes, so closure under the g^2 is closure
     under every k^2.  The maps keep gcd(e, m), so zeta_m^e keeps its
     order n = m / gcd(e, m).  (Z/mZ)^x maps onto (Z/nZ)^x, so on the
     roots of order n the k^2 act as the group (Z/nZ)^x^2, which acts
     freely: every orbit there has |(Z/nZ)^x^2| elements, and the count
-    is the sum over n of c_n / |(Z/nZ)^x^2|, c_n the roots of order n."""
+    is the sum over the classes of gcd(e, m) of c_n / |(Z/nZ)^x^2|, c_n
+    the roots of order n.
+
+    The exponents are held as an int64 array, and e g^2 < m^2, so the
+    level must satisfy m^2 < 2^63, that is m <= 3,037,000,499; a set at
+    a higher level is refused."""
     m, exps = s.level, s.exps
     if not exps:
         raise ValueError("empty root set")
-    for g in unit_group_generators(m):
-        gg = g * g % m
-        if {e * gg % m for e in exps} != exps:
-            n, e = min(_pair(m, e) for e in exps if e * gg % m not in exps)
-            raise ValueError(
-                f"set is not closed under the square action: {(n, e)} -> {(n, e * gg % n)}"
-            )
-    orders = Counter(m // math.gcd(e, m) for e in exps)
-    return sum(c // len(_unit_squares(n)) for n, c in orders.items())
+    if m > _MAX_INT64_LEVEL:
+        raise ValueError(
+            f"level {m} is above {_MAX_INT64_LEVEL}, the largest whose square "
+            "orbits are counted in int64"
+        )
+    arr = np.fromiter(exps, dtype=np.int64, count=len(exps))
+    arr.sort()
+    # row i holds the sorted images of the exponents under the i-th g^2
+    gen_squares = [g * g % m for g in unit_group_generators(m)]
+    images = np.multiply.outer(np.array(gen_squares, dtype=np.int64), arr) % m
+    images.sort(axis=1)
+    escaped = (images != arr).any(axis=1).tolist()
+    if any(escaped):
+        gg = gen_squares[escaped.index(True)]
+        n, e = min(_pair(m, e) for e in exps if e * gg % m not in exps)
+        raise ValueError(
+            f"set is not closed under the square action: {(n, e)} -> {(n, e * gg % n)}"
+        )
+    gcds, counts = np.unique(np.gcd(arr, m), return_counts=True)
+    return sum(
+        c // len(_unit_squares(m // d)) for d, c in zip(gcds.tolist(), counts.tolist())
+    )
 
 
 # -- table rows -----------------------------------------------------------
@@ -181,7 +227,9 @@ class TableRow:
 
 
 _G1 = make_phi(1)
-_G2 = make_gamma(2)
+# Gamma_2 written out, so that importing the module calls no NumPy code:
+# a first call pages in memory that a process without tables never uses
+_G2 = RootSet(2, frozenset({1}))
 
 
 def _least_nonresidue(p: int) -> int:
@@ -217,15 +265,13 @@ def _sigma_set(p: int, lam: int, sigma: int, r: int, t: int) -> RootSet:
     over the squares of multiples of p and b over the unit squares
     U^2(q).  As a + p^sigma t b = b (a b^-1 + p^sigma t) and a b^-1 is
     again the square of a multiple of p, the set is the union of the
-    U^2(q)-orbits of e = r(a + p^sigma t) over those a.  Orbits are
-    disjoint, so an e already in the set brings nothing new."""
+    U^2(q)-orbits of e = r(a + p^sigma t) over those a: the products of
+    the distinct e with U^2(q)."""
     q = p**lam
-    exps: set[int] = set()
-    for a in {(x * x) % q for x in range(0, q, p)}:
-        e = r * (a + p**sigma * t) % q
-        if e not in exps:
-            exps.update(e * u % q for u in _unit_squares(q))
-    return RootSet.of(q, exps)
+    x = np.arange(0, q, p, dtype=np.int64)
+    e = r * (_distinct(x * x % q, q) + p**sigma * t) % q
+    exps = _distinct(np.multiply.outer(e, _unit_squares(q)) % q, q)
+    return RootSet.of(q, exps.tolist())
 
 
 def _table2(p: int, lam: int) -> list[TableRow]:
@@ -442,12 +488,21 @@ def _table7() -> list[TableRow]:
 
 
 def _sigma_set_2(lam: int, sigma: int, r: int) -> RootSet:
-    """{zeta_{2^lam}^(r(x^2 + 2^sigma y^2)) : x or y odd}."""
+    """{zeta_{2^lam}^(r(x^2 + 2^sigma y^2)) : x or y odd}.
+
+    The exponent reads x and y only through a = x^2 and b = y^2 mod
+    2^lam, and x is odd exactly when x^2 is.  So the set is that of
+    r(a + 2^sigma b) over the distinct squares a, b with a or b odd:
+    the odd a with every b, and every a with the odd b."""
     q = 2**lam
-    return RootSet.of(
-        q, {r * (x * x + 2**sigma * y * y) % q
-            for x in range(q) for y in range(q) if (x | y) & 1}
-    )
+    x = np.arange(q, dtype=np.int64)
+    squares = _distinct(x * x % q, q)
+    odd = squares[squares % 2 == 1]
+    sums = np.concatenate([
+        np.add.outer(odd, 2**sigma * squares).ravel(),
+        np.add.outer(squares, 2**sigma * odd).ravel(),
+    ])
+    return RootSet.of(q, _distinct(r * sums % q, q).tolist())
 
 
 def _table8(lam: int) -> list[TableRow]:

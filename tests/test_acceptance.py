@@ -9,10 +9,8 @@ import pytest
 
 from conftest import PRODUCTS
 from modgal.cli import main as cli_main
-from modgal.cyclotomic import CycNum
 from modgal.families import (
     _pointed,
-    catalog,
     fibonacci,
     fixture,
     ising,

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from modgal.cyclotomic import CycNum, root_of_unity
+from modgal.cyclotomic import CycNum
 from modgal.families import (
     catalog,
     fibonacci,

@@ -1,7 +1,6 @@
 """Group/form machinery, orbit counting, and the two computation routes."""
 
 import itertools
-import math
 
 import numpy as np
 import pytest

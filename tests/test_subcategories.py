@@ -3,7 +3,6 @@
 import pytest
 
 from conftest import DIFFERENTIAL
-from modgal.cyclotomic import CycNum
 from modgal.galois_action import orbit_partition
 from modgal.modular_data import deligne_product
 from modgal.pointed import FiniteAbelianGroup, build_pointed

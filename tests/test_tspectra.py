@@ -3,14 +3,19 @@
 import hashlib
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modgal.tspectra import (
+    MAX_LEVEL_SUM,
     RootSet,
+    _MAX_INT64_LEVEL,
     _least_nonresidue,
     _sigma_set,
+    _sigma_set_2,
+    _unit_squares,
     TableRow,
     make_gamma,
     make_gamma_res,
@@ -122,6 +127,67 @@ class TestSquareOrbits:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             square_galois_orbit_count(RootSet.of(1, ()))
+
+
+    @pytest.mark.parametrize("level", [_MAX_INT64_LEVEL + 1, 2**64 + 1])
+    def test_level_above_int64_bound_refused(self, level):
+        # e g^2 mod m would not fit in int64; no row is built that high
+        assert MAX_LEVEL_SUM <= _MAX_INT64_LEVEL
+        with pytest.raises(ValueError, match=f"^level {level} is above {_MAX_INT64_LEVEL}"):
+            square_galois_orbit_count(RootSet.of(level, {1}))
+
+
+def _holds_ints(s: RootSet) -> bool:
+    return all(type(e) is int for e in s.exps)
+
+
+class TestBuildersMatchDefinitions:
+    """Each array-built root set equals its set-builder definition,
+    enumerated over every x and y."""
+
+    @pytest.mark.parametrize(
+        "lam,sigma", [(lam, sigma) for lam in (6, 7) for sigma in range(3, lam - 2)]
+    )
+    @pytest.mark.parametrize("r", [1, 3, 5, 7])
+    def test_sigma_set_2(self, lam, sigma, r):
+        q = 2**lam
+        want = RootSet.of(
+            q, {r * (x * x + 2**sigma * y * y) % q
+                for x in range(q) for y in range(q) if (x | y) & 1}
+        )
+        got = _sigma_set_2(lam, sigma, r)
+        assert got == want and _holds_ints(got)
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    @pytest.mark.parametrize("lam", [1, 2, 3])
+    def test_sigma_set(self, p, lam):
+        q = p**lam
+        residues = (1, _least_nonresidue(p))
+        for sigma in range(lam + 1):
+            for r in residues:
+                for t in residues:
+                    want = RootSet.of(
+                        q, {r * (x * x + p**sigma * t * y * y) % q
+                            for x in range(0, q, p) for y in range(q) if y % p}
+                    )
+                    got = _sigma_set(p, lam, sigma, r, t)
+                    assert got == want and _holds_ints(got), (sigma, r, t)
+
+    @pytest.mark.parametrize(
+        "p,lam", [(2, lam) for lam in range(1, 8)]
+        + [(p, lam) for p in (3, 5, 7) for lam in (1, 2, 3)] + [(11, 1), (11, 2)]
+    )
+    def test_make_gamma_res(self, p, lam):
+        q = p**lam
+        units = [k for k in range(q) if math.gcd(k, q) == 1]
+        assert _unit_squares(q).dtype == np.int64
+        assert not _unit_squares(q).flags.writeable
+        assert _unit_squares(q).tolist() == sorted({k * k % q for k in units})
+        for r in range(1, 4 * p):
+            if r % p:
+                got = make_gamma_res(p, lam, r)
+                assert got == RootSet(q, frozenset(r * k * k % q for k in units))
+                assert _holds_ints(got)
 
 
 def _brute_force_count(s: RootSet) -> int:
