@@ -14,16 +14,29 @@ conductor and the largest l1 norm of an entry, and image s at a split
 prime the first time an identity asks for that prime; the image is
 kept as long as the view, which its datum holds
 (``ModularData._residues``), so s is imaged once per split prime per
-datum, and only this module builds or lays out the images.
+datum, and only this module builds, lays out or reads the images.
 ``refuted`` evaluates a batch of denominator-free identities in every
 slot of enough primes; a nonzero residue refutes its identity, and
 residues that vanish in every slot prove it once the primes exceed a
-bound on its conjugates (the argument is in ``certify``).  Each caller
-reads a candidate in one slot of the kept image, where division is
-free, and certifies it with an identity that divides by nothing: the
-Verlinde table (``certified_verlinde``), the Galois permutation of the
-columns (``certified_permutation``), and, in their modules, the
-centralizer relation and the dimension-ratio identity.
+bound B on its conjugates (the argument is in ``certify``).  Where an
+answer needs a division, a candidate is read in one slot of the kept
+image, where division is free, and certified by an identity that
+divides by nothing.  With L the largest l1 norm of an entry, so that
+|sigma(s_xy)| <= L under every embedding sigma, the four identities
+and their bounds are:
+
+* the Verlinde table (``certified_verlinde``): s conj(s)^T = dim I and
+  s_xa s_ya = s_0a sum_z N_xy^z s_za, B = L^2 max(2r, 1 + row mass);
+* the Galois permutation of the columns (``certified_permutation``):
+  sigma_k(s_xy) s_0z = s_xz sigma_k(s_0y), B = 2 L^2;
+* the centralizer relation (``certified_centralizing``):
+  s_xy = s_0x s_0y, B = L + L^2;
+* the dimension ratio (``dims_ratio_failures``):
+  dim(sigma_hat(X))^2 sigma(dim C) = dim(C) sigma(dim(X)^2),
+  B = 2 r L^4.
+
+Each is below the product of the split primes tried, for every datum
+within the conductor and rank bounds (``primes_over``).
 
 Residues are held as float64, so that every matrix product runs in
 BLAS: they lie in [0, p) with p - 1 < 2^PRIME_BITS, so a product of
@@ -46,8 +59,9 @@ import numpy as np
 from ._numtheory import _primitive_root, is_prime, units_mod
 
 __all__ = [
-    "Residues", "SplitPrime", "certified_permutation", "certified_verlinde", "certify",
-    "primes_over", "refuted", "sigma_slots", "split_prime", "split_primes",
+    "Residues", "SplitPrime", "certified_centralizing", "certified_permutation",
+    "certified_verlinde", "certify", "dims_ratio_failures", "primes_over", "refuted",
+    "sigma_slots", "split_prime", "split_primes",
 ]
 
 PRIME_BITS = 21
@@ -123,11 +137,14 @@ def primes_over(n: int, bound: int) -> list[SplitPrime]:
     k = ``MAX_ENTRY_BITS``, as in every ``ModularData``, whose
     construction refuses larger ones, and it has phi(N) < 2^10 and
     r <= 64 = 2^6, so the largest l1 norm of an entry is
-    L <= phi(N) max |c| < 2^(10+k).  The largest bound
-    asked for is the dimension ratio's 2 r L^4 < 2^(7+4(10+k)), and for
-    every N <= 1024 the first ``MAX_PRIMES`` primes exceed 2^20 (a sieve
-    in the tests shows it), so their product exceeds 2^180, which is
-    above 2^(47+4k) for any k <= 33."""
+    L <= phi(N) max |c| < 2^(10+k).  Of the four bounds in the module
+    docstring, the dimension ratio's is 2 r L^4 < 2^(7+4(10+k)) =
+    2^(47+4k); the Verlinde bound is below 2^(2(10+k)+26)
+    (``certified_verlinde``), and 2 L^2 and L + L^2 are below
+    2^(1+2(10+k)), so each is below 2^(47+4k).  For every N <= 1024
+    the first ``MAX_PRIMES`` primes exceed 2^20 (a sieve in the tests
+    shows it), so their product exceeds 2^180, which is above
+    2^(47+4k) for any k <= 33."""
     chosen = []
     for i in range(MAX_PRIMES):
         chosen.append(split_primes(n, i))
@@ -312,8 +329,7 @@ def certified_verlinde(residues: Residues) -> tuple[np.ndarray, set, set]:
     primes for every datum within the conductor and rank bounds
     (``primes_over``): the lifted candidate entries are at most
     (p - 1)/2 < 2^20 in size and r <= 2^6, so the row mass is below
-    2^26 and B < 2^(2(10+k)+26), below the dimension ratio's bound in
-    ``primes_over``.
+    2^26 and B < 2^(2(10+k)+26).
     """
     r, _, phi = residues.num.shape
     if max(r, phi) > MAX_TERMS:
@@ -368,3 +384,43 @@ def certified_permutation(residues: Residues, k: int) -> list[int | None]:
     for i in np.flatnonzero(wrong):
         perm[ys[i]] = None
     return perm
+
+
+def certified_centralizing(residues: Residues) -> tuple[frozenset[int], ...]:
+    """centralizing[y] = {x : s_xy = s_0x s_0y}, the objects that
+    centralize y (Mueger, *On the structure of modular categories*,
+    2003).  The relation is the identity s_xy - s_0x s_0y = 0, certified
+    for every pair at once; its conjugates are at most L + L^2 in size,
+    so B = L + L^2."""
+
+    def relation(prime, img, slots):
+        s = img[slots]
+        return s - s[:, 0, :, None] * s[:, 0, None, :]
+
+    l1 = residues.l1
+    apart = refuted(residues, primes_over(residues.n, l1 + l1 * l1), relation)
+    return tuple(frozenset(x for x, no in enumerate(col) if not no) for col in apart.T.tolist())
+
+
+def dims_ratio_failures(residues: Residues, perms: dict[int, tuple]) -> list[tuple[int, int]]:
+    """The pairs (g, x), in the order of ``perms`` and then of x, where
+    dim(perm(x))^2 sigma_g(dim C) = dim(C) sigma_g(dim(x)^2) fails, for
+    ``perms`` mapping units g to permutations perm of the objects; []
+    when there are none.  sigma_g moves the slots (``sigma_slots``), and
+    each side is at most r L^4 under every embedding, so B = 2 r L^4."""
+    if not perms:
+        return []
+    moved = [(sigma_slots(residues.n, g), list(perm)) for g, perm in perms.items()]
+
+    def ratio(prime, img, slots):
+        p = prime.p
+        sq = img[:, 0] * img[:, 0] % p  # sq[j, x] = dim(X)^2 in slot j
+        dim_c = sq.sum(axis=1) % p
+        return np.stack([
+            sq[slots][:, perm] * dim_c[at[slots], None] - dim_c[slots, None] * sq[at[slots]]
+            for at, perm in moved
+        ], axis=1)
+
+    bound = 2 * len(residues.num) * residues.l1 ** 4
+    bad = refuted(residues, primes_over(residues.n, bound), ratio)
+    return [(g, int(x)) for g, row in zip(perms, bad) for x in np.flatnonzero(row)]

@@ -7,20 +7,22 @@ sources are transcribed as exact term lists, never floating point.
 
 Twist conventions: where a family admits several consistent twist
 assignments, the variants are enumerated rather than canonicalized
-(``fibonacci`` has four, ``ising`` eight).  For the two transcribed
-matrices whose twists are not printed (``so5_3half_ad``,
-``sl2_12_A0``), the exponent vectors are the lexicographically
-smallest solutions of the square-twist constancy relation over all
-units, found by exhaustive search and frozen here.
+(``fibonacci`` has four, ``ising`` eight).  The Fibonacci variants and
+those of ``sl2_level_adjoint`` are the Galois conjugates of one datum,
+built by ``galois_conjugate_data``.  Only four of the Ising variants
+are conjugates of ``ising(0)``, since sigma_k with k != +-1 (mod 8)
+sends sqrt(2) to -sqrt(2), so ``ising`` writes each variant out.  For
+the two transcribed matrices whose twists are not printed
+(``so5_3half_ad``, ``sl2_12_A0``), the exponent vectors are the
+lexicographically smallest solutions of the square-twist constancy
+relation over all units, found by exhaustive search and frozen here.
 """
 
 from __future__ import annotations
 
-import math
-
 from ._numtheory import is_prime
 from .cyclotomic import CycNum, root_of_unity
-from .galois_action import is_transitive, orbit_partition
+from .galois_action import galois_conjugate_data, is_transitive, orbit_partition
 from .modular_data import ModularData, deligne_product
 from .pointed import FiniteAbelianGroup, build_pointed
 
@@ -35,25 +37,16 @@ __all__ = [
 ]
 
 
-def _golden(conjugate: bool) -> CycNum:
-    # (1 + sqrt(5))/2 as 1 + z5 + z5^4, or its conjugate (1 - sqrt(5))/2
-    if conjugate:
-        return CycNum.from_terms(5, [(1, 0), (1, 2), (1, 3)])
-    return CycNum.from_terms(5, [(1, 0), (1, 1), (1, 4)])
-
-
-# (use conjugate dimension?, twist exponent mod 5); all four pass the
-# square-twist and dimension-ratio relations
-_FIB_VARIANTS = ((False, 2), (False, 3), (True, 1), (True, 4))
-
-
 def fibonacci(variant: int = 0) -> ModularData:
-    """Rank-2 data with nontrivial dimension (1 +- sqrt(5))/2."""
-    conj, twist = _FIB_VARIANTS[variant]
-    u = _golden(conj)
+    """Rank-2 data with nontrivial dimension (1 +- sqrt(5))/2: the
+    golden datum, dimension (1 + sqrt(5))/2 = 1 + z5 + z5^4 and twist
+    zeta_5^2, conjugated by sigma_k for k = (1, 4, 3, 2)[variant].  The
+    twists are zeta_5^(2, 3, 1, 4); sigma_4 is complex conjugation and
+    fixes sqrt(5), while sigma_3 and sigma_2 negate it."""
+    u = CycNum.from_terms(5, [(1, 0), (1, 1), (1, 4)])
     one = CycNum.one(5)
-    s = ((one, u), (u, -one))
-    return ModularData(5, 2, ("1", "t"), s, (0, twist))
+    golden = ModularData(5, 2, ("1", "t"), ((one, u), (u, -one)), (0, 2))
+    return galois_conjugate_data(golden, (1, 4, 3, 2)[variant])
 
 
 def ising(variant: int = 0) -> ModularData:
@@ -74,27 +67,23 @@ def sl2_level_adjoint(p: int, galois_variant: int = 1) -> ModularData:
     root of unity, written as the balanced power sum
     sum_{i=-(h-1)/2}^{(h-1)/2} zeta_p^i with h = (2m+1)(2l+1); twists
     are zeta_p^{m(m+1)}.  galois_variant k conjugates the data by
-    sigma_k.
+    sigma_k (``galois_conjugate_data``, which refuses a k that is not a
+    unit modulo p).
     """
     if p < 5 or not is_prime(p):
         raise ValueError("p must be a prime >= 5")
-    if math.gcd(galois_variant, p) != 1:
-        raise ValueError(f"{galois_variant} is not a unit mod {p}")
     r = (p - 1) // 2
-    k = galois_variant % p
     s_rows = []
     for m in range(r):
         row = []
         for l in range(r):
             h = (2 * m + 1) * (2 * l + 1)
             half = (h - 1) // 2
-            row.append(
-                CycNum.from_terms(p, ((1, k * i) for i in range(-half, half + 1)))
-            )
+            row.append(CycNum.from_terms(p, ((1, i) for i in range(-half, half + 1))))
         s_rows.append(tuple(row))
-    t = tuple((k * m * (m + 1)) % p for m in range(r))
+    t = tuple(m * (m + 1) % p for m in range(r))
     labels = tuple(f"V{2*m}" for m in range(r))
-    return ModularData(p, r, labels, tuple(s_rows), t)
+    return galois_conjugate_data(ModularData(p, r, labels, tuple(s_rows), t), galois_variant)
 
 
 def _fib_x_fib() -> ModularData:

@@ -25,8 +25,11 @@ it holds on the generators (``dims_ratio_check``,
 ``subcategories.is_galois_closed``); ``square_twist_consistency``
 reports its constant per generator, which fixes the constant of every
 unit; and ``subcategories.counting2_degree_check`` reads a fixing-group
-index off the orbit of the unit object.  ``dims_ratio_check`` is
-certified in split-prime slots like sigma_hat.
+index off the orbit of the unit object.  The two identities behind
+this module are certified in split-prime slots by ``_splitprime``,
+which holds their bounds: sigma_hat by ``certified_permutation`` and
+the dimension ratio of ``dims_ratio_check`` by ``dims_ratio_failures``;
+this module only reads their answers.
 ``verlinde_field_degree`` derives [L_X : Q] from the fixing group of
 column X over every unit, as the exact reference for the orbit sizes.
 """
@@ -36,10 +39,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from ._numtheory import permutation_orbits, unit_group_generators, units_mod
-from ._splitprime import certified_permutation, primes_over, refuted, sigma_slots
+from ._splitprime import certified_permutation, dims_ratio_failures
 from .modular_data import InvalidModularData, ModularData, memoized_on_datum
 
 __all__ = [
@@ -83,7 +84,15 @@ def galois_permutation(data: ModularData, k: int) -> tuple[int, ...]:
     """sigma_hat for one unit k, certified in split-prime slots
     (``_splitprime.certified_permutation``).  It needs only what
     ``ModularData._table_preconditions`` checks, and raises its first
-    failure."""
+    failure.
+
+    Once no column is None, the map is a permutation.  Each certified
+    entry sigma_hat_k(y) = z means sigma_k(chi_y) = chi_z for the
+    characters chi_y(x) = s_xy / s_0y, so two columns y != y' with the
+    same image would have sigma_k(chi_y) = sigma_k(chi_y'), hence
+    chi_y = chi_y' and equal residue characters in every slot, while
+    ``_splitprime._column_candidate`` accepts only a slot where the
+    residue characters of the columns are distinct."""
     n = data.conductor
     if math.gcd(k, n) != 1:
         raise ValueError(f"{k} is not a unit modulo {n}")
@@ -91,8 +100,6 @@ def galois_permutation(data: ModularData, k: int) -> tuple[int, ...]:
     if None in perm:
         y = perm.index(None)
         raise InvalidModularData(f"sigma_{k} maps column {y} outside the character table")
-    if len(set(perm)) != data.rank:
-        raise InvalidModularData(f"sigma_{k} does not permute the columns")
     return tuple(perm)
 
 
@@ -204,28 +211,11 @@ def dims_ratio_check(data: ModularData) -> DimsRatioReport:
     The group is finite, so every unit is a product of generators, and
     the identity holds for every unit (for the unit 1 it is trivial).
 
-    Each identity is certified in split-prime slots: sigma_k moves the
-    slots (``sigma_slots``), and with L the largest l1 norm of an entry,
-    each side is at most r L^4 under every embedding, so B = 2 r L^4."""
-    perms = orbit_partition(data).perms
-    n = data.conductor
-    if not perms:
-        return DimsRatioReport(())
-    moved = [(sigma_slots(n, g), list(perm)) for g, perm in perms.items()]
-
-    def ratio(prime, img, slots):
-        p = prime.p
-        sq = img[:, 0] * img[:, 0] % p  # sq[j, x] = dim(X)^2 in slot j
-        dim_c = sq.sum(axis=1) % p
-        return np.stack([
-            sq[slots][:, perm] * dim_c[at[slots], None] - dim_c[slots, None] * sq[at[slots]]
-            for at, perm in moved
-        ], axis=1)
-
-    bad = refuted(data._residues, primes_over(n, 2 * data.rank * data._residues.l1 ** 4), ratio)
+    Each identity is certified in split-prime slots
+    (``_splitprime.dims_ratio_failures``)."""
+    failures = dims_ratio_failures(data._residues, orbit_partition(data).perms)
     return DimsRatioReport(tuple(
-        f"dimension ratio fails at unit {g}, index {x}"
-        for g, row in zip(perms, bad) for x in np.flatnonzero(row)
+        f"dimension ratio fails at unit {g}, index {x}" for g, x in failures
     ))
 
 

@@ -207,6 +207,15 @@ class ModularData:
         of ``_table_preconditions`` is raised before any of this
         (``_residues``), and a ValueError where the split primes cannot
         certify (``certified_verlinde``).
+
+        The dual of x is the one z with N_xz^0 != 0.  As the dimensions
+        are real, N_xz^0 = (s s^T)_xz / dim(C) =: P_xz, and P is
+        symmetric.  Certified unitarity gives conj(s)^T = dim(C) s^-1,
+        so s^T conj(s) = dim(C) I too (dim(C) is real), and
+        P conj(P) = s (s^T conj(s)) conj(s)^T / dim(C)^2 = I.  P is a
+        certified integer matrix, so conj(P) = P = P^T and P P^T = I:
+        each row of the nonnegative integer matrix P has squares summing
+        to 1, that is, exactly one entry, equal to 1.
         """
         r, s = self.rank, self.s
         table, bad_pairs, bad_rows = certified_verlinde(self._residues)
@@ -236,14 +245,9 @@ class ModularData:
                     _check_coefficient(x, y, z, n)
                     row[z] = n
                 coeffs[y][x] = row
-        dual = [-1] * r
-        for x in range(r):
-            hits = [z for z in range(r) if coeffs[x][z][0]]
-            if len(hits) != 1 or coeffs[x][hits[0]][0] != 1:
-                raise InvalidModularData(f"object {x} has no unique dual")
-            dual[x] = hits[0]
+        dual = tuple(next(z for z in range(r) if plane[z][0]) for plane in coeffs)
         return FusionTable(
-            tuple(tuple(tuple(row) for row in plane) for plane in coeffs), tuple(dual)
+            tuple(tuple(tuple(row) for row in plane) for plane in coeffs), dual
         )
 
     def _verlinde_weights(self) -> list[CycNum]:
@@ -346,16 +350,17 @@ class ModularData:
         construction refuses larger ones.  Phase 2 builds the certified
         Verlinde table at every rank: ``_verlinde`` proves or refutes
         unitarity, s conj(s)^T = dim(C) * I, and stops at the first
-        coefficient that is not a nonnegative integer or the first object
-        without a unique dual.  No check is skipped: every datum that passes has had each
-        identity below proved exactly.
+        coefficient that is not a nonnegative integer.  No check is
+        skipped: every datum that passes has had each identity below
+        proved exactly.
 
         * s^2 = dim(C) * C.  As s_0a is real, the sum in ``_verlinde``
-          gives N_xy^0 = sum_a s_xa s_ya / dim(C) = (s s^T)_xy / dim(C).  The
-          table demands exactly one nonzero N_xz^0 in each row x, equal
-          to 1: that is, s^2 = s s^T is dim(C) times a permutation
-          matrix, the dual permutation.  s s^T is symmetric, so that
-          permutation is an involution; it is the charge conjugation.
+          gives N_xy^0 = sum_a s_xa s_ya / dim(C) = (s s^T)_xy / dim(C),
+          and unitarity with an integral table makes that matrix a
+          permutation matrix, the dual permutation (argued in
+          ``_verlinde``): s^2 = s s^T is dim(C) times it.  s s^T is
+          symmetric, so that permutation is an involution; it is the
+          charge conjugation.
         * The integrality check changes no verdict: a datum that passes
           every other check has s in Z[zeta_N].  Phase 1 checks s = s^T
           and s_00 = 1; phase 2 certifies s conj(s)^T = dim(C) * I and an

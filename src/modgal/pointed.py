@@ -311,7 +311,12 @@ def build_pointed(group: FiniteAbelianGroup, form: QuadraticFormSpec | None = No
 
 def pointed_orbit_partition(group: FiniteAbelianGroup, form: QuadraticFormSpec) -> tuple[tuple[int, ...], ...]:
     """Galois orbit partition of the pointed data, computed directly
-    from the bicharacter matrix by column matching in exponent space."""
+    from the bicharacter matrix by column matching in exponent space.
+
+    Once the columns are distinct, sigma_k maps column h to column kh:
+    b(g, kh) = b(g, h)^k as b is a bicharacter, and the form is well
+    defined on A (``gram_steps``), so the exponents k * b(g, h) mod M
+    are those of column kh, and every lookup finds its column."""
     if form.group != group:
         raise ValueError("form was built for a different group")
     gmat, _ = form._tables
@@ -322,12 +327,7 @@ def pointed_orbit_partition(group: FiniteAbelianGroup, form: QuadraticFormSpec) 
     col_key = {col.tobytes(): y for y, col in enumerate(cols)}
     if len(col_key) != n:
         raise ValueError("bicharacter columns are not distinct (degenerate form)")
-    images = []
-    for k in unit_group_generators(M):
-        perm = [col_key.get(col.tobytes()) for col in k * cols % M]
-        if None in perm:
-            raise ValueError(f"unit {k} does not permute the columns")
-        images.append(perm)
+    images = [[col_key[col.tobytes()] for col in k * cols % M] for k in unit_group_generators(M)]
     return permutation_orbits(n, images)
 
 

@@ -14,9 +14,9 @@ enumeration is complete (the argument is in ``all_subcategories``).
 
 Centralizers use the exact criterion: X centralizes Y iff
 s_{X,Y} = dim(X) * dim(Y), an identity certified for every pair at once
-in split-prime slots (``_splitprime.refuted``).  A centralizer is the
-intersection of the table rows of its members and does no cyclotomic
-arithmetic.
+in split-prime slots by ``_splitprime.certified_centralizing``, which
+holds its bound.  A centralizer is the intersection of the table rows
+of its members and does no cyclotomic arithmetic.
 
 The lattice is memoized on the datum, so it is enumerated once per
 ``ModularData`` and freed with it.
@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._numtheory import factorize, is_prime
-from ._splitprime import primes_over, refuted
+from ._splitprime import certified_centralizing
 from .cyclotomic import CycNum, dot
 from .galois_action import orbit_partition
 from .modular_data import InvalidModularData, ModularData, memoized_on_datum
@@ -88,24 +88,13 @@ def _relations(data: ModularData) -> tuple[tuple[_Rows, ...], _Rows]:
     """The two tables the lattice is read from: ``support[x][y]``, the
     simple summands {z : N_xy^z != 0} of x (x) y, and
     ``centralizing[y]``, the objects {x : s_xy = d_x d_y} that
-    centralize y.  With d_x = s_0x, the relation is the identity
-    s_xy - s_0x s_0y = 0, certified in split-prime slots for every pair
-    at once; with L the largest l1 norm of an entry, its conjugates are
-    at most L + L^2 in size (``_splitprime.certify``)."""
+    centralize y, with d_x = s_0x, certified in split-prime slots
+    (``_splitprime.certified_centralizing``)."""
     support = tuple(
         tuple(frozenset(z for z, n in enumerate(row) if n) for row in rows)
         for rows in data.fusion.coeffs
     )
-
-    def relation(prime, img, slots):
-        s = img[slots]
-        return s - s[:, 0, :, None] * s[:, 0, None, :]
-
-    l1 = data._residues.l1
-    apart = refuted(data._residues, primes_over(data.conductor, l1 + l1 * l1), relation)
-    centralizing = tuple(
-        frozenset(x for x, no in enumerate(col) if not no) for col in apart.T.tolist())
-    return support, centralizing
+    return support, certified_centralizing(data._residues)
 
 
 def _summands(support, a, b) -> frozenset[int]:

@@ -1,11 +1,14 @@
+import dataclasses
+
 import pytest
 
-from modgal._numtheory import unit_group_generators
+from modgal._numtheory import permutation_orbits, unit_group_generators
 from modgal.cyclotomic import CycNum
 from modgal.families import catalog, fibonacci, fixture, fixture_names, ising, sl2_level_adjoint
-from modgal.galois_action import galois_conjugate_data
+from modgal.galois_action import galois_conjugate_data, orbit_partition
 from modgal.modular_data import ModularData, deligne_product
 from modgal.pointed import FiniteAbelianGroup, build_pointed
+from modgal.subcategories import _relations
 
 # The report rungs of the benchmark ladder
 LADDER = {
@@ -80,3 +83,20 @@ def phase2_invalid():
             1, 2, ("1", "x"), ((one, one * 2), (one * 2, -one)), (0, 0)
         ),
     }
+
+
+def planted_perms(data, perm):
+    """``data`` with sigma_hat of every generator planted as ``perm`` in
+    its memo, and the orbits of ``perm``."""
+    part = orbit_partition(data)
+    data._memo["orbit_partition"] = dataclasses.replace(
+        part, perms=dict.fromkeys(part.perms, perm), orbits=permutation_orbits(data.rank, [perm])
+    )
+    return data
+
+
+def planted_centralizing(data, centralizing):
+    """``data`` with the ``centralizing`` table planted in its memo."""
+    support, _ = _relations(data)
+    data._memo["_relations"] = (support, centralizing)
+    return data

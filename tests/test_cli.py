@@ -13,7 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modgal import analysis
+from conftest import planted_centralizing, planted_perms
+
+from modgal import analysis, cli
 from modgal.cli import main
 from modgal.families import fixture_names
 from modgal.modular_data import (
@@ -21,6 +23,7 @@ from modgal.modular_data import (
     MAX_ENTRY_BITS,
     MAX_RANK,
     InvalidModularData,
+    load_modular_data,
     loads_modular_data,
     save_modular_data,
 )
@@ -179,6 +182,34 @@ class TestReport:
         code, out, err = run(capsys, "report", "--json", str(FIXTURE_DIR / "so5_3half_ad.mtc"))
         assert code == 1 and not out
         assert "planted theorem-check failure" in err
+
+    @pytest.mark.parametrize("name, plant, notes", [
+        # every object centralizes every object: C(C(D)) is the whole
+        ("fib_x_fib", lambda data: planted_centralizing(data, (frozenset(range(4)),) * 4), [
+            "double centralizer fails for (0,)",
+            "double centralizer fails for (0, 2)",
+            "double centralizer fails for (0, 3)",
+            "subcategory (0, 1, 2, 3): galois_closed=True, integral centralizer=False",
+        ]),
+        # sigma_hat swaps the unit and sigma on every generator
+        ("ising", lambda data: planted_perms(data, (1, 0, 2)), [
+            "subcategory (0, 2): galois_closed=False, integral centralizer=True",
+            "adjoint subcategory is not closed under the Galois action",
+        ]),
+    ])
+    def test_planted_theorem_failures_are_noted(self, capsys, monkeypatch, name, plant, notes):
+        monkeypatch.setattr(cli, "load_modular_data", lambda path: plant(load_modular_data(path)))
+        path = str(FIXTURE_DIR / f"{name}.mtc")
+        code, out, err = run(capsys, "report", path)
+        assert (code, err) == (1, "")
+        assert "galois closure <=> integral centralizer: FAIL\n" in out
+        assert [line for line in out.splitlines() if line.startswith("note: ")] == [
+            f"note: {note}" for note in notes
+        ]
+        code, out, err = run(capsys, "report", "--json", path)
+        doc = json.loads(out)
+        assert (code, err) == (1, "")
+        assert (doc["ok"], doc["closure_theorem_ok"], doc["notes"]) == (False, False, notes)
 
     def test_precision_variable_ignored(self, capsys, monkeypatch):
         # the sign oracle starts at 64 bits whatever the environment holds

@@ -1,7 +1,8 @@
 """Every name a module exports resolves, so a deletion that forgets an
-``__all__`` entry fails here rather than in a user's import; and every
+``__all__`` entry fails here rather than in a user's import; every
 name a module imports is read, so a deletion that leaves an import
-behind fails here too."""
+behind fails here too; and only ``_splitprime`` reads the split-prime
+images of s."""
 
 import ast
 import importlib
@@ -15,9 +16,8 @@ import modgal
 MODULES = ["modgal"] + [f"modgal.{m.name}" for m in pkgutil.iter_modules(modgal.__path__)]
 
 TESTS = Path(__file__).resolve().parent
-SOURCES = sorted(Path(modgal.__file__).resolve().parent.rglob("*.py")) + sorted(
-    TESTS.rglob("*.py")
-)
+PACKAGE = sorted(Path(modgal.__file__).resolve().parent.rglob("*.py"))
+SOURCES = PACKAGE + sorted(TESTS.rglob("*.py"))
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -50,3 +50,37 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 )
 def test_every_import_is_read(path):
     assert _unused_imports(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+# The names through which a module evaluates identities on the images,
+# and the attributes of ``Residues`` that hold the images and their bound
+_SLOT_NAMES = {"refuted", "primes_over", "sigma_slots"}
+_SLOT_ATTRIBUTES = {"l1", "at"}
+
+
+def _slot_reads(tree: ast.Module) -> list[str]:
+    """The split-prime names the module imports and the image
+    attributes it reads."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found += [a.name for a in node.names if a.name.split(".")[-1] in _SLOT_NAMES]
+        elif isinstance(node, ast.Attribute) and node.attr in _SLOT_ATTRIBUTES:
+            found.append(f".{node.attr}")
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in PACKAGE if p.name != "_splitprime.py"], ids=lambda p: p.name
+)
+def test_only_splitprime_reads_slot_images(path):
+    assert _slot_reads(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def test_galois_action_imports_no_numpy():
+    # it formats what ``_splitprime`` certifies and reads no residues
+    path = next(p for p in PACKAGE if p.name == "galois_action.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    modules = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
+    modules += [n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
+    assert "numpy" not in modules

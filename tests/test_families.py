@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from modgal._numtheory import units_mod
 from modgal.cyclotomic import CycNum
 from modgal.families import (
     catalog,
@@ -16,11 +17,12 @@ from modgal.families import (
 )
 from modgal.galois_action import (
     dims_ratio_check,
+    galois_conjugate_data,
     is_transitive,
     orbit_partition,
     square_twist_consistency,
 )
-from modgal.modular_data import deligne_product, dump_modular_data
+from modgal.modular_data import ModularData, deligne_product, dump_modular_data
 from modgal.subcategories import pointed_part
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
@@ -30,6 +32,54 @@ def golden(u_conj=False):
     if u_conj:
         return CycNum.from_terms(5, [(1, 0), (1, 2), (1, 3)])
     return CycNum.from_terms(5, [(1, 0), (1, 1), (1, 4)])
+
+
+def direct_fibonacci(variant):
+    """Fibonacci variant v written out: (conjugate dimension?, twist)."""
+    conj, twist = ((False, 2), (False, 3), (True, 1), (True, 4))[variant]
+    one = CycNum.one(5)
+    s = ((one, golden(conj)), (golden(conj), -one))
+    return ModularData(5, 2, ("1", "t"), s, (0, twist))
+
+
+def direct_sl2(p, k):
+    """sl2_level_adjoint(p, k) written out with zeta_p -> zeta_p^k in
+    every term of s and t."""
+    r = (p - 1) // 2
+    s = tuple(
+        tuple(
+            CycNum.from_terms(p, ((1, k * i) for i in range(-h, h + 1)))
+            for h in ((2 * m + 1) * (2 * l + 1) // 2 for l in range(r))
+        )
+        for m in range(r)
+    )
+    t = tuple(k * m * (m + 1) % p for m in range(r))
+    return ModularData(p, r, tuple(f"V{2*m}" for m in range(r)), s, t)
+
+
+class TestGaloisVariants:
+    """The Fibonacci and sl2 variants, built as conjugates of one datum,
+    are the data written out per variant; ising(0) conjugated by k is
+    the variant with twist zeta_16^k only for k = +-1 (mod 8)."""
+
+    @pytest.mark.parametrize("variant", range(4))
+    def test_fibonacci_variant_is_written_out(self, variant):
+        assert dump_modular_data(fibonacci(variant)) == dump_modular_data(direct_fibonacci(variant))
+
+    @pytest.mark.parametrize("p", (5, 7, 11, 13, 19, 23))
+    def test_sl2_variants_are_written_out(self, p):
+        for k in units_mod(p):
+            assert dump_modular_data(sl2_level_adjoint(p, k)) == dump_modular_data(direct_sl2(p, k)), k
+
+    def test_non_unit_variant_refused(self):
+        with pytest.raises(ValueError, match="^14 is not a unit modulo 7$"):
+            sl2_level_adjoint(7, 14)
+
+    def test_ising_conjugates(self):
+        base = ising(0)
+        for k in units_mod(16):
+            conj = dump_modular_data(galois_conjugate_data(base, k))
+            assert (conj == dump_modular_data(ising((k - 1) // 2))) == (k % 8 in (1, 7)), k
 
 
 class TestFibonacci:

@@ -2,12 +2,14 @@
 
 import pytest
 
-from conftest import DIFFERENTIAL
+from conftest import DIFFERENTIAL, planted_centralizing, planted_perms
+from modgal.families import fixture, ising
 from modgal.galois_action import orbit_partition
-from modgal.modular_data import deligne_product
+from modgal.modular_data import InvalidModularData, deligne_product
 from modgal.pointed import FiniteAbelianGroup, build_pointed
 from modgal.subcategories import (
     FusionSubcategory,
+    _relations,
     adjoint_part,
     all_subcategories,
     centralizer,
@@ -308,6 +310,79 @@ class TestCounting2:
         for name, data in fixture_catalog.items():
             for sub in all_subcategories(data):
                 assert counting2_degree_check(sub).ok, name
+
+
+class TestPlantedFaults:
+    """Each failure branch of the theorem checks, reached by planting a
+    wrong sigma_hat or centralizing table in the datum's memo.  Ising
+    has sigma_hat (0, 1, 2) and (2, 1, 0) on its generators and the
+    subcategories (0,), (0, 2) and the whole."""
+
+    def test_closed_subcategory_with_non_integral_centralizer(self):
+        data = planted_perms(ising(0), (0, 1, 2))
+        report = check_theorem_galois_closure(data)
+        assert not report.ok and report.adjoint_closed
+        assert report.failures == (
+            "subcategory (0,): galois_closed=True, integral centralizer=False",
+        )
+
+    def test_adjoint_not_galois_closed(self):
+        data = planted_perms(ising(0), (1, 0, 2))
+        report = check_theorem_galois_closure(data)
+        assert not report.ok and not report.adjoint_closed
+        assert report.failures == (
+            "subcategory (0, 2): galois_closed=False, integral centralizer=True",
+            "adjoint subcategory is not closed under the Galois action",
+        )
+
+    def test_double_centralizer(self):
+        # every object centralizes every object, so C(C(D)) is the whole
+        data = fixture("fib_x_fib")
+        planted_centralizing(data, (frozenset(range(4)),) * 4)
+        assert check_theorem_galois_closure(data).failures == (
+            "double centralizer fails for (0,)",
+            "double centralizer fails for (0, 2)",
+            "double centralizer fails for (0, 3)",
+            "subcategory (0, 1, 2, 3): galois_closed=True, integral centralizer=False",
+        )
+
+    def test_adjoint_differs_from_the_centralizer_of_the_pointed_part(self):
+        # psi planted as centralized by sigma: C({0, 2}) becomes the whole
+        data = ising(0)
+        _, centralizing = _relations(data)
+        planted_centralizing(data, centralizing[:2] + (frozenset(range(3)),))
+        message = "^adjoint subcategory differs from the centralizer of the pointed part$"
+        with pytest.raises(InvalidModularData, match=message):
+            adjoint_part(data)
+        with pytest.raises(InvalidModularData, match=message):
+            check_theorem_galois_closure(data)
+
+    @pytest.mark.parametrize("name, perm, members, failures", [
+        # orbits (0, 1) and (2,): O_0 meets C(C(D)) = D = (0, 2) in the
+        # unit alone, so the degree is 2, which the orbit (2,) of size 1
+        # cannot have
+        ("ising", (1, 0, 2), {0, 2}, (
+            "index 2: |orbit meet D| = 1, |orbit| = 1, [K_D meet L_X : Q] = 2",
+        )),
+        # orbits (0, 1, 3, 4, 5) and (2,): O_0 meets C(C(D)) = (0, 1, 2)
+        # twice, so the degree is 5 // 2 = 2, which does not divide the
+        # orbit size 5, though |orbit meet D| = 2 = 5 // 2
+        ("so5_3half_ad", (1, 3, 2, 4, 5, 0), {0, 1}, (
+            "index 0: |orbit meet D| = 2, |orbit| = 5, [K_D meet L_X : Q] = 2",
+            "index 1: |orbit meet D| = 2, |orbit| = 5, [K_D meet L_X : Q] = 2",
+        )),
+        # Ising's own orbits (0, 2) and (1,), and a member set that is no
+        # subcategory: C(C(D)) is the whole, so the degree is 1, but D
+        # meets the orbit of 0 once
+        ("ising", (2, 1, 0), {0, 1}, (
+            "index 0: |orbit meet D| = 1, |orbit| = 2, [K_D meet L_X : Q] = 1",
+        )),
+    ])
+    def test_counting2_degree(self, name, perm, members, failures):
+        data = planted_perms(fixture(name), perm)
+        report = counting2_degree_check(FusionSubcategory(data, frozenset(members)))
+        assert not report.ok
+        assert report.failures == failures
 
 
 class TestTwoOrbitDiagnosis:
