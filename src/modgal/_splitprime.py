@@ -10,33 +10,36 @@ conjugation sends slot k to slot -k.
 
 This is the one route by which ``modgal`` checks an identity in the
 entries of s.  A datum's ``Residues`` hold s on the power basis, its
-conductor and the largest l1 norm of an entry, and image s at a split
-prime the first time an identity asks for that prime; the image is
-kept as long as the view, which its datum holds
+conductor and L, the largest l1 norm of an entry, and image s at a
+split prime the first time an identity asks for that prime; the image
+is kept as long as the view, which its datum holds
 (``ModularData._residues``), so s is imaged once per split prime per
 datum, and only this module builds, lays out or reads the images.
 ``refuted`` evaluates a batch of denominator-free identities in every
 slot of enough primes; a nonzero residue refutes its identity, and
-residues that vanish in every slot prove it once the primes exceed a
-bound B on its conjugates (the argument is in ``certify``).  Where an
-answer needs a division, a candidate is read in one slot of the kept
-image, where division is free, and certified by an identity that
-divides by nothing.  With L the largest l1 norm of an entry, so that
-|sigma(s_xy)| <= L under every embedding sigma, the four identities
-and their bounds are:
+residues that vanish in every slot prove it.  Where an answer needs a
+division, a candidate is read in one slot of the kept image, where
+division is free, and certified by an identity that divides by
+nothing.
 
-* the Verlinde table (``certified_verlinde``): s conj(s)^T = dim I and
-  s_xa s_ya = s_0a sum_z N_xy^z s_za, B = L^2 max(2r, 1 + row mass);
+Each identity declares its degree d, the most entries of s multiplied
+together in one term, and its mass m, the l1 norm of its integer term
+coefficients; ``refuted`` alone turns them into the bound B = m L^d on
+its conjugates and picks the primes (the argument is in ``refuted``).
+The five identities and their declarations (d, m) are:
+
+* unitarity (``certify``): s conj(s)^T = dim I, (2, 2r);
+* the Verlinde table (``certified_verlinde``, through ``certify``):
+  s_xa s_ya = s_0a sum_z N_xy^z s_za, (2, 1 + row mass);
 * the Galois permutation of the columns (``certified_permutation``):
-  sigma_k(s_xy) s_0z = s_xz sigma_k(s_0y), B = 2 L^2;
+  sigma_k(s_xy) s_0z = s_xz sigma_k(s_0y), (2, 2);
 * the centralizer relation (``certified_centralizing``):
-  s_xy = s_0x s_0y, B = L + L^2;
+  s_xy = s_0x s_0y, (2, 2);
 * the dimension ratio (``dims_ratio_failures``):
-  dim(sigma_hat(X))^2 sigma(dim C) = dim(C) sigma(dim(X)^2),
-  B = 2 r L^4.
+  dim(sigma_hat(X))^2 sigma(dim C) = dim(C) sigma(dim(X)^2), (4, 2r).
 
-Each is below the product of the split primes tried, for every datum
-within the conductor and rank bounds (``primes_over``).
+Each bound is below the product of the split primes tried, for every
+datum within the conductor and rank bounds (``primes_over``).
 
 Residues are held as float64, so that every matrix product runs in
 BLAS: they lie in [0, p) with p - 1 < 2^PRIME_BITS, so a product of
@@ -137,14 +140,14 @@ def primes_over(n: int, bound: int) -> list[SplitPrime]:
     k = ``MAX_ENTRY_BITS``, as in every ``ModularData``, whose
     construction refuses larger ones, and it has phi(N) < 2^10 and
     r <= 64 = 2^6, so the largest l1 norm of an entry is
-    L <= phi(N) max |c| < 2^(10+k).  Of the four bounds in the module
-    docstring, the dimension ratio's is 2 r L^4 < 2^(7+4(10+k)) =
-    2^(47+4k); the Verlinde bound is below 2^(2(10+k)+26)
-    (``certified_verlinde``), and 2 L^2 and L + L^2 are below
-    2^(1+2(10+k)), so each is below 2^(47+4k).  For every N <= 1024
-    the first ``MAX_PRIMES`` primes exceed 2^20 (a sieve in the tests
-    shows it), so their product exceeds 2^180, which is above
-    2^(47+4k) for any k <= 33."""
+    L <= phi(N) max |c| < 2^(10+k).  The largest declaration in the
+    module docstring is the dimension ratio's, m L^d = 2 r L^4 <
+    2^(7+4(10+k)) = 2^(47+4k); the Verlinde one is below
+    2^(26+2(10+k)) (``certified_verlinde``), 2 r L^2 is below
+    2^(7+2(10+k)) and 2 L^2 below 2^(1+2(10+k)), so each is below
+    2^(47+4k).  For every N <= 1024 the first ``MAX_PRIMES`` primes
+    exceed 2^20 (a sieve in the tests shows it), so their product
+    exceeds 2^180, which is above 2^(47+4k) for any k <= 33."""
     chosen = []
     for i in range(MAX_PRIMES):
         chosen.append(split_primes(n, i))
@@ -195,9 +198,9 @@ class Residues:
         return img
 
 
-def refuted(residues: Residues, primes, identity) -> np.ndarray:
-    """The mask of the identities that have a nonzero residue in some
-    slot of some given prime.
+def refuted(residues: Residues, identity, degree: int, mass: int) -> np.ndarray:
+    """The mask of the identities that are false: True where one has a
+    nonzero residue in some slot, and each False a proof.
 
     ``identity(prime, img, slots)`` gets the images of s at the prime,
     img[j, x, y] the residue of s_xy in slot j, and an array of slot
@@ -205,11 +208,28 @@ def refuted(residues: Residues, primes, identity) -> np.ndarray:
     whose first axis runs over those slots (or over slots and a summed
     index), each an integer below 2^53 in size.  The mask is their OR
     over that axis.  The identity reads the image ``residues`` keeps for
-    each prime, in slot chunks of about ``_CHUNK`` residues.  When the
-    primes exceed a bound B on every conjugate of every identity, a
-    false mask entry proves its identity (``certify``)."""
+    each prime, in slot chunks of about ``_CHUNK`` residues.  Each of
+    its identities y is a sum of integer multiples of products of at
+    most ``degree`` entries of s (and their conjugates), whose
+    coefficients have l1 norm at most ``mass``.  The primes are
+    ``primes_over(n, B)`` with B = mass L^degree, so that:
+
+    * |sigma(s_xy)| <= L for every embedding sigma, as sigma sends each
+      root of unity to one, and L is a positive integer once an entry
+      is nonzero, so L^degree bounds every term of degree ``degree`` or
+      less and |sigma(y)| <= B (if every entry is zero, so is every y).
+    * A nonzero residue proves y false.  A residue that is zero in
+      every slot lies in each of the phi(N) distinct primes
+      (p, zeta_N - w^k) over p, whose product is (p), since p splits
+      completely; so y lies in pZ[zeta_N] for each distinct p, hence in
+      (prod p) Z[zeta_N].
+    * If y != 0, y = (prod p) y' with y' != 0 in Z[zeta_N], and
+      |Norm(y)| = (prod p)^phi |Norm(y')| >= (prod p)^phi, since the
+      norm of a nonzero algebraic integer is a nonzero rational integer.
+      But |Norm(y)| is the product of the phi values |sigma_k(y)|, each
+      at most B, and prod p > B, so y = 0."""
     bad = np.zeros((), dtype=bool)
-    for prime in primes:
+    for prime in primes_over(residues.n, mass * residues.l1 ** degree):
         img = residues.at(prime)
         lo, step = 0, 1
         while lo < len(img):
@@ -245,19 +265,9 @@ def _candidate(residues: Residues, prime: SplitPrime) -> np.ndarray:
     return np.where(table > p // 2, table - p, table)
 
 
-def certificate_bound(residues: Residues, table: np.ndarray) -> int:
-    """B >= |sigma(y)| for every identity y of ``certify`` and every
-    embedding sigma of Q(zeta_N) into C: with L = ``residues.l1``,
-    |sigma(s_xa)| <= L, so the unitarity identities are bounded by
-    2 r L^2 and the Verlinde identity of (x, y, a) by
-    L^2 (1 + sum_z |N_xy^z|)."""
-    row_mass = int(np.abs(table).sum(axis=-1).max())
-    return residues.l1 ** 2 * max(2 * table.shape[0], 1 + row_mass)
-
-
-def certify(residues: Residues, table: np.ndarray, primes) -> tuple[set, set]:
+def certify(residues: Residues, table: np.ndarray) -> tuple[set, set]:
     """Check s conj(s)^T = dim I and s_xa s_ya = s_0a sum_z N_xy^z s_za
-    (x <= y, every a) in every slot of every given prime.
+    (x <= y, every a) through ``refuted``.
 
     ``residues`` holds the entries of s, which lie in Z[zeta_N];
     dim = sum_a s_0a^2.  Returns the pairs (x, y) where the unitarity
@@ -266,25 +276,11 @@ def certify(residues: Residues, table: np.ndarray, primes) -> tuple[set, set]:
     Verlinde identities are not evaluated: the caller reads only the
     failing pairs then.
 
-    A nonzero residue proves its identity false.  A residue that is zero
-    in every slot proves it true once prod p > B (``certificate_bound``),
-    and a prime set that does not exceed B raises ValueError:
-
-    * p splits completely, so (p) is the product of the phi(N) distinct
-      primes (p, zeta_N - w^k), and an element y of Z[zeta_N] vanishing
-      in every slot lies in each of them, hence in pZ[zeta_N]; over
-      coprime primes, y lies in (prod p) Z[zeta_N].
-    * If y != 0, y = (prod p) y' with y' != 0 in Z[zeta_N], and
-      |Norm(y)| = (prod p)^phi |Norm(y')| >= (prod p)^phi, since the
-      norm of a nonzero algebraic integer is a nonzero rational integer.
-    * But |Norm(y)| is the product of |sigma_k(y)| over the phi
-      embeddings, each at most B, so |Norm(y)| <= B^phi.  prod p > B
-      leaves y = 0.
+    Unitarity has 2r terms, each a product of two entries, and the
+    Verlinde identity of (x, y, a) has 1 + sum_z |N_xy^z| such terms.
+    ValueError when the split primes do not exceed the bound
+    (``primes_over``).
     """
-    primes = {prime.p: prime for prime in primes}.values()
-    bound = certificate_bound(residues, table)
-    if math.prod(prime.p for prime in primes) <= bound:
-        raise ValueError(f"the primes do not exceed the certificate bound {bound}")
     r = table.shape[0]
     xs, ys = np.triu_indices(r)
     diag = np.arange(r)
@@ -296,17 +292,20 @@ def certify(residues: Residues, table: np.ndarray, primes) -> tuple[set, set]:
         gram[:, diag, diag] -= (s[:, 0] * s[:, 0]).sum(axis=1, keepdims=True)
         return gram
 
-    rows = {prime.p: (table[xs, ys] % prime.p).astype(np.float64) for prime in primes}
+    rows = {}
 
     def verlinde(prime, img, slots):
         # s_xa s_ya - s_0a sum_z N_xy^z s_za, one row per (slot, a)
+        if prime.p not in rows:
+            rows[prime.p] = (table[xs, ys] % prime.p).astype(np.float64)
         flat = img[slots].transpose(1, 0, 2).reshape(r, -1)  # flat[z, (slot, a)] = s_za
         return (flat[xs] * flat[ys] - rows[prime.p] @ (flat * flat[0] % prime.p)).T
 
-    bad_pairs = {(int(x), int(y)) for x, y in np.argwhere(refuted(residues, primes, unitarity))}
+    bad_pairs = {(int(x), int(y)) for x, y in np.argwhere(refuted(residues, unitarity, 2, 2 * r))}
     if bad_pairs:
         return bad_pairs, set()
-    bad_rows = refuted(residues, primes, verlinde)
+    row_mass = int(np.abs(table).sum(axis=-1).max())
+    bad_rows = refuted(residues, verlinde, 2, 1 + row_mass)
     return set(), {(int(xs[i]), int(ys[i])) for i in np.flatnonzero(bad_rows)}
 
 
@@ -319,17 +318,16 @@ def _usable_primes(residues: Residues):
 
 def certified_verlinde(residues: Residues) -> tuple[np.ndarray, set, set]:
     """The candidate table read in slot 0 of the first usable split
-    prime of the conductor n, with the failures ``certify`` finds over the
-    shortest prefix of the split primes whose product exceeds the bound
-    B (``primes_over``).  ``certify`` divides by nothing, so a prime
-    that is not usable certifies too.  Raises ValueError when none of
-    the first ``MAX_PRIMES`` primes is usable.
+    prime of the conductor n, with the failures ``certify`` finds.
+    ``certify`` divides by nothing, so a prime that is not usable
+    certifies too.  Raises ValueError when none of the first
+    ``MAX_PRIMES`` primes is usable.
 
-    B = L^2 max(2r, 1 + row mass) stays below the product of those
+    The Verlinde declaration stays below the product of the split
     primes for every datum within the conductor and rank bounds
     (``primes_over``): the lifted candidate entries are at most
-    (p - 1)/2 < 2^20 in size and r <= 2^6, so the row mass is below
-    2^26 and B < 2^(2(10+k)+26).
+    (p - 1)/2 < 2^20 in size and r <= 2^6, so 1 + row mass <= 2^26 and
+    (1 + row mass) L^2 < 2^(26+2(10+k)).
     """
     r, _, phi = residues.num.shape
     if max(r, phi) > MAX_TERMS:
@@ -339,8 +337,7 @@ def certified_verlinde(residues: Residues) -> tuple[np.ndarray, set, set]:
         raise ValueError(f"a dimension or dim(C) vanishes in a slot of each of the first "
                          f"{MAX_PRIMES} split primes of conductor {residues.n}")
     table = _candidate(residues, prime)
-    bound = certificate_bound(residues, table)
-    return (table, *certify(residues, table, primes_over(residues.n, bound)))
+    return (table, *certify(residues, table))
 
 
 def _column_candidate(residues: Residues, at: np.ndarray) -> list[int | None]:
@@ -367,8 +364,8 @@ def certified_permutation(residues: Residues, k: int) -> list[int | None]:
     match has equal residues there, and the residue columns are
     distinct, so the candidate is that match whenever one exists.  Each
     candidate is certified by sigma_k(s_xy) s_0z = s_xz sigma_k(s_0y)
-    for every x, which divides by nothing; both sides are products of
-    two entries, so B = 2 L^2 (the argument is ``certify``'s).  Raises
+    for every x, which divides by nothing: two terms, each a product of
+    two entries, so (d, m) = (2, 2).  Raises
     ValueError when no usable prime among the first ``MAX_PRIMES``
     separates the columns."""
     at = sigma_slots(residues.n, k)
@@ -380,7 +377,7 @@ def certified_permutation(residues: Residues, k: int) -> list[int | None]:
         cur, img_k = img[slots], img[at[slots]]
         return img_k[:, :, ys] * cur[:, :1, zs] - cur[:, :, zs] * img_k[:, :1, ys]
 
-    wrong = refuted(residues, primes_over(residues.n, 2 * residues.l1 ** 2), matches).any(axis=0)
+    wrong = refuted(residues, matches, 2, 2).any(axis=0)
     for i in np.flatnonzero(wrong):
         perm[ys[i]] = None
     return perm
@@ -390,15 +387,14 @@ def certified_centralizing(residues: Residues) -> tuple[frozenset[int], ...]:
     """centralizing[y] = {x : s_xy = s_0x s_0y}, the objects that
     centralize y (Mueger, *On the structure of modular categories*,
     2003).  The relation is the identity s_xy - s_0x s_0y = 0, certified
-    for every pair at once; its conjugates are at most L + L^2 in size,
-    so B = L + L^2."""
+    for every pair at once: two terms of degree at most 2, so
+    (d, m) = (2, 2)."""
 
     def relation(prime, img, slots):
         s = img[slots]
         return s - s[:, 0, :, None] * s[:, 0, None, :]
 
-    l1 = residues.l1
-    apart = refuted(residues, primes_over(residues.n, l1 + l1 * l1), relation)
+    apart = refuted(residues, relation, 2, 2)
     return tuple(frozenset(x for x, no in enumerate(col) if not no) for col in apart.T.tolist())
 
 
@@ -407,7 +403,8 @@ def dims_ratio_failures(residues: Residues, perms: dict[int, tuple]) -> list[tup
     dim(perm(x))^2 sigma_g(dim C) = dim(C) sigma_g(dim(x)^2) fails, for
     ``perms`` mapping units g to permutations perm of the objects; []
     when there are none.  sigma_g moves the slots (``sigma_slots``), and
-    each side is at most r L^4 under every embedding, so B = 2 r L^4."""
+    each side is a sum of r products of four entries, so
+    (d, m) = (4, 2r)."""
     if not perms:
         return []
     moved = [(sigma_slots(residues.n, g), list(perm)) for g, perm in perms.items()]
@@ -421,6 +418,5 @@ def dims_ratio_failures(residues: Residues, perms: dict[int, tuple]) -> list[tup
             for at, perm in moved
         ], axis=1)
 
-    bound = 2 * len(residues.num) * residues.l1 ** 4
-    bad = refuted(residues, primes_over(residues.n, bound), ratio)
+    bad = refuted(residues, ratio, 4, 2 * len(residues.num))
     return [(g, int(x)) for g, row in zip(perms, bad) for x in np.flatnonzero(row)]

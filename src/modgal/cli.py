@@ -134,8 +134,6 @@ def _cmd_pointed(args) -> int:
         )
     count = cyclic_subgroup_count(group)
     form = _parse_form(group, args.form) if args.form is not None else canonical_form(group)
-    if not form.is_nondegenerate():
-        raise _InputError("the quadratic form is degenerate")
     data = build_pointed(group, form)
     part = orbit_partition(data)
     fast = pointed_orbit_partition(group, form)
@@ -233,8 +231,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process: ``main`` is called many times in one process
+# by in-process callers, and building takes about as long as a small verb
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.run(args)
     except _InputError as exc:
@@ -243,9 +246,10 @@ def main(argv=None) -> int:
     except InvalidModularData as exc:
         print(f"error: {exc}", file=sys.stderr)
         return FAIL
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         # in validate or report (the split primes cannot certify an
-        # identity), the message names the file
+        # identity), the message names the file; in pointed, a form
+        # that ``build_pointed`` refuses
         where = f"{args.file}: " if "file" in args else ""
         print(f"error: {where}{exc}", file=sys.stderr)
         return USAGE

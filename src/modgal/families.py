@@ -13,9 +13,11 @@ built by ``galois_conjugate_data``.  Only four of the Ising variants
 are conjugates of ``ising(0)``, since sigma_k with k != +-1 (mod 8)
 sends sqrt(2) to -sqrt(2), so ``ising`` writes each variant out.  For
 the two transcribed matrices whose twists are not printed
-(``so5_3half_ad``, ``sl2_12_A0``), the exponent vectors are the
-lexicographically smallest solutions of the square-twist constancy
-relation over all units, found by exhaustive search and frozen here.
+(``so5_3half_ad``, ``sl2_12_A0``), the frozen exponent vectors solve
+the modular relation (st)^3 = p+ s^2, p+ = sum_a d_a^2 theta_a.  For
+``so5_3half_ad`` a search over every twist vector at N = 9 finds
+exactly two, (0, 3, 6, 4, 1, 7), frozen here, and its complex
+conjugate (0, 6, 3, 5, 8, 2); the test suite repeats the search.
 """
 
 from __future__ import annotations
@@ -114,7 +116,7 @@ def _so5_3half_ad() -> ModularData:
         (ssu, -u, su, one, one, one),
     )
     return ModularData(
-        n, 6, tuple(f"X{i}" for i in range(6)), rows, (0, 3, 6, 1, 7, 4)
+        n, 6, tuple(f"X{i}" for i in range(6)), rows, (0, 3, 6, 4, 1, 7)
     )
 
 

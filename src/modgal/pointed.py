@@ -299,7 +299,7 @@ def build_pointed(group: FiniteAbelianGroup, form: QuadraticFormSpec | None = No
     if form.group != group:
         raise ValueError("form was built for a different group")
     if not form.is_nondegenerate():
-        raise ValueError("quadratic form is degenerate")
+        raise ValueError("the quadratic form is degenerate")
     M = form.modulus
     gmat, tvec = form._tables
     bmat = gmat @ group._coords.T % M

@@ -384,6 +384,13 @@ class TestProductAndFixture:
         code, _, err = run(capsys, "fixture", "nope", "-o", str(tmp_path / "x.mtc"))
         assert code == 2
 
+    def test_a_key_error_is_a_fault_not_an_input_error(self, monkeypatch):
+        # no verb raises KeyError on bad input, so one from a fault
+        # propagates instead of being printed as an input error
+        monkeypatch.setattr(cli, "_load", lambda path: {}[path])
+        with pytest.raises(KeyError):
+            main(["validate", str(FIXTURE_DIR / "fibonacci.mtc")])
+
 
 # -- fuzzing the loader and the CLI -------------------------------------------
 

@@ -1,8 +1,8 @@
 """Every name a module exports resolves, so a deletion that forgets an
 ``__all__`` entry fails here rather than in a user's import; every
 name a module imports is read, so a deletion that leaves an import
-behind fails here too; and only ``_splitprime`` reads the split-prime
-images of s."""
+behind fails here too; only ``_splitprime`` reads the split-prime
+images of s; and inside it only ``refuted`` sizes a certificate."""
 
 import ast
 import importlib
@@ -84,3 +84,32 @@ def test_galois_action_imports_no_numpy():
     modules = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
     modules += [n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
     assert "numpy" not in modules
+
+
+def _owners(tree: ast.Module, found) -> set[str]:
+    """The top-level functions and methods (``Class.method``) of the
+    module with a node for which ``found`` holds; code outside any of
+    them is ``<module>``, or the class name in a class body."""
+    owners = set()
+    for top in tree.body:
+        inner = top.body if isinstance(top, ast.ClassDef) else [top]
+        for node in inner:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = node.name if node is top else f"{top.name}.{node.name}"
+            else:
+                name = top.name if isinstance(top, ast.ClassDef) else "<module>"
+            if any(found(n) for n in ast.walk(node)):
+                owners.add(name)
+    return owners
+
+
+def test_only_refuted_sizes_a_certificate():
+    # each identity declares its degree and mass to ``refuted``, which
+    # alone turns them into a bound and picks the primes
+    path = next(p for p in PACKAGE if p.name == "_splitprime.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    calls = _owners(tree, lambda n: isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                    and n.func.id == "primes_over")
+    reads = _owners(tree, lambda n: isinstance(n, ast.Attribute) and n.attr == "l1")
+    assert calls == {"refuted"}
+    assert reads <= {"refuted", "Residues.__init__"}

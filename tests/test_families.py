@@ -1,11 +1,14 @@
 """Builders, the fixture catalog contract, and the golden files."""
 
+import itertools
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from reference import numeric_value
 from modgal._numtheory import units_mod
-from modgal.cyclotomic import CycNum
+from modgal.cyclotomic import CycNum, dot, root_of_unity
 from modgal.families import (
     catalog,
     fibonacci,
@@ -165,6 +168,21 @@ class TestSl2Adjoint:
             sl2_level_adjoint(3)
 
 
+def _modular_relation_holds(data, t=None) -> bool:
+    """(st)^3 = p+ s^2 with p+ = sum_a d_a^2 theta_a, in ``CycNum``, for
+    the twist exponents t (the datum's own by default)."""
+    n, r, s = data.conductor, data.rank, data.s
+    theta = [root_of_unity(n, e) for e in (t or data.t_exponents)]
+
+    def mul(a, b):
+        return [[dot(a[x], [b[z][y] for z in range(r)]) for y in range(r)] for x in range(r)]
+
+    st = [[s[x][y] * theta[y] for y in range(r)] for x in range(r)]
+    p_plus = dot(data.dims, [d * th for d, th in zip(data.dims, theta)])
+    cube, s2 = mul(mul(st, st), st), mul(s, s)
+    return all(cube[x][y] == p_plus * s2[x][y] for x in range(r) for y in range(r))
+
+
 class TestPaperFixtures:
     def test_orbits(self):
         assert orbit_partition(fixture("so5_3half_ad")).orbits == (
@@ -189,6 +207,28 @@ class TestPaperFixtures:
     def test_unknown_name(self):
         with pytest.raises(KeyError):
             fixture("nope")
+
+    def test_frozen_twists_solve_the_modular_relation(self):
+        # so5_3half_ad: among every twist vector at N = 9 with t_0 = 0,
+        # (st)^3 = p+ s^2 holds in floating point for exactly the frozen
+        # one and its conjugate, and for both exactly
+        data = fixture("so5_3half_ad")
+        n, r = data.conductor, data.rank
+        s = np.array([[numeric_value(v) for v in row] for row in data.s])
+        s2 = s @ s
+        found = []
+        for t1 in range(n):
+            ts = np.array([(0, t1) + rest for rest in itertools.product(range(n), repeat=r - 2)])
+            theta = np.exp(2j * np.pi * ts / n)
+            st = s[None] * theta[:, None, :]
+            p_plus = (s[0] ** 2 * theta).sum(axis=1)
+            gap = st @ st @ st - p_plus[:, None, None] * s2
+            found += [tuple(t) for t in ts[np.abs(gap).max(axis=(1, 2)) < 1e-9].tolist()]
+        assert found == [(0, 3, 6, 4, 1, 7), (0, 6, 3, 5, 8, 2)]
+        assert data.t_exponents == found[0]
+        for t in found:
+            assert _modular_relation_holds(data, t), t
+        assert _modular_relation_holds(fixture("sl2_12_A0"))
 
 
 class TestCatalogContract:

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import LADDER, PRODUCTS, _double_pair, _edited
+from conftest import DIFFERENTIAL, LADDER, PRODUCTS, _double_pair, _edited
 from reference import character_columns, numeric_value
 from modgal import _splitprime
 from modgal._numtheory import factorize, is_prime, unit_group_generators, units_mod
@@ -27,7 +27,7 @@ from modgal.analysis import run_analysis
 from modgal.cli import main
 from modgal.cyclotomic import CycNum, dot
 from modgal.families import fibonacci, fixture_names, sl2_level_adjoint
-from modgal.galois_action import galois_conjugate_data
+from modgal.galois_action import galois_conjugate_data, galois_permutation
 from modgal.modular_data import (
     MAX_CONDUCTOR,
     MAX_ENTRY_BITS,
@@ -104,17 +104,84 @@ def _residues_and_table(data):
     return residues, table
 
 
+def _check_declared_bounds(data, calls):
+    """Run the five identities on data and on planted faults, with
+    ``calls`` recording them (``_refuted_calls``), and check every
+    conjugate of every exact residue against the bound m L^d of its
+    identity."""
+    view, table = _residues_and_table(data)
+    n, r, s, dims, dim_c = data.conductor, data.rank, data.s, data.dims, data.global_dim
+    g = unit_group_generators(n)[0]
+    perm = list(galois_permutation(data, g))
+    planted = perm[-1:] + perm[1:-1] + perm[:1]
+    wrong = table.copy()
+    wrong[1, 1, 1] += 5
+    calls.clear()
+    assert certify(view, wrong) == (set(), {(1, 1)})
+    _splitprime.certified_permutation(view, g)
+    _splitprime.certified_centralizing(view)
+    _splitprime.dims_ratio_failures(view, {g: planted})
+    pairs = [(x, y) for x in range(r) for y in range(r)]
+    rows = [[CycNum.rational(int(v), n) for v in row] for row in wrong.reshape(r * r, r)]
+    exact = {
+        "unitarity": [dot(s[x], [v.conjugate() for v in s[y]]) - (x == y) * dim_c
+                      for x, y in pairs],
+        "verlinde": [s[x][a] * s[y][a] - s[0][a] * dot(rows[x * r + y], [s[z][a] for z in range(r)])
+                     for x, y in pairs for a in range(r)],
+        "matches": [s[x][y].galois_apply(g) * s[0][p[y]] - s[x][p[y]] * s[0][y].galois_apply(g)
+                    for p in (perm, planted) for x, y in pairs],
+        "relation": [s[x][y] - s[0][x] * s[0][y] for x, y in pairs],
+        "ratio": [dims[p[x]] * dims[p[x]] * dim_c.galois_apply(g)
+                  - dim_c * (dims[x] * dims[x]).galois_apply(g)
+                  for p in (perm, planted) for x in range(r)],
+    }
+    bounds = {identity: bound for identity, bound, _ in calls}
+    assert bounds.keys() == exact.keys()
+    assert any(exact["verlinde"]) and any(exact["matches"])
+    for identity, residues in exact.items():
+        for y in residues:
+            for k in units_mod(n):
+                assert abs(numeric_value(y.galois_apply(k))) <= bounds[identity], identity
+
+
+def _use_primes(monkeypatch, *ps):
+    """Make ``refuted`` walk the split primes ps of the conductor, or its
+    first split prime when no ps are given, whatever its bound."""
+    monkeypatch.setattr(_splitprime, "primes_over", lambda n, bound: (
+        [split_prime(n, p) for p in ps] if ps else [split_primes(n, 0)]))
+
+
+def _refuted_calls(monkeypatch):
+    """Record every ``refuted`` call from here on: the identity's name,
+    the bound it passes to ``primes_over`` and how many primes it walks."""
+    calls = []
+    refuted, primes_over = _splitprime.refuted, _splitprime.primes_over
+
+    def recorded(residues, identity, degree, mass):
+        calls.append([identity.__name__])
+        return refuted(residues, identity, degree, mass)
+
+    def walked(n, bound):
+        primes = primes_over(n, bound)
+        calls[-1] += [bound, len(primes)]
+        return primes
+
+    monkeypatch.setattr(_splitprime, "refuted", recorded)
+    monkeypatch.setattr(_splitprime, "primes_over", walked)
+    return calls
+
+
 class TestCertificate:
-    def test_one_coefficient_off_by_one_is_rejected(self):
+    def test_one_coefficient_off_by_one_is_rejected(self, monkeypatch):
         data = deligne_product(fibonacci(0), sl2_level_adjoint(7))
         residues, table = _residues_and_table(data)
-        primes = [split_primes(data.conductor, 0)]
-        assert certify(residues, table, primes) == (set(), set())
+        _use_primes(monkeypatch)
+        assert certify(residues, table) == (set(), set())
         for x, y, z in [(0, 0, 0), (1, 2, 3), (4, 2, 5)]:
             wrong = table.copy()
             wrong[x, y, z] += 1
             wrong[y, x, z] = wrong[x, y, z]
-            assert certify(residues, wrong, primes) == (set(), {(min(x, y), max(x, y))})
+            assert certify(residues, wrong) == (set(), {(min(x, y), max(x, y))})
 
     def test_negative_coefficients_are_certified(self, phase2_invalid):
         # the slot reading is lifted to (-p/2, p/2], so N(1,1)^1 = -1 is
@@ -140,56 +207,68 @@ class TestCertificate:
         monkeypatch.setattr(_splitprime, "_candidate", off_by_one)
         assert data.fusion.coeffs == reference
 
-    def test_primes_below_the_bound_are_never_a_certificate(self):
-        data = fibonacci(0)
-        residues, table = _residues_and_table(data)
-        bound = _splitprime.certificate_bound(residues, table)
-        small = [p for p in range(11, bound + 1, 5) if _is_split(p)]
-        assert small, bound
-        for p in small:
-            with pytest.raises(ValueError, match="bound"):
-                certify(residues, table, [split_prime(5, p)])
-        # a repeated prime counts once
-        p = small[-1]
-        assert p * p > bound
-        with pytest.raises(ValueError, match="bound"):
-            certify(residues, table, [split_prime(5, p), split_prime(5, p)])
-        above = [split_prime(5, p) for p in (11, 31, 41)]
-        assert 11 * 31 * 41 > bound
-        assert certify(residues, table, above) == (set(), set())
-
-    def test_bound_by_hand(self):
-        # fibonacci: the entries 1, -1 and -zeta^2 - zeta^3 have l1 norms
-        # 1, 1, 2, and tau x tau = 1 + tau has row mass 2, so
-        # B = 2^2 * max(2 * 2, 1 + 2) = 16
+    def test_primes_below_the_bound_are_never_a_certificate(self, monkeypatch):
+        # refuted walks primes_over(n, B): distinct primes whose product
+        # exceeds B, and no shorter prefix does
         residues, table = _residues_and_table(fibonacci(0))
-        assert _splitprime.certificate_bound(residues, table) == 16
-
-    def test_bound_covers_every_conjugate_of_a_residue(self):
-        data = deligne_product(fibonacci(0), sl2_level_adjoint(7))
-        view, table = _residues_and_table(data)
-        n, r, s = data.conductor, data.rank, data.s
+        for bound in (1, 12, 16, (1 << 21) ** 2, (1 << 20) ** 8):
+            primes = [prime.p for prime in _splitprime.primes_over(5, bound)]
+            assert len(set(primes)) == len(primes)
+            assert math.prod(primes) > bound >= math.prod(primes[:-1])
+        # where the first MAX_PRIMES primes cannot exceed B, certify raises
         wrong = table.copy()
-        wrong[1, 2, 3] += 5
-        wrong[2, 1, 3] += 5
-        bound = _splitprime.certificate_bound(view, wrong)
-        row = [CycNum.rational(int(v), n) for v in wrong[1, 2]]
-        residues = [s[1][a] * s[2][a] - s[0][a] * dot(row, [s[z][a] for z in range(r)])
-                    for a in range(r)]
-        residues += [dot(s[x], [v.conjugate() for v in s[y]]) - (x == y) * data.global_dim
-                     for x in range(r) for y in range(r)]
-        assert any(residues)
-        for y in residues:
-            for k in units_mod(n):
-                assert abs(numeric_value(y.galois_apply(k))) <= bound
+        wrong[1, 1, 1] += 1 << 20
+        monkeypatch.setattr(_splitprime, "MAX_PRIMES", 1)
+        assert certify(residues, table) == (set(), set())
+        with pytest.raises(ValueError, match="bound"):
+            certify(residues, wrong)
 
-    def test_small_primes_still_refute(self):
+    def test_bound_by_hand(self, monkeypatch):
+        # fibonacci: the entries 1, -1 and -zeta^2 - zeta^3 have l1 norms
+        # 1, 1, 2, so L = 2, and r = 2.  Unitarity has 2r = 4 terms of
+        # degree 2, B = 4 * 2^2 = 16; tau x tau = 1 + tau has row mass 2,
+        # so the Verlinde bound is (1 + 2) * 2^2 = 12; the permutation and
+        # centralizer identities have two terms of degree 2, B = 2 * 2^2 = 8;
+        # the dimension ratio has 2r = 4 terms of degree 4, B = 4 * 2^4 = 64
+        residues, table = _residues_and_table(fibonacci(0))
+        calls = _refuted_calls(monkeypatch)
+        assert certify(residues, table) == (set(), set())
+        _splitprime.certified_permutation(residues, 2)
+        _splitprime.certified_centralizing(residues)
+        _splitprime.dims_ratio_failures(residues, {2: (0, 1)})
+        assert [(identity, bound) for identity, bound, _ in calls] == [
+            ("unitarity", 16), ("verlinde", 12), ("matches", 8), ("relation", 8), ("ratio", 64)]
+
+    def test_bound_covers_every_conjugate_of_a_residue(self, monkeypatch):
+        # every identity's residue y, computed exactly and on planted
+        # faults too (a Verlinde row off by 5, sigma_hat with its first
+        # and last images swapped), has |sigma_k(y)| <= m L^d for the
+        # degree d and mass m it declares
+        calls = _refuted_calls(monkeypatch)
+        for name in ["fibonacci", "ising", "so5_3half_ad", "sl2_12_A0", "fib_x_sl2_7"]:
+            _check_declared_bounds(DIFFERENTIAL[name](), calls)
+
+    def test_prime_counts_on_the_differential_data(self, monkeypatch):
+        # every identity of run_analysis walks one split prime on these
+        # data, but the dimension ratio on the products, which walks two
+        calls = _refuted_calls(monkeypatch)
+        identities = set()
+        for name, build in {**DIFFERENTIAL, **PRODUCTS}.items():
+            calls.clear()
+            assert run_analysis(build(), name).ok
+            two = {("ratio", 2)} if name in PRODUCTS else set()
+            assert {(identity, n) for identity, _, n in calls if n != 1} == two, name
+            identities |= {identity for identity, _, _ in calls}
+        assert identities == {"unitarity", "verlinde", "matches", "relation", "ratio"}
+
+    def test_small_primes_still_refute(self, monkeypatch):
         # a nonzero residue is a proof on its own, at any prime
         data = fibonacci(0)
         residues, table = _residues_and_table(data)
         wrong = table.copy()
         wrong[1, 1, 1] = 0
-        assert certify(residues, wrong, [split_prime(5, p) for p in (11, 31, 41)])[1] == {(1, 1)}
+        _use_primes(monkeypatch, 11, 31, 41)
+        assert certify(residues, wrong)[1] == {(1, 1)}
 
     def test_every_slot_is_checked(self, monkeypatch):
         # e = (zeta - w)(zeta^-1 - w) = 1 + w + w^2 + w zeta^2 + w zeta^3
@@ -205,11 +284,11 @@ class TestCertificate:
         assert images[0] == images[3] == 0 and images[1] and images[2]
         bad = residues.num.copy()
         bad[1, 1] += e
-        # one prime is below the bound, so lift the bound for this check;
+        # one prime is below the bound, so walk it alone for this check;
         # unitarity fails, so the Verlinde rows are not evaluated
-        monkeypatch.setattr(_splitprime, "certificate_bound", lambda residues, table: 1)
-        assert certify(Residues(bad, 5), table, [prime]) == ({(0, 1), (1, 0), (1, 1)}, set())
-        assert certify(residues, table, [prime]) == (set(), set())
+        _use_primes(monkeypatch, 11)
+        assert certify(Residues(bad, 5), table) == ({(0, 1), (1, 0), (1, 1)}, set())
+        assert certify(residues, table) == (set(), set())
 
     def test_every_prime_is_checked(self, monkeypatch):
         # s_11 + 11 agrees with s_11 in every slot of p = 11, so only
@@ -218,12 +297,13 @@ class TestCertificate:
         bad = residues.num.copy()
         bad[1, 1, 0] += 11
         bad = Residues(bad, 5)
-        monkeypatch.setattr(_splitprime, "certificate_bound", lambda residues, table: 1)
-        p11, p31 = split_prime(5, 11), split_prime(5, 31)
-        assert certify(bad, table, [p11]) == (set(), set())
-        refuted = certify(bad, table, [p31])
+        _use_primes(monkeypatch, 11)
+        assert certify(bad, table) == (set(), set())
+        _use_primes(monkeypatch, 31)
+        refuted = certify(bad, table)
         assert refuted[0] and not refuted[1]
-        assert certify(bad, table, [p11, p31]) == refuted
+        _use_primes(monkeypatch, 11, 31)
+        assert certify(bad, table) == refuted
 
     def test_primes_are_split_and_roots_primitive(self):
         cases = [(n, split_primes(n, 0)) for n in (1, 2, 5, 12, 55, 143, 1024)]
@@ -309,23 +389,25 @@ class TestBeyondThePrimes:
 
     def test_a_prime_that_is_not_usable_still_certifies(self, monkeypatch):
         # the candidate is read at the second prime; the first, where it
-        # cannot be read, is enough for the certificate
+        # cannot be read, is enough for the certificate of unitarity and
+        # of the Verlinde rows
         data = PRODUCTS["fib_x_sl2_13"]()
         first = split_primes(data.conductor, 0)
-        usable, certify_ = _splitprime._usable, _splitprime.certify
+        usable, primes_over = _splitprime._usable, _splitprime.primes_over
         seen = []
 
-        def recorded(residues, table, primes):
+        def recorded(n, bound):
+            primes = primes_over(n, bound)
             seen.append([prime.p for prime in primes])
-            return certify_(residues, table, primes)
+            return primes
 
         monkeypatch.setattr(
             _splitprime, "_usable",
             lambda residues, prime: prime is not first and usable(residues, prime),
         )
-        monkeypatch.setattr(_splitprime, "certify", recorded)
+        monkeypatch.setattr(_splitprime, "primes_over", recorded)
         assert ModularData(*_parts(data)).fusion.coeffs == exact_verlinde(data)
-        assert seen == [[first.p]]
+        assert seen == [[first.p], [first.p]]
 
     def test_split_primes_stop_when_they_run_out(self, monkeypatch):
         # below 2^6 the primes = 1 (mod 5) are 61, 41, 31 and 11
