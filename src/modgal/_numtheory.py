@@ -13,7 +13,6 @@ import math
 
 __all__ = [
     "divisors",
-    "divisors_of",
     "euler_phi",
     "factorize",
     "is_prime",
@@ -78,14 +77,8 @@ def euler_phi(n: int) -> int:
 
 def divisors(n: int) -> list[int]:
     """All positive divisors of n >= 1, sorted ascending."""
-    return divisors_of(factorize(n))
-
-
-def divisors_of(factors) -> list[int]:
-    """All positive divisors, sorted ascending, of the number with the
-    given (p, e) factorization."""
     out = [1]
-    for p, e in factors:
+    for p, e in factorize(n):
         out = [d * p**k for d in out for k in range(e + 1)]
     return sorted(out)
 

@@ -20,9 +20,9 @@ name that is not one of the named fixtures; an output path
 of ``product`` or ``fixture`` that cannot be written (a directory, or
 one in a missing directory; the message names it); a ``pointed``
 group of order above ``MAX_RANK`` without ``--count-only``; a
-``pointed`` group whose divisor-tuple sum has more than
-``pointed.MAX_DIVISOR_TUPLES`` terms, or with an invariant factor that
-has a prime above ``pointed.MAX_COUNT_PRIME``; and a ``tables --check N``
+``pointed`` group whose exponent has a prime above
+``pointed.MAX_COUNT_PRIME``, or whose count has more decimal digits
+than Python converts to a string; and a ``tables --check N``
 with N < 1, with N divisible by a level outside the verified t-spectra
 scope (2^lam with lam >= 8, p^lam with p odd and lam >= 4), or with
 prime-power levels that sum above ``tspectra.MAX_LEVEL_SUM``.  Data
@@ -208,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pointed", help="pointed data from invariant factors")
     p.add_argument("group", help="comma-separated invariant factors, e.g. 2,30,30")
     p.add_argument("--count-only", action="store_true",
-                   help="only evaluate the divisor-tuple orbit count")
+                   help="only count the orbits, as the cyclic subgroups")
     p.add_argument("--form", help="Gram rows, e.g. '1' or '1,0;0,1'")
     p.set_defaults(run=_cmd_pointed)
 

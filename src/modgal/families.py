@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from ._numtheory import is_prime
 from .cyclotomic import CycNum, root_of_unity
-from .galois_action import galois_conjugate_data, is_transitive, orbit_partition
+from .galois_action import galois_conjugate_data
 from .modular_data import ModularData, deligne_product
 from .pointed import FiniteAbelianGroup, build_pointed
 
@@ -35,7 +35,6 @@ __all__ = [
     "fixture_names",
     "ising",
     "sl2_level_adjoint",
-    "transitive_square_orbit_count",
 ]
 
 
@@ -179,14 +178,3 @@ def fixture(name: str) -> ModularData:
 def catalog() -> dict[str, ModularData]:
     return {name: build() for name, build in sorted(_CATALOG.items())}
 
-
-def transitive_square_orbit_count(data: ModularData) -> int:
-    """|Orb(T (x) T)| for transitive T; always equals rank(T)."""
-    if not is_transitive(data):
-        raise ValueError("input data is not transitive")
-    count = orbit_partition(deligne_product(data, data)).count
-    if count != data.rank:
-        raise AssertionError(
-            f"square of a transitive category has {count} orbits, rank is {data.rank}"
-        )
-    return count

@@ -195,18 +195,19 @@ class ModularData:
         the first holds, s is invertible, and multiplying the second by
         conj(s_wa) / dim(C) and summing over a gives the defining sum of
         N_xy^w: the candidate is the table.  Where an identity fails, the
-        coefficients it concerns are named from that defining sum, with
-        the r weights 1 / (s_0a dim(C)) built from one inverse: if
-        unitarity fails, N_0x^y over the failing pairs (x, y), in order,
-        since s_0a / (s_0a dim(C)) = 1 / dim(C) makes N_0x^y =
-        (s conj(s)^T)_xy / dim(C); otherwise the failing Verlinde rows, in
-        the order x <= y, z.  The first coefficient that is not a nonnegative
-        integer is the one named.  If each N_0x^y is a nonnegative
-        integer, the failing pairs are reported, since without unitarity
-        the other rows are not tied to the identities.  The first failure
-        of ``_table_preconditions`` is raised before any of this
-        (``_residues``), and a ValueError where the split primes cannot
-        certify (``certified_verlinde``).
+        coefficients it concerns are named from that defining sum.  If
+        unitarity fails, they are N_0x^y over the failing pairs (x, y), in
+        order: s_0a / (s_0a dim(C)) = 1 / dim(C) makes N_0x^y =
+        (s conj(s)^T)_xy / dim(C), one ``dot`` tested against dim(C) by
+        ``_integer_ratio``, with no inverse.  Otherwise they are the
+        failing Verlinde rows, in the order x <= y, z, with the r weights
+        1 / (s_0a dim(C)) built from one inverse.  The first coefficient
+        that is not a nonnegative integer is the one named.  If each
+        N_0x^y is a nonnegative integer, the failing pairs are reported,
+        since without unitarity the other rows are not tied to the
+        identities.  The first failure of ``_table_preconditions`` is
+        raised before any of this (``_residues``), and a ValueError where
+        the split primes cannot certify (``certified_verlinde``).
 
         The dual of x is the one z with N_xz^0 != 0.  As the dimensions
         are real, N_xz^0 = (s s^T)_xz / dim(C) =: P_xz, and P is
@@ -219,7 +220,14 @@ class ModularData:
         """
         r, s = self.rank, self.s
         table, bad_pairs, bad_rows = certified_verlinde(self._residues)
-        if bad_pairs or bad_rows:
+        if bad_pairs:
+            for x, y in sorted(bad_pairs):
+                gram = dot(s[x], map(CycNum.conjugate, s[y]))
+                _check_coefficient(0, x, y, _integer_ratio(gram, self.global_dim))
+            raise InvalidModularData(*(
+                f"s * conj(s)^T fails at ({x},{y})" for x, y in sorted(bad_pairs) if x <= y
+            ))
+        if bad_rows:
             weights = self._verlinde_weights()
 
         def exact(x, y, zs):
@@ -230,12 +238,6 @@ class ModularData:
                 acc = dot(scaled, map(CycNum.conjugate, s[z]))
                 yield int(acc.as_rational()) if acc.is_rational_integer else None
 
-        if bad_pairs:
-            for x, y in sorted(bad_pairs):
-                _check_coefficient(0, x, y, next(exact(0, x, (y,))))
-            raise InvalidModularData(*(
-                f"s * conj(s)^T fails at ({x},{y})" for x, y in sorted(bad_pairs) if x <= y
-            ))
         coeffs = table.tolist()
         for x in range(r):
             for y in range(x, r):
@@ -399,6 +401,19 @@ class ModularData:
         except InvalidModularData as exc:
             return ValidationReport(exc.failures)
         return ValidationReport(())
+
+
+def _integer_ratio(a: CycNum, b: CycNum) -> int | None:
+    """a / b for b != 0 when it is a rational integer, else None.  a / b
+    is the integer n exactly when a = n b, coefficient by coefficient on
+    the power basis, so n is read at one nonzero coefficient of b and
+    then checked at all of them."""
+    i = next(i for i, c in enumerate(b.num) if c)
+    # a.num / a.den = n b.num / b.den
+    n, rest = divmod(a.num[i] * b.den, b.num[i] * a.den)
+    if rest or any(x * b.den != n * y * a.den for x, y in zip(a.num, b.num)):
+        return None
+    return n
 
 
 def _check_coefficient(x: int, y: int, z: int, n: int | None) -> None:

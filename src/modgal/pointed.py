@@ -19,14 +19,15 @@ built only for a form that is used.
 
 Orbit counting has two routes that the tests play against each other:
 
-* ``cyclic_subgroup_count`` evaluates the divisor-tuple sum
-  sum phi(d_1)...phi(d_k) / phi(lcm(d_1,...,d_k)), which equals the
-  number of Galois orbits;
+* ``cyclic_subgroup_count`` counts the cyclic subgroups, which number
+  the Galois orbits, as a product over the primes p of the exponent of
+  the counts of the Sylow p-subgroups, each read from how many
+  elements p^j kills;
 * ``pointed_orbit_partition`` computes the orbits directly from the
   bicharacter matrix by exact column matching in exponent space (the
   s-entries are single roots of unity, and sigma_k multiplies their
   exponents by k), which is fast enough to sweep all groups of order
-  up to 64 against the formula.
+  up to 64 against the count.
 
 One partition serves every form of a group.  s_{g,h} = b(g, h) is a
 root of unity and b is a bicharacter, so
@@ -53,8 +54,6 @@ import numpy as np
 
 from ._numtheory import (
     divisors,
-    divisors_of,
-    euler_phi,
     is_prime,
     permutation_orbits,
     trial_factor,
@@ -80,11 +79,9 @@ __all__ = [
 # scans in full before it falls back to a sparser family.
 MAX_CANDIDATES = 200_000
 
-# Bounds of ``cyclic_subgroup_count``: the terms of its divisor-tuple
-# sum (2^16 of them take 0.6 s on a 2-vCPU x86 VM; the rank-1800 groups
-# have at most 128) and the primes of an invariant factor, so that
-# finding its divisors takes at most that many trial divisions.
-MAX_DIVISOR_TUPLES = 100_000
+# Largest prime of the exponent that ``cyclic_subgroup_count`` counts
+# over, so that factoring the exponent takes at most that many trial
+# divisions.
 MAX_COUNT_PRIME = 100_000
 
 
@@ -352,44 +349,41 @@ def generator_partition(group: FiniteAbelianGroup) -> tuple[tuple[int, ...], ...
 
 
 def cyclic_subgroup_count(group: FiniteAbelianGroup) -> int:
-    """Number of cyclic subgroups, via the divisor-tuple sum
-    sum phi(d_1)...phi(d_k) / phi(lcm(d_1,...,d_k)).  Each term is an
-    integer: phi(a) phi(b) = phi(lcm(a, b)) phi(gcd(a, b)), so by
-    induction on k, phi(d_1)...phi(d_k) is phi(lcm(d_1,...,d_k)) times
-    a product of phis.
+    """Number of cyclic subgroups, as a product over the primes p of the
+    exponent.
 
-    The sum has d(n_1)...d(n_k) terms, so a group is refused with
-    ``ValueError`` before any term when they number more than
-    ``MAX_DIVISOR_TUPLES``, or when a factor has a prime above
-    ``MAX_COUNT_PRIME``, which bounds the trial division that finds
-    the divisors."""
+    A is the direct sum of its Sylow subgroups A_p, and a subgroup is
+    cyclic iff each of its Sylow parts is, so c(A) is the product of
+    the c(A_p).  In A_p = sum_i Z/p^(v_p(n_i)), the elements that p^j
+    kills number p^(s_j) with s_j = sum_i min(j, v_p(n_i)), so
+    p^(s_j) - p^(s_(j-1)) of them have order exactly p^j, and each
+    cyclic subgroup of that order has phi(p^j) = p^(j-1) (p - 1) of
+    them as generators.  With e = v_p(exponent),
+
+        c(A_p) = 1 + sum_(j=1..e) (p^(s_j) - p^(s_(j-1))) / (p^(j-1) (p - 1)),
+
+    where each quotient is exact, as it counts subgroups.  s_j - s_(j-1)
+    is the number of n_i that p^j divides.
+
+    Every n_i divides the exponent, so only the exponent, the last
+    invariant factor, is factored; a group is refused with
+    ``ValueError`` when the exponent has a prime above
+    ``MAX_COUNT_PRIME``, which bounds that trial division."""
     facs = group.invariant_factors
-    if not facs:
-        return 1
-    tuples = 1
-    factorizations = []
-    for n in facs:
-        factors, rest = trial_factor(n, MAX_COUNT_PRIME)
-        if rest > 1:
-            raise ValueError(
-                f"invariant factor {n}: its factor {rest} has no prime factor up to "
-                f"{MAX_COUNT_PRIME}, the largest prime counted"
-            )
-        tuples *= math.prod(e + 1 for _, e in factors)
-        if tuples > MAX_DIVISOR_TUPLES:
-            raise ValueError(
-                f"the divisor-tuple sum of {group} has more than "
-                f"{MAX_DIVISOR_TUPLES} terms"
-            )
-        factorizations.append(factors)
-    total = 0
-    for tup in itertools.product(*map(divisors_of, factorizations)):
-        num = 1
-        for d in tup:
-            num *= euler_phi(d)
-        term, rest = divmod(num, euler_phi(math.lcm(*tup)))
-        assert rest == 0
-        total += term
+    factors, rest = trial_factor(group.exponent, MAX_COUNT_PRIME)
+    if rest > 1:
+        raise ValueError(
+            f"invariant factor {group.exponent}: its factor {rest} has no prime factor up to "
+            f"{MAX_COUNT_PRIME}, the largest prime counted"
+        )
+    total = 1
+    for p, e in factors:
+        count, killed = 1, 1
+        for j in range(1, e + 1):
+            grown = killed * p ** sum(n % p**j == 0 for n in facs)
+            count += (grown - killed) // (p ** (j - 1) * (p - 1))
+            killed = grown
+        total *= count
     return total
 
 

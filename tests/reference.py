@@ -7,12 +7,17 @@ differential tests compare the certified answers with them.
 ``numeric_value`` is the floating reference that certified signs and
 bounds are compared against.  ``full_table_nondegenerate`` decides
 pointed nondegeneracy on the whole |A| x |A| bicharacter table, as the
-library did before it read the generator columns alone."""
+library did before it read the generator columns alone, and
+``divisor_tuple_count`` counts cyclic subgroups by the divisor-tuple
+sum, as the library did before it took the product over primes."""
+
+import itertools
+import math
 
 import mpmath
 import numpy as np
 
-from modgal._numtheory import unit_group_generators, units_mod
+from modgal._numtheory import divisors, euler_phi, unit_group_generators, units_mod
 from modgal.cyclotomic import CycNum
 from modgal.modular_data import InvalidModularData
 
@@ -119,3 +124,17 @@ def full_table_nondegenerate(form) -> bool:
     gram = np.array([[e % M for e in row] for row in form.gram], dtype=np.int64)
     bmat = (2 * (coords @ gram @ coords.T)) % M
     return int(np.sum(~np.any(bmat, axis=1))) == 1
+
+
+def divisor_tuple_count(group) -> int:
+    """The number of cyclic subgroups of the group as the divisor-tuple
+    sum sum phi(d_1)...phi(d_k) / phi(lcm(d_1,...,d_k)) over the divisors
+    d_i of the invariant factors n_i.  Each term is an integer:
+    phi(a) phi(b) = phi(lcm(a, b)) phi(gcd(a, b)), so by induction on k,
+    phi(d_1)...phi(d_k) is phi(lcm(d_1,...,d_k)) times a product of phis."""
+    total = 0
+    for tup in itertools.product(*map(divisors, group.invariant_factors)):
+        term, rest = divmod(math.prod(map(euler_phi, tup)), euler_phi(math.lcm(*tup)))
+        assert rest == 0
+        total += term
+    return total

@@ -15,7 +15,6 @@ from modgal.families import (
     fixture,
     ising,
     sl2_level_adjoint,
-    transitive_square_orbit_count,
 )
 from modgal.galois_action import (
     dims_ratio_check,
@@ -184,8 +183,9 @@ def test_criterion_6_product_formulas():
             assert orbit_partition(prod).count == closed_form_counts(
                 "product_cyclic", p=p, n=n
             ), (p, n)
-        assert transitive_square_orbit_count(fibonacci(0)) == 2
-        assert transitive_square_orbit_count(sl2_level_adjoint(7)) == 3
+        # the square of a transitive datum has as many orbits as its rank
+        for data in (fibonacci(0), sl2_level_adjoint(7), _pointed()):
+            assert orbit_partition(deligne_product(data, data)).count == data.rank
 
 
 def test_criterion_7_field_degrees(fixture_catalog):

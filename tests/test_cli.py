@@ -257,13 +257,29 @@ class TestPointed:
         code, _, err = run(capsys, "pointed", "128")
         assert code == 2 and "count-only" in err
 
-    @pytest.mark.parametrize("group", [",".join(["2"] * 22), "2305843009213693951"])
+    @pytest.mark.parametrize("group", ["2305843009213693951"])
     def test_count_only_refuses_what_it_cannot_finish(self, capsys, group):
-        # 2^22 divisor tuples; a factor whose least prime is 2^61 - 1
+        # a factor whose least prime is 2^61 - 1
         start = time.monotonic()
         code, out, err = run(capsys, "pointed", group, "--count-only")
         assert time.monotonic() - start < 1
         assert code == 2 and not out and "100000" in err
+
+    def test_count_only_counts_many_factors(self, capsys):
+        # 22 factors of 2: 2^22 divisor tuples, but one prime
+        start = time.monotonic()
+        code, out, err = run(capsys, "pointed", ",".join(["2"] * 22), "--count-only")
+        assert time.monotonic() - start < 1
+        assert code == 0 and out.endswith(": 4194304 orbits\n") and not err
+
+    def test_count_only_refuses_a_count_too_long_to_print(self, capsys):
+        # 15,000 factors of 2 have 2^15000 cyclic subgroups, 4,516
+        # decimal digits, more than Python converts to a string
+        start = time.monotonic()
+        code, out, err = run(capsys, "pointed", ",".join(["2"] * 15000), "--count-only")
+        assert time.monotonic() - start < 1
+        assert code == 2 and not out
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_bad_chain(self, capsys):
         code, _, err = run(capsys, "pointed", "6,4", "--count-only")

@@ -1,12 +1,17 @@
 """Every name a module exports resolves, so a deletion that forgets an
 ``__all__`` entry fails here rather than in a user's import; every
 name a module imports is read, so a deletion that leaves an import
-behind fails here too; only ``_splitprime`` reads the split-prime
-images of s; and inside it only ``refuted`` sizes a certificate."""
+behind fails here too; every name a docstring or comment cites
+resolves, so a deletion that leaves a citation behind fails as well;
+only ``_splitprime`` reads the split-prime images of s; and inside it
+only ``refuted`` sizes a certificate."""
 
 import ast
 import importlib
+import io
 import pkgutil
+import re
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -50,6 +55,48 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 )
 def test_every_import_is_read(path):
     assert _unused_imports(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+# A name cited in double backticks: dotted (``module.name``,
+# ``Class.attr``) or an UPPER_CASE constant
+_CITED = re.compile(r"``((?:[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)|(?:_?[A-Z][A-Z0-9_]*))``")
+
+
+def _citations(source: str) -> list[str]:
+    """The names the module's docstrings and comments cite."""
+    texts = [
+        tok.string for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+        if tok.type == tokenize.COMMENT
+    ]
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            texts.append(ast.get_docstring(node, clean=False) or "")
+    return [name for text in texts for name in _CITED.findall(text)]
+
+
+def _resolves(scope, dotted: str) -> bool:
+    for part in dotted.split("."):
+        if not hasattr(scope, part):
+            return False
+        scope = getattr(scope, part)
+    return True
+
+
+def test_cited_names_resolve():
+    # a citation resolves in the citing module, or as a name of the
+    # package or of one of its modules
+    modules = {name: importlib.import_module(name) for name in MODULES}
+    unresolved = []
+    cited = 0
+    for path in PACKAGE:
+        module = modules["modgal" if path.stem == "__init__" else f"modgal.{path.stem}"]
+        for name in _citations(path.read_text()):
+            cited += 1
+            bare = name.removeprefix("modgal.")
+            if not any(_resolves(scope, bare) for scope in (module, modgal, *modules.values())):
+                unresolved.append(f"{path.name}: {name}")
+    assert cited > 0
+    assert unresolved == []
 
 
 # The names through which a module evaluates identities on the images,

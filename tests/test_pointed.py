@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import full_table_nondegenerate
+from reference import divisor_tuple_count, full_table_nondegenerate
 from modgal.cyclotomic import root_of_unity
 from modgal.galois_action import galois_permutation, orbit_partition
 from modgal.pointed import (
@@ -248,6 +248,19 @@ class TestCounting:
 
     def test_trivial(self):
         assert cyclic_subgroup_count(FiniteAbelianGroup(())) == 1
+
+    def test_product_over_primes_matches_the_divisor_tuple_sum(self):
+        # every chain of order <= 256: 516 groups
+        chains = list(_chains(256))
+        assert len(chains) == 516
+        for facs in chains:
+            g = FiniteAbelianGroup(facs)
+            assert cyclic_subgroup_count(g) == divisor_tuple_count(g) == len(generator_partition(g)), facs
+
+    @pytest.mark.parametrize("facs", [(7, 49, 1715), (9, 27, 108), (2, 4, 8, 16, 32), (3, 3, 9, 675)])
+    def test_product_over_primes_on_several_prime_powers(self, facs):
+        g = FiniteAbelianGroup(facs)
+        assert cyclic_subgroup_count(g) == divisor_tuple_count(g)
 
     def test_cyclic_is_divisor_count(self):
         for n in [2, 6, 12, 60, 64]:

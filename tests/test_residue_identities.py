@@ -155,15 +155,18 @@ def _flip_pair_3_7(s):
     s[7][3] = -s[7][3]
 
 
-def test_a_corrupted_rank_30_pair_is_named_within_budget():
-    # N_0x^y is named from its defining sum, whose weights come from
-    # one inverse
+def test_a_corrupted_rank_30_pair_is_named_within_budget(monkeypatch):
+    # N_0x^y = (s conj(s)^T)_xy / dim(C) is tested against dim(C) by
+    # proportionality: no inverse, as the Verlinde weights
+    # 1 / (d_a dim(C)) are built only for failing rows
     data = _edited(PRODUCTS["sl2_11_x_sl2_13"](), _flip_pair_3_7)
+    calls = _counted(monkeypatch, "inverse")
     start = time.monotonic()
     failures = data.validate().failures
     elapsed = time.monotonic() - start
     assert failures == ("fusion coefficient N(0,0)^3 is not an integer",)
     assert elapsed < 3, elapsed
+    assert calls == {"inverse": 0}
 
 
 def test_a_failing_verlinde_row_is_named_within_budget(phase2_invalid):

@@ -20,12 +20,12 @@ import pytest
 
 from conftest import DIFFERENTIAL, LADDER, PRODUCTS, _double_pair, _edited
 from reference import character_columns, numeric_value
-from modgal import _splitprime
+from modgal import _splitprime, modular_data
 from modgal._numtheory import factorize, is_prime, unit_group_generators, units_mod
 from modgal._splitprime import Residues, certified_verlinde, certify, split_prime, split_primes
 from modgal.analysis import run_analysis
 from modgal.cli import main
-from modgal.cyclotomic import CycNum, dot
+from modgal.cyclotomic import CycNum, dot, root_of_unity
 from modgal.families import fibonacci, fixture_names, sl2_level_adjoint
 from modgal.galois_action import galois_conjugate_data, galois_permutation
 from modgal.modular_data import (
@@ -492,6 +492,22 @@ class TestUnitarityFailure:
         one = CycNum.one(1)
         data = ModularData(1, 2, ("1", "x"), ((one, one), (one, one * 2)), (0, 0))
         assert data.validate().failures == ("fusion coefficient N(0,0)^1 is not an integer",)
+
+    def test_a_negative_unit_plane_coefficient_is_named(self):
+        # s = [[1, -1], [-1, 1]]: dim(C) = 2 and N_00^1 = -2 / 2
+        one = CycNum.one(1)
+        data = ModularData(1, 2, ("1", "x"), ((one, -one), (-one, one)), (0, 0))
+        assert data.validate().failures == ("fusion coefficient N(0,0)^1 = -1 is negative",)
+
+    def test_an_integer_ratio_is_read_on_the_power_basis(self):
+        z = root_of_unity(5, 1)
+        b = (1 + z + z**4) / 3
+        assert modular_data._integer_ratio(-7 * b, b) == -7
+        assert modular_data._integer_ratio(b * 0, b) == 0
+        # proportional at the first nonzero coefficient of b only
+        assert modular_data._integer_ratio(2 * b + z**2, b) is None
+        assert modular_data._integer_ratio(b / 2, b) is None
+        assert modular_data._integer_ratio(b * z, b) is None
 
 
 class TestRegression:
