@@ -22,10 +22,13 @@ one in a missing directory; the message names it); a ``pointed``
 group of order above ``MAX_RANK`` without ``--count-only``; a
 ``pointed`` group whose exponent has a prime above
 ``pointed.MAX_COUNT_PRIME``, or whose count has more decimal digits
-than Python converts to a string; and a ``tables --check N``
-with N < 1, with N divisible by a level outside the verified t-spectra
-scope (2^lam with lam >= 8, p^lam with p odd and lam >= 4), or with
-prime-power levels that sum above ``tspectra.MAX_LEVEL_SUM``.  Data
+than the interpreter converts to a string
+(``sys.get_int_max_str_digits``, 4,300 by default; the message states
+the limit and names the group by its number of invariant factors and
+its exponent); and a ``tables --check N`` with N < 1, with N
+divisible by a level outside the verified t-spectra scope (2^lam
+with lam >= 8, p^lam with p odd and lam >= 4), or with prime-power
+levels that sum above ``tspectra.MAX_LEVEL_SUM``.  Data
 that loads but breaks the modular-data contract, or fails a theorem
 check of ``report``, is a check failure.
 """
@@ -126,7 +129,16 @@ def _parse_form(group: FiniteAbelianGroup, text: str) -> QuadraticFormSpec:
 def _cmd_pointed(args) -> int:
     group = _parse_group(args.group)
     if args.count_only:
-        print(f"{group}: {cyclic_subgroup_count(group)} orbits")
+        count = cyclic_subgroup_count(group)
+        try:
+            text = str(count)
+        except ValueError:
+            raise _InputError(
+                f"the orbit count of the group with {len(group.invariant_factors)} invariant "
+                f"factors and exponent {group.exponent} has more than "
+                f"{sys.get_int_max_str_digits()} decimal digits, the most that can be printed"
+            ) from None
+        print(f"{group}: {text} orbits")
         return PASS
     if group.order > MAX_RANK:
         raise _InputError(

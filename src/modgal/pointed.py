@@ -24,10 +24,13 @@ Orbit counting has two routes that the tests play against each other:
   the counts of the Sylow p-subgroups, each read from how many
   elements p^j kills;
 * ``pointed_orbit_partition`` computes the orbits directly from the
-  bicharacter matrix by exact column matching in exponent space (the
+  bicharacter by exact column matching in exponent space (the
   s-entries are single roots of unity, and sigma_k multiplies their
-  exponents by k), which is fast enough to sweep all groups of order
-  up to 64 against the count.
+  exponents by k).  The exponent 2 g^T E h of b(g, h) is symmetric in
+  g and h, so column h is fixed by its exponents at the generators,
+  row h of G mod M.  The columns are matched through these k-entry
+  keys, without building the |A| x |A| table, which is fast enough to
+  sweep all groups of order up to 64 against the count.
 
 One partition serves every form of a group.  s_{g,h} = b(g, h) is a
 root of unity and b is a bicharacter, so
@@ -47,6 +50,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -124,6 +128,16 @@ class FiniteAbelianGroup:
         return coords
 
     @cached_property
+    def _radix(self) -> np.ndarray:
+        """The mixed-radix place values of the invariant factors, so that
+        x @ _radix is the index of the element x in ``elements`` order."""
+        radix = np.ones(len(self.invariant_factors), dtype=np.int64)
+        for i in range(len(radix) - 1, 0, -1):
+            radix[i - 1] = radix[i] * self.invariant_factors[i]
+        radix.flags.writeable = False
+        return radix
+
+    @cached_property
     def _steps(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         """The answer of ``gram_steps``."""
         facs = self.invariant_factors
@@ -166,16 +180,19 @@ class QuadraticFormSpec:
         k = len(self.group.invariant_factors)
         if len(gram) != k or any(len(row) != k for row in gram):
             raise ValueError("gram matrix shape does not match the group")
-        if any(gram[i][j] != gram[j][i] for i in range(k) for j in range(i)):
+        if list(zip(*gram)) != list(map(tuple, gram)):
             raise ValueError("gram matrix must be symmetric")
-        M, steps = gram_steps(self.group)
-        for i, (row, step_row) in enumerate(zip(gram, steps)):
-            for j, (entry, step) in enumerate(zip(row, step_row)):
-                if entry % step != 0:
-                    raise ValueError(
-                        f"gram entry ({i},{j}) = {entry} is not a multiple "
-                        f"of {step}, so q is not well defined on the group"
-                    )
+        _, steps = gram_steps(self.group)
+        flat = itertools.chain.from_iterable
+        if any(map(operator.mod, flat(gram), flat(steps))):
+            # name the first entry, in row-major order, that is off its step
+            for i, (row, step_row) in enumerate(zip(gram, steps)):
+                for j, (entry, step) in enumerate(zip(row, step_row)):
+                    if entry % step != 0:
+                        raise ValueError(
+                            f"gram entry ({i},{j}) = {entry} is not a multiple "
+                            f"of {step}, so q is not well defined on the group"
+                        )
 
     @property
     def modulus(self) -> int:
@@ -201,7 +218,9 @@ class QuadraticFormSpec:
         k = coords.shape[1]
         # q and b depend on the entries mod M only; reduced as Python
         # ints, they fit int64 whatever their size
-        gram = np.array([[e % M for e in row] for row in self.gram], dtype=np.int64).reshape(k, k)
+        gram = np.array(
+            [e % M for e in itertools.chain.from_iterable(self.gram)], dtype=np.int64
+        ).reshape(k, k)
         half = coords @ gram
         tvec = np.einsum("ij,ij->i", half, coords) % M
         return 2 * half, tvec
@@ -260,16 +279,18 @@ def enumerate_quadratic_forms(group: FiniteAbelianGroup, max_forms: int | None =
         if math.prod(map(len, rngs)) <= MAX_CANDIDATES:
             break
 
+    # slots[i][j] indexes entry (i, j) in the values of a candidate, and
+    # an entry off the family's positions indexes the trailing 0
+    index = {pos: n for n, pos in enumerate(positions)}
+    zero = len(positions)
+    slots = [[index.get((min(i, j), max(i, j)), zero) for j in range(k)] for i in range(k)]
     seen: set[tuple[int, ...]] = set()
-    for values in itertools.product(*rngs):
+    for values in itertools.product(*rngs, (0,)):
         if max_forms is not None and len(seen) >= max_forms:
             return
-        gram = [[0] * k for _ in range(k)]
-        for (i, j), v in zip(positions, values):
-            gram[i][j] = v
-            gram[j][i] = v
         # symmetric, and each entry a multiple of its step, by construction
-        form = QuadraticFormSpec(group, tuple(tuple(row) for row in gram))
+        gram = tuple([tuple([values[n] for n in row]) for row in slots])
+        form = QuadraticFormSpec(group, gram)
         if not form.is_nondegenerate():
             continue
         key = form.value_vector()
@@ -307,24 +328,45 @@ def build_pointed(group: FiniteAbelianGroup, form: QuadraticFormSpec | None = No
 
 
 def pointed_orbit_partition(group: FiniteAbelianGroup, form: QuadraticFormSpec) -> tuple[tuple[int, ...], ...]:
-    """Galois orbit partition of the pointed data, computed directly
-    from the bicharacter matrix by column matching in exponent space.
+    """Galois orbit partition of the pointed data, computed from the
+    bicharacter by matching its columns through their keys.
 
-    Once the columns are distinct, sigma_k maps column h to column kh:
-    b(g, kh) = b(g, h)^k as b is a bicharacter, and the form is well
-    defined on A (``gram_steps``), so the exponents k * b(g, h) mod M
-    are those of column kh, and every lookup finds its column."""
+    Column h of s is g -> b(g, h) = zeta_M^(G[g] . h).  Its key is its
+    exponents at the generators, (b(e_j, h))_j, which is row h of G
+    mod M.  E is symmetric, so G[g] . h = 2 g^T E h = G[h] . g: the key
+    determines the whole column, and equal keys mean equal columns.
+    sigma_u raises every entry to the u-th power, so it sends column h
+    to the column whose key is u * key mod M.
+
+    The keys are labelled densely.  b is well defined on A (it is the
+    polarisation of q, see ``build_pointed``), so
+    b(h, e_j)^(n_j) = b(h, n_j e_j) = 1, and entry j of a key is a
+    multiple of M / n_j (n_j divides M).  Its quotient c_j lies in
+    [0, n_j), and u * key mod M has quotients u * c_j mod n_j.  The
+    label of a key is the index of (c_j)_j in the mixed radix of the
+    invariant factors, below |A| whatever M^k is, so it is exact in
+    int64.  A repeated label means two equal columns, and the form is
+    refused as degenerate.  Otherwise the |A| labels fill [0, |A|), so
+    every image key finds its column, and each sigma_u is a permutation.
+
+    The route reads the form alone and never the action h -> uh on A,
+    so it stays independent of ``generator_partition``, which the sweep
+    plays it against."""
     if form.group != group:
         raise ValueError("form was built for a different group")
     gmat, _ = form._tables
     M = form.modulus
-    # row h is column h of b: b(g, h) = G[g] . h
-    cols = group._coords @ gmat.T % M
-    n = cols.shape[0]
-    col_key = {col.tobytes(): y for y, col in enumerate(cols)}
-    if len(col_key) != n:
+    facs = group.invariant_factors
+    keys = gmat % M // (M // np.array(facs, dtype=np.int64))
+    n = group.order
+    column = np.full(n, -1, dtype=np.int64)
+    column[keys @ group._radix] = np.arange(n)
+    if (column < 0).any():
         raise ValueError("bicharacter columns are not distinct (degenerate form)")
-    images = [[col_key[col.tobytes()] for col in k * cols % M] for k in unit_group_generators(M)]
+    images = [
+        column[(u * keys % facs) @ group._radix].tolist()
+        for u in unit_group_generators(M)
+    ]
     return permutation_orbits(n, images)
 
 
@@ -339,7 +381,7 @@ def generator_partition(group: FiniteAbelianGroup) -> tuple[tuple[int, ...], ...
     generators of (Z/exponent)^x acting on A by scaling."""
     facs = group.invariant_factors
     images = [
-        np.ravel_multi_index((k * group._coords % facs).T, facs).tolist()
+        ((k * group._coords % facs) @ group._radix).tolist()
         for k in unit_group_generators(group.exponent)
     ]
     return permutation_orbits(group.order, images)

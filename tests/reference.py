@@ -9,7 +9,11 @@ bounds are compared against.  ``full_table_nondegenerate`` decides
 pointed nondegeneracy on the whole |A| x |A| bicharacter table, as the
 library did before it read the generator columns alone, and
 ``divisor_tuple_count`` counts cyclic subgroups by the divisor-tuple
-sum, as the library did before it took the product over primes."""
+sum, as the library did before it took the product over primes.
+``column_matching_partition`` computes the pointed orbit partition by
+matching whole columns of the |A| x |A| bicharacter table, as the
+library did before it matched the columns through their keys at the
+generators."""
 
 import itertools
 import math
@@ -17,7 +21,13 @@ import math
 import mpmath
 import numpy as np
 
-from modgal._numtheory import divisors, euler_phi, unit_group_generators, units_mod
+from modgal._numtheory import (
+    divisors,
+    euler_phi,
+    permutation_orbits,
+    unit_group_generators,
+    units_mod,
+)
 from modgal.cyclotomic import CycNum
 from modgal.modular_data import InvalidModularData
 
@@ -138,3 +148,19 @@ def divisor_tuple_count(group) -> int:
         assert rest == 0
         total += term
     return total
+
+
+def column_matching_partition(group, form):
+    """The Galois orbit partition of the pointed datum of the form, from
+    the whole bicharacter table: sigma_u multiplies the exponents of
+    column h by u, and the image is looked up among the columns."""
+    gmat, _ = form._tables
+    M = form.modulus
+    # row h is column h of b: b(g, h) = G[g] . h
+    cols = group._coords @ gmat.T % M
+    n = cols.shape[0]
+    col_key = {col.tobytes(): y for y, col in enumerate(cols)}
+    if len(col_key) != n:
+        raise ValueError("bicharacter columns are not distinct (degenerate form)")
+    images = [[col_key[col.tobytes()] for col in u * cols % M] for u in unit_group_generators(M)]
+    return permutation_orbits(n, images)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import divisor_tuple_count, full_table_nondegenerate
+from reference import column_matching_partition, divisor_tuple_count, full_table_nondegenerate
 from modgal.cyclotomic import root_of_unity
 from modgal.galois_action import galois_permutation, orbit_partition
 from modgal.pointed import (
@@ -89,13 +89,27 @@ class TestForms:
         # a Gram entry of 2 on the order-3 generator would not be well
         # defined: steps force multiples of 4 there
         assert steps[0][0] == 4
-        with pytest.raises(ValueError):
-            QuadraticFormSpec(g, ((2, 0), (0, 1)))
+        # the first bad entry in row-major order is named: (0,1) and
+        # (1,0) of the second are odd where the step is 2, and (0,0) and
+        # (1,1) of the third are 2 where the step is 4
+        for facs, gram, named in (
+            ((3, 6), ((2, 0), (0, 1)), r"\(0,0\) = 2 is not a multiple of 4"),
+            ((3, 6), ((4, 1), (1, 1)), r"\(0,1\) = 1 is not a multiple of 2"),
+            ((3, 3, 6), ((2, 0, 0), (0, 2, 0), (0, 0, 1)), r"\(0,0\) = 2 is not a multiple of 4"),
+        ):
+            with pytest.raises(ValueError, match=rf"^gram entry {named}, so q is not well "
+                               r"defined on the group$"):
+                QuadraticFormSpec(FiniteAbelianGroup(facs), gram)
 
     def test_symmetry_required(self):
         g = FiniteAbelianGroup((4, 4))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^gram matrix must be symmetric$"):
             QuadraticFormSpec(g, ((1, 2), (3, 1)))
+        # a list of lists is compared entry by entry too
+        assert QuadraticFormSpec(g, [[1, 2], [2, 1]]).modulus == 8
+        for gram in (((1, 0),), ((1, 0), (0,)), ((1, 0, 0), (0, 1, 0)), ()):
+            with pytest.raises(ValueError, match="^gram matrix shape does not match the group$"):
+                QuadraticFormSpec(g, gram)
 
     def test_even_under_negation(self):
         g = FiniteAbelianGroup((5,))
@@ -117,11 +131,27 @@ class TestForms:
                 assert len(capped) == min(cap, total), (facs, cap)
 
     def test_gram_entries_beyond_int64(self):
-        # q depends on the entries mod M only; both are 1 mod 3
-        g = FiniteAbelianGroup((3,))
-        for entry in (2**63 - 1, 10**23):
-            form = QuadraticFormSpec(g, ((entry,),))
-            assert form.value_vector() == tuple(map(form.q_exponent, g.elements())), entry
+        # q and b depend on the entries mod M only, negative or not: G
+        # and T against 2 coords E mod M and q_exponent, in Python ints
+        for facs, gram in (
+            ((3,), ((2**63 - 1,),)),
+            ((3,), ((10**23,),)),
+            ((2, 4), ((2**64, -6), (-6, 2**63 + 5))),
+            ((2, 4), ((-(2**70), 2**63 + 2), (2**63 + 2, -1))),
+            ((3, 6), ((-4, 2**64 + 2), (2**64 + 2, 10**23 + 1))),
+            ((3, 6), ((2**65 + 4, -(2**63)), (-(2**63), -7))),
+        ):
+            g = FiniteAbelianGroup(facs)
+            form = QuadraticFormSpec(g, gram)
+            M = form.modulus
+            gmat, _ = form._tables
+            k = len(facs)
+            expected = [
+                [2 * sum(x[i] * gram[i][j] for i in range(k)) % M for j in range(k)]
+                for x in g.elements()
+            ]
+            assert (gmat % M).tolist() == expected, gram
+            assert form.value_vector() == tuple(map(form.q_exponent, g.elements())), gram
 
     def test_degenerate_detected(self):
         g = FiniteAbelianGroup((4,))
@@ -302,6 +332,43 @@ class TestOrbitRoutes:
                 fast = pointed_orbit_partition(g, form)
                 generic = orbit_partition(build_pointed(g, form)).orbits
                 assert fast == generic, (facs, form.gram)
+
+    def test_keys_match_whole_columns(self):
+        # the first 8 forms of every group of order <= 64: matching the
+        # k-entry keys gives the partition that matching the |A|-entry
+        # columns of the bicharacter table gives
+        chains = list(_chains(64))
+        assert len(chains) == 117
+        forms = 0
+        for facs in chains:
+            g = FiniteAbelianGroup(facs)
+            for form in enumerate_quadratic_forms(g, max_forms=8):
+                assert pointed_orbit_partition(g, form) == column_matching_partition(g, form), (
+                    facs, form.gram)
+                forms += 1
+        assert forms > 117
+
+    @settings(max_examples=300, deadline=None)
+    @given(_drawn_forms())
+    def test_keys_match_whole_columns_on_drawn_forms(self, form):
+        g = form.group
+        if form.is_nondegenerate():
+            assert pointed_orbit_partition(g, form) == column_matching_partition(g, form), (
+                g.invariant_factors, form.gram)
+            return
+        for route in (pointed_orbit_partition, column_matching_partition):
+            with pytest.raises(ValueError, match=r"^bicharacter columns are not distinct "
+                               r"\(degenerate form\)$"):
+                route(g, form)
+
+    def test_degenerate_form_refused(self):
+        g = FiniteAbelianGroup((2, 4))
+        # b((0,2), .) = 1: 2 E (0,2) = (0, 8) is 0 mod 8
+        form = QuadraticFormSpec(g, ((2, 0), (0, 2)))
+        assert not form.is_nondegenerate()
+        with pytest.raises(ValueError, match=r"^bicharacter columns are not distinct "
+                           r"\(degenerate form\)$"):
+            pointed_orbit_partition(g, form)
 
     def test_z5_partition(self):
         g = FiniteAbelianGroup((5,))
