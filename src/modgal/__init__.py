@@ -52,7 +52,6 @@ from .tspectra import (
     make_gamma,
     make_gamma_res,
     make_phi,
-    psi_e_matrix_check,
     square_galois_orbit_count,
     verify_rows,
 )
@@ -95,7 +94,6 @@ __all__ = [
     "make_phi",
     "orbit_partition",
     "pointed_part",
-    "psi_e_matrix_check",
     "root_of_unity",
     "root_of_unity_order",
     "save_modular_data",

@@ -207,23 +207,29 @@ class QuadraticFormSpec:
                 total += self.gram[i][j] * xi * xj
         return total % M
 
-    @cached_property
+    @property
     def _tables(self) -> tuple[np.ndarray, np.ndarray]:
         """(G, T) over the elements g, rows in ``elements`` order:
         G[g, j] = 2 (E g)_j, the exponent of b(g, e_j) on zeta_M, left
         unreduced, and T[g] = g^T E g mod M, the exponent of q(g).
-        b is a bicharacter, so b(g, h) = zeta_M^(G[g] . h mod M)."""
-        M = self.modulus
-        coords = self.group._coords
-        k = coords.shape[1]
-        # q and b depend on the entries mod M only; reduced as Python
-        # ints, they fit int64 whatever their size
-        gram = np.array(
-            [e % M for e in itertools.chain.from_iterable(self.gram)], dtype=np.int64
-        ).reshape(k, k)
-        half = coords @ gram
-        tvec = np.einsum("ij,ij->i", half, coords) % M
-        return 2 * half, tvec
+        b is a bicharacter, so b(g, h) = zeta_M^(G[g] . h mod M).
+        Built on first use and kept in the instance ``__dict__``, where
+        ``functools.cached_property`` would take a lock on each first
+        access (Python 3.11), a cost paid once per sweep candidate."""
+        memo = self.__dict__
+        if "_tables_memo" not in memo:
+            M = self.modulus
+            coords = self.group._coords
+            k = coords.shape[1]
+            # q and b depend on the entries mod M only; reduced as Python
+            # ints, they fit int64 whatever their size
+            gram = np.array(
+                [e % M for e in itertools.chain.from_iterable(self.gram)], dtype=np.int64
+            ).reshape(k, k)
+            half = coords @ gram
+            tvec = np.einsum("ij,ij->i", half, coords) % M
+            memo["_tables_memo"] = (2 * half, tvec)
+        return memo["_tables_memo"]
 
     def is_nondegenerate(self) -> bool:
         """Whether the radical {g : b(g, .) = 1} is the identity alone.

@@ -1,8 +1,10 @@
 """Root-of-unity spectra of SL(2, Z/NZ) irreducible representations.
 
 A ``RootSet`` is a level n and the exponents e of its roots zeta_n^e,
-at the least level, gcd(n, *exps) = 1, so equal sets compare equal and
-reaching that form costs one gcd per set.  The building blocks are
+a read-only ascending int64 array at the least level, gcd(n, *exps) =
+1, so equal sets compare equal and reaching that form costs one gcd per
+set.  The builders stay on arrays from the residues to the row.  The
+building blocks are
 
 * Phi_n: all n-th roots of unity,
 * Gamma_n: the primitive ones,
@@ -21,10 +23,11 @@ at most ``MAX_LEVEL_SUM``; anything else raises ``ValueError``.  ``verify_rows``
 count from the spectrum and cross-checks the multiplicity-free flag
 against the cardinality/dimension relation, with one result per row.
 The count needs no orbit walk (``square_galois_orbit_count``): the
-exponents, sorted into one int64 array, are closed under the squares
-g^2 of the unit group's generators when each sorted image e g^2 equals
-the array, and then the roots of order n, counted by their class of
-gcd(e, level), fill orbits of |(Z/nZ)^x^2| elements each.
+exponents are closed under the squares g^2 of the unit group's
+generators when a presence mask of them holds every image e g^2, and
+then the roots of order n fill orbits of |(Z/nZ)^x^2| elements each,
+their number per order read off strided counts of the mask by Moebius
+inversion.
 
 Three printed rows are internally inconsistent in the source text and
 are encoded with the unique reading consistent with their dimension and
@@ -41,12 +44,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._numtheory import trial_factor, unit_group_generators
-from .cyclotomic import CycNum, dot, root_of_unity
+from ._numtheory import divisors, factorize, trial_factor, unit_group_generators
 
 __all__ = [
     "MAX_LEVEL_SUM",
-    "PsiMatrixReport",
     "RootSet",
     "RowResult",
     "TableRow",
@@ -55,27 +56,42 @@ __all__ = [
     "make_gamma_res",
     "make_phi",
     "make_phi_res",
-    "psi_e_matrix_check",
     "rows_for_levels",
     "square_galois_orbit_count",
     "verify_rows",
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RootSet:
-    """The roots zeta_level^e, e in ``exps``, at the least level: each e
-    in [0, level) and gcd(level, *exps) = 1.  The empty set is (1, {})."""
+    """The roots zeta_level^e, e in ``exps``, at the least level.
+
+    ``exps`` is a read-only int64 array of the distinct residues e in
+    [0, level), ascending, with gcd(level, *exps) = 1.  A set of roots
+    has exactly one such form, so two sets are equal, and hash equal,
+    when their levels and exponent bytes are.  The empty set is level 1
+    with no exponents.  ``of`` brings any exponents to this form; the
+    builders produce it directly."""
 
     level: int
-    exps: frozenset[int]
+    exps: np.ndarray
+
+    def __post_init__(self):
+        self.exps.flags.writeable = False
 
     @classmethod
     def of(cls, level: int, exps) -> "RootSet":
         """zeta_level^e for e in ``exps``, brought to the least level."""
-        exps = {e % level for e in exps}
-        g = math.gcd(level, *exps)
-        return cls(level // g, frozenset(e // g for e in exps))
+        residues = np.array([e % level for e in exps], dtype=np.int64)
+        return _at_least_level(level, np.unique(residues))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RootSet):
+            return NotImplemented
+        return self.level == other.level and self.exps.tobytes() == other.exps.tobytes()
+
+    def __hash__(self) -> int:
+        return hash((self.level, self.exps.tobytes()))
 
     def __len__(self) -> int:
         return len(self.exps)
@@ -84,18 +100,26 @@ class RootSet:
         """The union at the lcm L of the levels, zeta_n^e = zeta_L^(e L/n).
         L is the least level: the orders of the roots of a set at level n
         have lcm n / gcd(n, *exps) = n, so those of the union have lcm L,
-        which is L / gcd(L, *exps)."""
+        which is L / gcd(L, *exps).  The parts, lifted to L, overlap when
+        their union has fewer elements than they have together; then each
+        root that lies in two or more parts is named."""
         big = math.lcm(self.level, *(other.level for other in others))
-        total: set[int] = set()
-        for part in (self, *others):
-            k = big // part.level
-            lifted = part.exps if k == 1 else {e * k for e in part.exps}
-            overlap = total & lifted
-            if overlap:
-                pairs = sorted(_pair(big, e) for e in overlap)
-                raise ValueError(f"union is not disjoint: {pairs}")
-            total |= lifted
-        return RootSet(big, frozenset(total))
+        lifted = np.concatenate([part.exps * (big // part.level) for part in (self, *others)])
+        exps = _distinct(lifted, big)
+        if len(exps) < len(lifted):
+            shared = np.flatnonzero(np.bincount(lifted) > 1)
+            pairs = sorted(_pair(big, e) for e in shared.tolist())
+            raise ValueError(f"union is not disjoint: {pairs}")
+        return RootSet(big, exps)
+
+
+def _at_least_level(level: int, exps: np.ndarray) -> RootSet:
+    # the set of the ascending distinct residues exps mod level, divided
+    # by their gcd with the level; the empty set goes to level 1
+    if not exps.size:
+        return RootSet(1, exps)
+    g = math.gcd(level, int(np.gcd.reduce(exps)))
+    return RootSet(level // g, exps // g if g > 1 else exps)
 
 
 def _pair(m: int, e: int) -> tuple[int, int]:
@@ -104,10 +128,14 @@ def _pair(m: int, e: int) -> tuple[int, int]:
     return (m // g, e // g)
 
 
+@lru_cache(maxsize=None)
 def _units(n: int) -> np.ndarray:
-    # the canonical residues of (Z/nZ)^x, ascending; [0] for n = 1
+    """The canonical residues of (Z/nZ)^x, ascending, as a read-only
+    int64 array; [0] for n = 1."""
     k = np.arange(n, dtype=np.int64)
-    return k[np.gcd(k, n) == 1]
+    units = k[np.gcd(k, n) == 1]
+    units.flags.writeable = False
+    return units
 
 
 def _distinct(residues: np.ndarray, n: int) -> np.ndarray:
@@ -130,14 +158,15 @@ def _unit_squares(n: int) -> np.ndarray:
 
 def make_phi(n: int) -> RootSet:
     """All n-th roots of unity."""
-    return RootSet(n, frozenset(range(n)))
+    return RootSet(n, np.arange(n, dtype=np.int64))
 
 
 def make_gamma(n: int) -> RootSet:
     """The primitive n-th roots of unity."""
-    return RootSet(n, frozenset(_units(n).tolist()))
+    return RootSet(n, _units(n))
 
 
+@lru_cache(maxsize=None)
 def make_gamma_res(p: int, lam: int, r: int) -> RootSet:
     """The square Galois orbit of zeta_{p^lam}^r (gcd(r, p) = 1)."""
     if lam < 1:
@@ -145,17 +174,36 @@ def make_gamma_res(p: int, lam: int, r: int) -> RootSet:
     q = p**lam
     if math.gcd(r, p) != 1:
         raise ValueError(f"residue {r} is not coprime to {p}")
-    return RootSet(q, frozenset((r % q * _unit_squares(q) % q).tolist()))
+    return RootSet(q, np.sort(r % q * _unit_squares(q) % q))
 
 
 def make_phi_res(n: int, r: int) -> RootSet:
     """{zeta_n^(r x^2) : x in Z}."""
-    return RootSet.of(n, {r * x * x % n for x in range(n)})
+    x = np.arange(n, dtype=np.int64)
+    return _at_least_level(n, _distinct(r % n * (x * x % n) % n, n))
 
 
 # The largest level m with m^2 < 2^63, so that e k for residues e, k
 # mod m is exact in int64.
 _MAX_INT64_LEVEL = math.isqrt(2**63 - 1)
+
+
+@lru_cache(maxsize=None)
+def _orbit_plan(m: int) -> tuple[np.ndarray, tuple]:
+    """For level m: the squares g^2 of the unit group's generators, as
+    an int64 array, and for each divisor d of m: d, the Moebius terms
+    (mu(k), d k) over the squarefree k dividing m/d, and the size
+    |(Z/(m/d)Z)^x^2| of an orbit of roots of order m/d."""
+    gen_squares = np.array([g * g % m for g in unit_group_generators(m)], dtype=np.int64)
+    primes = [p for p, _ in factorize(m)]
+    classes = []
+    for d in divisors(m):
+        terms = [(1, d)]
+        for p in primes:
+            if m // d % p == 0:
+                terms += [(-mu, k * p) for mu, k in terms]
+        classes.append((d, tuple(terms), len(_unit_squares(m // d))))
+    return gen_squares, tuple(classes)
 
 
 def square_galois_orbit_count(s: RootSet) -> int:
@@ -166,46 +214,48 @@ def square_galois_orbit_count(s: RootSet) -> int:
     for the first generator) whose image leaves the set.
 
     Squaring is a homomorphism of the abelian group (Z/mZ)^x, so the
-    squares g^2 of its generators generate its squares.  Each map
-    e -> e g^2 mod m is injective, g^2 being a unit, so the image of the
-    set has as many elements as the set, and it is the set exactly when
-    the sorted images equal the sorted exponents.  A finite set a map
-    sends into itself it permutes, so closure under the g^2 is closure
-    under every k^2.  The maps keep gcd(e, m), so zeta_m^e keeps its
-    order n = m / gcd(e, m).  (Z/mZ)^x maps onto (Z/nZ)^x, so on the
-    roots of order n the k^2 act as the group (Z/nZ)^x^2, which acts
-    freely: every orbit there has |(Z/nZ)^x^2| elements, and the count
-    is the sum over the classes of gcd(e, m) of c_n / |(Z/nZ)^x^2|, c_n
-    the roots of order n.
+    squares g^2 of its generators generate its squares.  The exponents
+    are marked in a presence mask of the m residues, and the set is
+    closed under g^2 when the mask holds every image e g^2 mod m.  Each
+    map e -> e g^2 is injective, g^2 being a unit, so a set it sends
+    into itself it permutes, and closure under the g^2 is closure under
+    every k^2.
 
-    The exponents are held as an int64 array, and e g^2 < m^2, so the
-    level must satisfy m^2 < 2^63, that is m <= 3,037,000,499; a set at
-    a higher level is refused."""
-    m, exps = s.level, s.exps
-    if not exps:
+    The maps keep gcd(e, m), so zeta_m^e keeps its order m / d, d =
+    gcd(e, m).  (Z/mZ)^x maps onto (Z/(m/d)Z)^x, so on the roots of
+    order m/d the k^2 act as the group (Z/(m/d)Z)^x^2, which acts
+    freely: every orbit there has |(Z/(m/d)Z)^x^2| elements, and the
+    count is the sum over the divisors d of m of c_d / |(Z/(m/d)Z)^x^2|,
+    c_d the exponents with gcd(e, m) = d.  The multiples of d in the set
+    are counted as f(d), the marks on the strided view mask[::d], and
+    Moebius inversion over the primes of m/d gives c_d = sum mu(k)
+    f(d k), k over the squarefree divisors of m/d.
+
+    The images e g^2 < m^2 are computed in int64, so the level must
+    satisfy m^2 < 2^63, that is m <= 3,037,000,499; a set at a higher
+    level is refused.  The mask takes m bytes."""
+    m, arr = s.level, s.exps
+    if not arr.size:
         raise ValueError("empty root set")
     if m > _MAX_INT64_LEVEL:
         raise ValueError(
             f"level {m} is above {_MAX_INT64_LEVEL}, the largest whose square "
             "orbits are counted in int64"
         )
-    arr = np.fromiter(exps, dtype=np.int64, count=len(exps))
-    arr.sort()
-    # row i holds the sorted images of the exponents under the i-th g^2
-    gen_squares = [g * g % m for g in unit_group_generators(m)]
-    images = np.multiply.outer(np.array(gen_squares, dtype=np.int64), arr) % m
-    images.sort(axis=1)
-    escaped = (images != arr).any(axis=1).tolist()
-    if any(escaped):
-        gg = gen_squares[escaped.index(True)]
-        n, e = min(_pair(m, e) for e in exps if e * gg % m not in exps)
+    gen_squares, classes = _orbit_plan(m)
+    present = np.zeros(m, dtype=bool)
+    present[arr] = True
+    # row i marks which images under the i-th g^2 stay in the set
+    inside = present[np.multiply.outer(gen_squares, arr) % m]
+    if not inside.all():
+        i = int(np.argmin(inside.all(axis=1)))
+        gg = int(gen_squares[i])
+        n, e = min(_pair(m, e) for e in arr[~inside[i]].tolist())
         raise ValueError(
             f"set is not closed under the square action: {(n, e)} -> {(n, e * gg % n)}"
         )
-    gcds, counts = np.unique(np.gcd(arr, m), return_counts=True)
-    return sum(
-        c // len(_unit_squares(m // d)) for d, c in zip(gcds.tolist(), counts.tolist())
-    )
+    f = {d: int(np.count_nonzero(present[::d])) for d, _, _ in classes}
+    return sum(sum(mu * f[k] for mu, k in terms) // size for _, terms, size in classes)
 
 
 # -- table rows -----------------------------------------------------------
@@ -226,12 +276,6 @@ class TableRow:
         return f"Table {self.table}: {self.label} (level {self.level}, dim {self.dim})"
 
 
-_G1 = make_phi(1)
-# Gamma_2 written out, so that importing the module calls no NumPy code:
-# a first call pages in memory that a process without tables never uses
-_G2 = RootSet(2, frozenset({1}))
-
-
 def _least_nonresidue(p: int) -> int:
     for n in range(2, p):
         if pow(n, (p - 1) // 2, p) == p - 1:
@@ -248,7 +292,7 @@ def _table1(p: int) -> list[TableRow]:
     for r in (qr, qn):
         rows.append(
             TableRow(1, f"R_1({r},chi_1) p={p}", p, (p + 1) // 2,
-                     _G1.union_disjoint(make_gamma_res(p, 1, r)), True, 2)
+                     make_phi(1).union_disjoint(make_gamma_res(p, 1, r)), True, 2)
         )
         rows.append(
             TableRow(1, f"R_1({r},chi_-1) p={p}", p, (p - 1) // 2,
@@ -265,13 +309,26 @@ def _sigma_set(p: int, lam: int, sigma: int, r: int, t: int) -> RootSet:
     over the squares of multiples of p and b over the unit squares
     U^2(q).  As a + p^sigma t b = b (a b^-1 + p^sigma t) and a b^-1 is
     again the square of a multiple of p, the set is the union of the
-    U^2(q)-orbits of e = r(a + p^sigma t) over those a: the products of
-    the distinct e with U^2(q)."""
+    U^2(q)-orbits of e = r(a + p^sigma t) over those a.  The a are the
+    p^2 z^2 mod q over all z, and z mod p^(lam-2) determines p^2 z^2.
+
+    (Z/p^lam)^x is cyclic for odd p, so U^2(q) has index 2 in it, and
+    the U^2(q)-orbit of e = p^v w, w a unit, is p^v (w U^2(p^(lam-v))
+    mod p^(lam-v)): the p^v u with u a unit mod p^(lam-v) that is a
+    square exactly when w is, which the Legendre symbol of w mod p
+    decides.  So the orbit depends on v and that symbol alone (e = 0,
+    v = lam, is the orbit {0}), and the set is the union of at most
+    2 lam + 1 such square classes, one built from the first e of each."""
     q = p**lam
-    x = np.arange(0, q, p, dtype=np.int64)
-    e = r * (_distinct(x * x % q, q) + p**sigma * t) % q
-    exps = _distinct(np.multiply.outer(e, _unit_squares(q)) % q, q)
-    return RootSet.of(q, exps.tolist())
+    classes = {}
+    for z in range(p ** max(lam - 2, 0)):
+        w, v = r * (p * p * z * z + p**sigma * t) % q, 0
+        while v < lam and w % p == 0:
+            w, v = w // p, v + 1
+        classes.setdefault((v, pow(w, (p - 1) // 2, p)), (v, w))
+    parts = [p**v * (w * _unit_squares(p ** (lam - v)) % p ** (lam - v))
+             for v, w in classes.values()]
+    return _at_least_level(q, _distinct(np.concatenate(parts), q))
 
 
 def _table2(p: int, lam: int) -> list[TableRow]:
@@ -314,7 +371,7 @@ def _g(lam: int, r: int) -> RootSet:
 
 def _table3() -> list[TableRow]:
     return [
-        TableRow(3, "C_2 = N_1(chi)", 2, 1, _G2, True, 1),
+        TableRow(3, "C_2 = N_1(chi)", 2, 1, make_gamma(2), True, 1),
         TableRow(3, "N_1(chi_1)", 2, 2, make_phi(2), True, 2),
     ]
 
@@ -323,8 +380,9 @@ def _table4() -> list[TableRow]:
     return [
         TableRow(4, "R_2^0(1,1,chi_1)", 4, 3, make_phi(2).union_disjoint(_g(2, 1)), True, 3),
         TableRow(4, "R_2^0(3,1,chi_1)", 4, 3, make_phi(2).union_disjoint(_g(2, 3)), True, 3),
-        TableRow(4, "R_2^0(1,3)_1", 4, 3, _G1.union_disjoint(make_gamma(4)), True, 3),
-        TableRow(4, "C_2 x R_2^0(1,3)_1", 4, 3, _G2.union_disjoint(make_gamma(4)), True, 3),
+        TableRow(4, "R_2^0(1,3)_1", 4, 3, make_phi(1).union_disjoint(make_gamma(4)), True, 3),
+        TableRow(4, "C_2 x R_2^0(1,3)_1", 4, 3,
+                 make_gamma(2).union_disjoint(make_gamma(4)), True, 3),
         TableRow(4, "N_2(chi), chi != 1", 4, 2, make_gamma(4), True, 2),
         TableRow(4, "C_3 = R_2^0(3,1,chi)", 4, 1, _g(2, 3), True, 1),
         TableRow(4, "C_4 = R_2^0(1,1,chi)", 4, 1, _g(2, 1), True, 1),
@@ -360,7 +418,7 @@ def _table5() -> list[TableRow]:
             TableRow(5, f"C_{j} x N_3(chi)_+", 8, 2,
                      _g(3, a).union_disjoint(_g(3, b)), True, 2)
         )
-    plus = {1: _G2, 2: _G1, 3: _g(2, 1), 4: _g(2, 3)}
+    plus = {1: make_gamma(2), 2: make_phi(1), 3: _g(2, 1), 4: _g(2, 3)}
     for j, head in plus.items():
         rows.append(
             TableRow(5, f"C_{j} x R_3^0(1,3,chi)_+", 8, 3,
@@ -408,8 +466,8 @@ def _table6() -> list[TableRow]:
                          _g(4, 1).union_disjoint(_g(4, 7), *tail), True, 4)
             )
     quads = {
-        (1, 1): (_G2, _g(2, 1)), (1, 3): (_G1, _g(2, 3)),
-        (3, 1): (_G2, _g(2, 3)), (3, 3): (_G1, _g(2, 1)),
+        (1, 1): (make_gamma(2), _g(2, 1)), (1, 3): (make_phi(1), _g(2, 3)),
+        (3, 1): (make_gamma(2), _g(2, 3)), (3, 3): (make_phi(1), _g(2, 1)),
     }
     for (r, t), (h1, h2) in quads.items():
         rows.append(
@@ -419,16 +477,16 @@ def _table6() -> list[TableRow]:
     for r in (1, 3):
         rows.append(
             TableRow(6, f"C_2 x R_4^2({r},3,chi), chi != 1", 16, 6,
-                     _G2.union_disjoint(_g(2, r), _g(4, r), _g(4, 5 * r)), True, 4)
+                     make_gamma(2).union_disjoint(_g(2, r), _g(4, r), _g(4, 5 * r)), True, 4)
         )
     for r in (1, 3):
         rows.append(
             TableRow(6, f"R_4^2({r},3,chi_1)_1", 16, 6,
-                     _G1.union_disjoint(_g(2, 3), _g(4, 1), _g(4, 5)), True, 4)
+                     make_phi(1).union_disjoint(_g(2, 3), _g(4, 1), _g(4, 5)), True, 4)
         )
     rows.append(
         TableRow(6, "N_3(chi)_+ x R_4^0(1,7,psi)_+", 16, 12,
-                 _G2.union_disjoint(make_gamma(4), make_gamma(16)), False, 7)
+                 make_gamma(2).union_disjoint(make_gamma(4), make_gamma(16)), False, 7)
     )
     return rows
 
@@ -466,12 +524,14 @@ def _table7() -> list[TableRow]:
             for sign in "+-":
                 rows.append(
                     TableRow(7, f"R_5^2({r},{t},chi)_{sign}", 32, 6,
-                             _g(5, r).union_disjoint(_g(3, r), _G2), True, 3)
+                             _g(5, r).union_disjoint(_g(3, r), make_gamma(2)), True, 3)
                 )
     for r in (1, 3):
         rows.append(
             TableRow(7, f"R_5^2({r},1,chi)_1, chi not in B", 32, 12,
-                     _G1.union_disjoint(_G2, _g(3, r), _g(3, 5 * r), _g(5, r), _g(5, 5 * r)),
+                     make_phi(1).union_disjoint(
+                     make_gamma(2), _g(3, r), _g(3, 5 * r), _g(5, r), _g(5, 5 * r)
+                     ),
                      True, 6)
         )
     # trailing columns of this printed row are lost; values derived from
@@ -502,7 +562,7 @@ def _sigma_set_2(lam: int, sigma: int, r: int) -> RootSet:
         np.add.outer(odd, 2**sigma * squares).ravel(),
         np.add.outer(squares, 2**sigma * odd).ravel(),
     ])
-    return RootSet.of(q, _distinct(r * sums % q, q).tolist())
+    return _at_least_level(q, _distinct(r * sums % q, q))
 
 
 def _table8(lam: int) -> list[TableRow]:
@@ -611,12 +671,12 @@ def _table8(lam: int) -> list[TableRow]:
         for r in (1, 3, 5, 7):
             rows.append(
                 TableRow(8, f"R_6^4({r},1,chi_1)_1", q, 12,
-                         _G1.union_disjoint(_g(2, r), _g(4, 5 * r), _g(6, r)), True, 4)
+                         make_phi(1).union_disjoint(_g(2, r), _g(4, 5 * r), _g(6, r)), True, 4)
             )
             for t in (1, 3):
                 rows.append(
                     TableRow(8, f"C_2 x R_6^4({r},{t},chi_1)_1", q, 12,
-                             _G2.union_disjoint(_g(2, 3 * r), _g(4, 5 * r), _g(6, r)),
+                             make_gamma(2).union_disjoint(_g(2, 3 * r), _g(4, 5 * r), _g(6, r)),
                              True, 4)
                 )
     return rows
@@ -741,41 +801,3 @@ def verify_rows(rows) -> TableVerification:
     return TableVerification(
         tuple(RowResult(row, tuple(_row_failures(row))) for row in rows)
     )
-
-
-# -- the 3x3 even-part matrix check ------------------------------------------
-
-
-@dataclass(frozen=True)
-class PsiMatrixReport:
-    k: int
-    symmetric: bool
-    square_is_scalar: bool
-    scalar_exponent: int  # power of zeta_4
-
-    @property
-    def ok(self) -> bool:
-        return self.symmetric and self.square_is_scalar
-
-
-def psi_e_matrix_check(k: int) -> PsiMatrixReport:
-    """Exact check that (zeta_4^k / 2) [[0, d, -d], [d, 1, 1], [-d, 1, 1]]
-    with d^2 = 2 squares to zeta_4^(2k) times the identity."""
-    if not 0 <= k <= 3:
-        raise ValueError("k must be 0..3")
-    n = 8
-    d = root_of_unity(n, 1) + root_of_unity(n, 7)  # sqrt(2)
-    one = CycNum.one(n)
-    zero = CycNum.zero(n)
-    f = root_of_unity(n, 2 * k) * CycNum.rational("1/2", n)
-    base = ((zero, d, -d), (d, one, one), (-d, one, one))
-    mat = [[f * v for v in row] for row in base]
-    symmetric = all(mat[i][j] == mat[j][i] for i in range(3) for j in range(3))
-    want = root_of_unity(4, 2 * k).embed(8)
-    columns = tuple(zip(*mat))
-    ok = all(
-        dot(mat[i], columns[j]) == (want if i == j else zero)
-        for i in range(3)
-        for j in range(3)
-    )
-    return PsiMatrixReport(k, symmetric, ok, (2 * k) % 4)

@@ -17,6 +17,7 @@ generators."""
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import mpmath
 import numpy as np
@@ -28,7 +29,7 @@ from modgal._numtheory import (
     unit_group_generators,
     units_mod,
 )
-from modgal.cyclotomic import CycNum
+from modgal.cyclotomic import CycNum, dot, root_of_unity
 from modgal.modular_data import InvalidModularData
 
 
@@ -164,3 +165,38 @@ def column_matching_partition(group, form):
         raise ValueError("bicharacter columns are not distinct (degenerate form)")
     images = [[col_key[col.tobytes()] for col in u * cols % M] for u in unit_group_generators(M)]
     return permutation_orbits(n, images)
+
+
+@dataclass(frozen=True)
+class PsiMatrixReport:
+    k: int
+    symmetric: bool
+    square_is_scalar: bool
+    scalar_exponent: int  # power of zeta_4
+
+    @property
+    def ok(self) -> bool:
+        return self.symmetric and self.square_is_scalar
+
+
+def psi_e_matrix_check(k: int) -> PsiMatrixReport:
+    """Exact check that (zeta_4^k / 2) [[0, d, -d], [d, 1, 1], [-d, 1, 1]]
+    with d^2 = 2 squares to zeta_4^(2k) times the identity."""
+    if not 0 <= k <= 3:
+        raise ValueError("k must be 0..3")
+    n = 8
+    d = root_of_unity(n, 1) + root_of_unity(n, 7)  # sqrt(2)
+    one = CycNum.one(n)
+    zero = CycNum.zero(n)
+    f = root_of_unity(n, 2 * k) * CycNum.rational("1/2", n)
+    base = ((zero, d, -d), (d, one, one), (-d, one, one))
+    mat = [[f * v for v in row] for row in base]
+    symmetric = all(mat[i][j] == mat[j][i] for i in range(3) for j in range(3))
+    want = root_of_unity(4, 2 * k).embed(8)
+    columns = tuple(zip(*mat))
+    ok = all(
+        dot(mat[i], columns[j]) == (want if i == j else zero)
+        for i in range(3)
+        for j in range(3)
+    )
+    return PsiMatrixReport(k, symmetric, ok, (2 * k) % 4)

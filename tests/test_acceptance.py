@@ -38,7 +38,8 @@ from modgal.subcategories import (
     check_orbit_lower_bound,
     check_theorem_galois_closure,
 )
-from modgal.tspectra import psi_e_matrix_check, rows_for_levels, verify_rows
+from modgal.tspectra import rows_for_levels, verify_rows
+from reference import psi_e_matrix_check
 
 
 class _Clock:

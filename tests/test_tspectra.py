@@ -21,11 +21,11 @@ from modgal.tspectra import (
     make_gamma_res,
     make_phi,
     make_phi_res,
-    psi_e_matrix_check,
     rows_for_levels,
     square_galois_orbit_count,
     verify_rows,
 )
+from reference import psi_e_matrix_check
 
 
 def _from_pairs(pairs) -> RootSet:
@@ -38,7 +38,7 @@ def _from_pairs(pairs) -> RootSet:
 def _pairs(s: RootSet) -> list[tuple[int, int]]:
     """The roots of the set as sorted (order, exp) pairs in lowest terms."""
     out = []
-    for e in s.exps:
+    for e in s.exps.tolist():
         g = math.gcd(e, s.level)
         out.append((s.level // g, e // g))
     return sorted(out)
@@ -46,8 +46,8 @@ def _pairs(s: RootSet) -> list[tuple[int, int]]:
 
 class TestRootSets:
     def test_phi1_gamma2(self):
-        assert make_phi(1) == RootSet(1, frozenset({0}))
-        assert make_gamma(2) == RootSet(2, frozenset({1}))
+        assert make_phi(1) == RootSet(1, np.array([0], dtype=np.int64))
+        assert make_gamma(2) == RootSet(2, np.array([1], dtype=np.int64))
 
     def test_gamma4_split(self):
         left = make_gamma_res(2, 2, 1)
@@ -84,8 +84,11 @@ class TestRootSets:
         assert make_phi_res(5, 1) == _from_pairs([(1, 0), (5, 1), (5, 4)])
 
     def test_disjoint_union_guard(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^union is not disjoint: \[\(4, 1\), \(4, 3\)\]$"):
             make_phi(4).union_disjoint(make_gamma(4))
+        # a root in two parts is named once, whichever parts they are
+        with pytest.raises(ValueError, match=r"^union is not disjoint: \[\(2, 1\)\]$"):
+            make_gamma(4).union_disjoint(make_phi(1), make_gamma(2), make_gamma(2))
 
     def test_residue_guard(self):
         with pytest.raises(ValueError):
@@ -94,13 +97,27 @@ class TestRootSets:
     def test_equal_sets_are_equal(self):
         # {zeta_4^0, zeta_4^2} is Phi_2, and the empty set sits at level 1
         assert RootSet.of(4, {0, 2}) == make_phi(2)
-        assert RootSet.of(12, ()) == RootSet(1, frozenset())
+        assert RootSet.of(12, ()) == RootSet(1, np.array([], dtype=np.int64))
         # at sigma = 1 every exponent r(x^2 + p t y^2) with p | x is a
         # multiple of p, so the least level is q / p
         for p, lam, r, t in [(3, 2, 1, 2), (5, 3, 2, 1), (7, 3, 3, 3)]:
             s = _sigma_set(p, lam, 1, r, t)
             assert s.level == p ** (lam - 1)
-            assert all(e % p for e in s.exps)
+            assert all(e % p for e in s.exps.tolist())
+
+    def test_equal_sets_hash_equal(self):
+        # Gamma_8 by ``of``, by a builder and as a union of its square classes
+        built = (
+            RootSet.of(8, {1, 3, 5, 7}),
+            make_gamma(8),
+            make_gamma_res(2, 3, 1).union_disjoint(*(make_gamma_res(2, 3, r) for r in (3, 5, 7))),
+        )
+        assert all(s == built[0] and hash(s) == hash(built[0]) for s in built)
+        assert len(set(built)) == 1
+        # the same exponent bytes at another level, and a proper subset
+        assert RootSet.of(3, {1}) != RootSet.of(5, {1})
+        assert make_gamma(8) != make_gamma_res(2, 3, 1)
+        assert make_gamma(8) != frozenset({1, 3, 5, 7})
 
 
 class TestSquareOrbits:
@@ -137,8 +154,15 @@ class TestSquareOrbits:
             square_galois_orbit_count(RootSet.of(level, {1}))
 
 
-def _holds_ints(s: RootSet) -> bool:
-    return all(type(e) is int for e in s.exps)
+def _canonical(s: RootSet) -> bool:
+    """Read-only, ascending, distinct int64 residues in [0, level) with
+    gcd(level, *exps) = 1."""
+    e = s.exps
+    return (
+        e.dtype == np.int64 and not e.flags.writeable
+        and bool(np.all(np.diff(e) > 0)) and (not e.size or 0 <= e[0] and e[-1] < s.level)
+        and math.gcd(s.level, *e.tolist()) == 1
+    )
 
 
 class TestBuildersMatchDefinitions:
@@ -156,11 +180,12 @@ class TestBuildersMatchDefinitions:
                 for x in range(q) for y in range(q) if (x | y) & 1}
         )
         got = _sigma_set_2(lam, sigma, r)
-        assert got == want and _holds_ints(got)
+        assert got == want and _canonical(got)
 
-    @pytest.mark.parametrize("p", [3, 5, 7])
-    @pytest.mark.parametrize("lam", [1, 2, 3])
-    def test_sigma_set(self, p, lam):
+    @pytest.mark.parametrize(
+        "lam,p", [(lam, p) for lam in (1, 2, 3) for p in (3, 5, 7)] + [(2, 11), (3, 11)]
+    )
+    def test_sigma_set(self, lam, p):
         q = p**lam
         residues = (1, _least_nonresidue(p))
         for sigma in range(lam + 1):
@@ -171,7 +196,7 @@ class TestBuildersMatchDefinitions:
                             for x in range(0, q, p) for y in range(q) if y % p}
                     )
                     got = _sigma_set(p, lam, sigma, r, t)
-                    assert got == want and _holds_ints(got), (sigma, r, t)
+                    assert got == want and _canonical(got), (sigma, r, t)
 
     @pytest.mark.parametrize(
         "p,lam", [(2, lam) for lam in range(1, 8)]
@@ -186,8 +211,8 @@ class TestBuildersMatchDefinitions:
         for r in range(1, 4 * p):
             if r % p:
                 got = make_gamma_res(p, lam, r)
-                assert got == RootSet(q, frozenset(r * k * k % q for k in units))
-                assert _holds_ints(got)
+                assert got == RootSet.of(q, {r * k * k % q for k in units})
+                assert _canonical(got)
 
 
 def _brute_force_count(s: RootSet) -> int:
@@ -195,14 +220,15 @@ def _brute_force_count(s: RootSet) -> int:
     each walked from one element; an image outside the set raises."""
     m = s.level
     units = [k for k in range(1, m + 1) if math.gcd(k, m) == 1]
+    exps = set(s.exps.tolist())
     seen: set = set()
     count = 0
-    for e in sorted(s.exps):
+    for e in sorted(exps):
         if e in seen:
             continue
         orbit = {e * k * k % m for k in units}
-        if not orbit <= s.exps:
-            raise ValueError(f"not closed: {sorted(orbit - s.exps)}")
+        if not orbit <= exps:
+            raise ValueError(f"not closed: {sorted(orbit - exps)}")
         seen |= orbit
         count += 1
     return count
