@@ -152,10 +152,10 @@ def _cmd_pointed(args) -> int:
     agree = part.orbits == fast == generator_partition(group)
     print(f"{group}: conductor {data.conductor}, rank {data.rank}")
     print(f"orbits ({part.count}): " + " ".join(str(list(o)) for o in part.orbits))
-    print(f"divisor-sum count: {count}")
+    print(f"cyclic-subgroup count: {count}")
     print(
         "direct computation agrees with the generator partition and the "
-        f"divisor sum: {'pass' if agree and part.count == count else 'FAIL'}"
+        f"cyclic-subgroup count: {'pass' if agree and part.count == count else 'FAIL'}"
     )
     return PASS if agree and part.count == count else FAIL
 

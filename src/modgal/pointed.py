@@ -17,6 +17,15 @@ b(g, .) = 1 iff b(g, e_j) = 1 for every j: the decision reads the |A| x k
 table of b(g, e_j), and the |A| x |A| table b(g, h) = G[g] . h mod M is
 built only for a form that is used.
 
+One kernel, ``_form_tables``, computes the tables of a stack of Gram
+matrices at once: G (the exponents of b(g, e_j)), T (those of q) and
+the number of zero rows of G mod M, which decides nondegeneracy.  A
+single form passes it a stack of one.  ``enumerate_quadratic_forms``
+passes its candidates a chunk at a time, at most ``_CHUNK_INT64S``
+int64 entries of G each (32 KiB), so that NumPy's per-call cost is paid
+once per chunk instead of once per candidate; it still constructs, and
+so validates, every candidate and hands each its slice of the chunk.
+
 Orbit counting has two routes that the tests play against each other:
 
 * ``cyclic_subgroup_count`` counts the cyclic subgroups, which number
@@ -82,6 +91,11 @@ __all__ = [
 # Largest Gram-matrix candidate space ``enumerate_quadratic_forms``
 # scans in full before it falls back to a sparser family.
 MAX_CANDIDATES = 200_000
+
+# int64 entries of G that ``_form_tables`` builds for one chunk of
+# ``enumerate_quadratic_forms``: a chunk holds at most this many over |A| k
+# candidates, and at least one.
+_CHUNK_INT64S = 2**12
 
 # Largest prime of the exponent that ``cyclic_subgroup_count`` counts
 # over, so that factoring the exponent takes at most that many trial
@@ -168,6 +182,31 @@ def gram_steps(group: FiniteAbelianGroup) -> tuple[int, tuple[tuple[int, ...], .
     return group._steps
 
 
+def _form_tables(
+    coords: np.ndarray, grams: np.ndarray, M: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(G, T, zero rows) of a (c, k, k) int64 stack of Gram matrices E,
+    their entries already reduced mod M, over the elements ``coords``
+    (|A| x k): G[i, g] = 2 g^T E_i, left unreduced, of shape (c, |A|, k);
+    T[i, g] = g^T E_i g mod M, of shape (c, |A|); and, for each i, the
+    number of rows of G[i] that vanish mod M.
+
+    Exact in int64: a coordinate g_j lies below n_j <= M and an entry
+    of E in [0, M), so an entry of g^T E lies in [0, k M^2) and one of
+    G below 2 k M^2, and T is summed from g^T E reduced mod M, k terms
+    below M^2.  2 k M^2 < 2^63 holds for every group of order below
+    2^27 (M <= 2 |A| and k <= log2 |A|); a larger group's G would take
+    1 GiB for a single form."""
+    half = coords @ grams
+    tvec = np.einsum("cgj,gj->cg", half % M, coords) % M
+    gmat = 2 * half
+    # the entries of G mod M are not negative, so a row vanishes iff its
+    # sum does; einsum sums the short last axis about three times faster
+    # than .any(axis=2) reduces it
+    zero_rows = coords.shape[0] - np.count_nonzero(np.einsum("cgj->cg", gmat % M), axis=1)
+    return gmat, tvec, zero_rows
+
+
 @dataclass(frozen=True)
 class QuadraticFormSpec:
     """q(x) = zeta_M^(x^T gram x) over the invariant-factor generators."""
@@ -213,31 +252,51 @@ class QuadraticFormSpec:
         G[g, j] = 2 (E g)_j, the exponent of b(g, e_j) on zeta_M, left
         unreduced, and T[g] = g^T E g mod M, the exponent of q(g).
         b is a bicharacter, so b(g, h) = zeta_M^(G[g] . h mod M).
-        Built on first use and kept in the instance ``__dict__``, where
-        ``functools.cached_property`` would take a lock on each first
-        access (Python 3.11), a cost paid once per sweep candidate."""
+
+        Both come from ``_form_tables`` on a stack of one Gram matrix,
+        unless ``enumerate_quadratic_forms`` handed the form its slice
+        of a chunk (at most ``_CHUNK_INT64S`` entries of G) through
+        ``_take_tables``.  Either way they are kept in the instance
+        ``__dict__`` with the zero-row count that ``is_nondegenerate``
+        reads, where ``functools.cached_property`` would take a lock on
+        each first access (Python 3.11)."""
         memo = self.__dict__
         if "_tables_memo" not in memo:
             M = self.modulus
-            coords = self.group._coords
-            k = coords.shape[1]
+            k = len(self.gram)
             # q and b depend on the entries mod M only; reduced as Python
             # ints, they fit int64 whatever their size
             gram = np.array(
                 [e % M for e in itertools.chain.from_iterable(self.gram)], dtype=np.int64
-            ).reshape(k, k)
-            half = coords @ gram
-            tvec = np.einsum("ij,ij->i", half, coords) % M
-            memo["_tables_memo"] = (2 * half, tvec)
+            ).reshape(1, k, k)
+            gmat, tvec, zero_rows = _form_tables(self.group._coords, gram, M)
+            memo["_tables_memo"] = (gmat[0], tvec[0])
+            memo["_zero_rows"] = (M, int(zero_rows[0]))
         return memo["_tables_memo"]
+
+    def _take_tables(self, M: int, gmat: np.ndarray, tvec: np.ndarray, zero_rows: int) -> None:
+        """Keep G, T and the zero-row count of G mod M that
+        ``_form_tables`` computed for this form's Gram matrix in a chunk
+        at modulus M, as ``_tables`` would."""
+        if M != self.modulus:
+            raise ValueError(
+                f"tables computed at modulus {M}, but the form's modulus is {self.modulus}")
+        memo = self.__dict__
+        memo["_tables_memo"] = (gmat, tvec)
+        memo["_zero_rows"] = (M, zero_rows)
 
     def is_nondegenerate(self) -> bool:
         """Whether the radical {g : b(g, .) = 1} is the identity alone.
         b(g, h) = prod_j b(g, e_j)^(h_j), so b(g, .) = 1 iff
         b(g, e_j) = 1 for every generator e_j, that is, iff row g of G
-        is zero mod M."""
-        gmat, _ = self._tables
-        zero_rows = len(gmat) - int(np.count_nonzero((gmat % self.modulus).any(axis=1)))
+        is zero mod M.  The count of zero rows comes with the tables."""
+        M = self.modulus
+        if "_zero_rows" not in self.__dict__:
+            self._tables  # computes the count with the tables
+        counted_at, zero_rows = self.__dict__["_zero_rows"]
+        if counted_at != M:
+            raise ValueError(
+                f"zero rows counted at modulus {counted_at}, but the form's modulus is {M}")
         return zero_rows == 1
 
     def value_vector(self) -> tuple[int, ...]:
@@ -268,6 +327,12 @@ def enumerate_quadratic_forms(group: FiniteAbelianGroup, max_forms: int | None =
     diagonal, superdiagonal off-entries only) when it has at most that
     many, and otherwise the diagonal family.  ``max_forms`` caps the
     yield.
+
+    The candidates are checked a chunk at a time: one ``_form_tables``
+    call per chunk, then, for each candidate, the form is constructed
+    (and so validated), handed its slice, and asked
+    ``is_nondegenerate``.  ``max_forms`` is tested before each
+    candidate is constructed.
     """
     M, steps = gram_steps(group)
     k = len(group.invariant_factors)
@@ -290,20 +355,33 @@ def enumerate_quadratic_forms(group: FiniteAbelianGroup, max_forms: int | None =
     index = {pos: n for n, pos in enumerate(positions)}
     zero = len(positions)
     slots = [[index.get((min(i, j), max(i, j)), zero) for j in range(k)] for i in range(k)]
+    flat_slots = list(itertools.chain.from_iterable(slots))
+    coords = group._coords
+    chunk = max(1, _CHUNK_INT64S // (group.order * k))
+    candidates = itertools.product(*rngs, (0,))
     seen: set[tuple[int, ...]] = set()
-    for values in itertools.product(*rngs, (0,)):
-        if max_forms is not None and len(seen) >= max_forms:
-            return
-        # symmetric, and each entry a multiple of its step, by construction
-        gram = tuple([tuple([values[n] for n in row]) for row in slots])
-        form = QuadraticFormSpec(group, gram)
-        if not form.is_nondegenerate():
-            continue
-        key = form.value_vector()
-        if key in seen:
-            continue
-        seen.add(key)
-        yield form
+    for block in iter(lambda: list(itertools.islice(candidates, chunk)), []):
+        # every value lies in [0, M): each range runs from 0 below M
+        grams = np.array(block, dtype=np.int64)[:, flat_slots].reshape(-1, k, k)
+        gmats, tvecs, zero_rows = _form_tables(coords, grams, M)
+        for values, gmat, tvec, zeros in zip(block, gmats, tvecs, zero_rows.tolist()):
+            if max_forms is not None and len(seen) >= max_forms:
+                return
+            # symmetric, and each entry a multiple of its step, by construction
+            gram = tuple([tuple([values[n] for n in row]) for row in slots])
+            form = QuadraticFormSpec(group, gram)
+            if zeros == 1:
+                # a nondegenerate form may be yielded: it owns its tables
+                # rather than views that keep the whole chunk alive
+                gmat, tvec = gmat.copy(), tvec.copy()
+            form._take_tables(M, gmat, tvec, zeros)
+            if not form.is_nondegenerate():
+                continue
+            key = form.value_vector()
+            if key in seen:
+                continue
+            seen.add(key)
+            yield form
 
 
 # -- building modular data ----------------------------------------------------

@@ -13,7 +13,9 @@ sum, as the library did before it took the product over primes.
 ``column_matching_partition`` computes the pointed orbit partition by
 matching whole columns of the |A| x |A| bicharacter table, as the
 library did before it matched the columns through their keys at the
-generators."""
+generators.  ``reference_enumerate`` enumerates the pointed forms one
+candidate at a time, each with its own tables, as the library did
+before it checked the candidates a chunk at a time."""
 
 import itertools
 import math
@@ -31,6 +33,7 @@ from modgal._numtheory import (
 )
 from modgal.cyclotomic import CycNum, dot, root_of_unity
 from modgal.modular_data import InvalidModularData
+from modgal.pointed import MAX_CANDIDATES, QuadraticFormSpec, gram_steps
 
 
 def numeric_value(a: CycNum, dps: int = 30) -> complex:
@@ -165,6 +168,43 @@ def column_matching_partition(group, form):
         raise ValueError("bicharacter columns are not distinct (degenerate form)")
     images = [[col_key[col.tobytes()] for col in u * cols % M] for u in unit_group_generators(M)]
     return permutation_orbits(n, images)
+
+
+def reference_enumerate(group):
+    """Every form of ``enumerate_quadratic_forms``, in its order (its
+    ``max_forms`` keeps a prefix): the same candidate families, each
+    candidate's G = 2 coords E and T = g^T E g mod M built on its own,
+    a candidate kept when exactly one row of G vanishes mod M and its T
+    is new."""
+    M, steps = gram_steps(group)
+    k = len(group.invariant_factors)
+    if k == 0:
+        yield QuadraticFormSpec(group, ())
+        return
+    for positions in (
+        [(i, j) for i in range(k) for j in range(i, k)],
+        [(i, i) for i in range(k)] + [(i, i + 1) for i in range(k - 1)],
+        [(i, i) for i in range(k)],
+    ):
+        rngs = [range(0, M, steps[i][j]) for i, j in positions]
+        if math.prod(map(len, rngs)) <= MAX_CANDIDATES:
+            break
+    index = {pos: n for n, pos in enumerate(positions)}
+    zero = len(positions)
+    slots = [[index.get((min(i, j), max(i, j)), zero) for j in range(k)] for i in range(k)]
+    coords = np.array(group.elements(), dtype=np.int64)
+    seen = set()
+    for values in itertools.product(*rngs, (0,)):
+        gram = tuple(tuple(values[n] for n in row) for row in slots)
+        form = QuadraticFormSpec(group, gram)
+        half = coords @ np.array(gram, dtype=np.int64)
+        if np.count_nonzero(~(2 * half % M).any(axis=1)) != 1:
+            continue
+        key = tuple((np.einsum("ij,ij->i", half, coords) % M).tolist())
+        if key in seen:
+            continue
+        seen.add(key)
+        yield form
 
 
 @dataclass(frozen=True)

@@ -126,7 +126,7 @@ def test_criterion_3_pointed_orbit_agreement():
     groups = _abelian_groups_up_to(64)
     assert len(groups) == 117
     forms_seen = 0
-    with _Clock(120.0, "criterion 3: order<=64 sweep, direct orbits vs divisor sum"):
+    with _Clock(120.0, "criterion 3: order<=64 sweep, direct orbits vs cyclic-subgroup count"):
         for group in groups:
             expected = generator_partition(group)
             assert len(expected) == cyclic_subgroup_count(group), group

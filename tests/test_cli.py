@@ -231,7 +231,14 @@ class TestPointed:
     def test_full_build(self, capsys):
         code, out, _ = run(capsys, "pointed", "5")
         assert code == 0
-        assert "orbits (2)" in out and "pass" in out
+        assert "orbits (2)" in out
+        # the count is of cyclic subgroups, a product over the primes of
+        # the exponent, not a divisor sum
+        assert out.splitlines()[-2:] == [
+            "cyclic-subgroup count: 2",
+            "direct computation agrees with the generator partition and the "
+            "cyclic-subgroup count: pass",
+        ]
 
     def test_explicit_form(self, capsys):
         code, out, _ = run(capsys, "pointed", "3", "--form", "2")

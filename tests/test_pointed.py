@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import column_matching_partition, divisor_tuple_count, full_table_nondegenerate
+from reference import (
+    column_matching_partition,
+    divisor_tuple_count,
+    full_table_nondegenerate,
+    reference_enumerate,
+)
+from modgal import pointed
 from modgal.cyclotomic import root_of_unity
 from modgal.galois_action import galois_permutation, orbit_partition
 from modgal.pointed import (
@@ -52,11 +58,15 @@ def _gram_matrices(group):
         yield tuple(map(tuple, gram))
 
 
+_GROUPS = st.sampled_from(list(_chains(64))).map(FiniteAbelianGroup)
+
+
 @st.composite
-def _drawn_forms(draw):
-    """A group of order <= 64 and a well-defined Gram matrix on it, each
-    entry a multiple of its step up to 3M, degenerate or not."""
-    group = FiniteAbelianGroup(draw(st.sampled_from(list(_chains(64)))))
+def _drawn_forms(draw, group=None):
+    """A well-defined Gram matrix on the group, by default one of order
+    <= 64 drawn too, each entry a multiple of its step up to 3M,
+    degenerate or not."""
+    group = group or draw(_GROUPS)
     M, steps = gram_steps(group)
     k = len(group.invariant_factors)
     gram = [[0] * k for _ in range(k)]
@@ -177,6 +187,83 @@ class TestForms:
     def test_nondegeneracy_matches_the_full_table_on_drawn_forms(self, form):
         assert form.is_nondegenerate() == full_table_nondegenerate(form), (
             form.group.invariant_factors, form.gram)
+
+
+@st.composite
+def _drawn_stacks(draw):
+    """A group of order <= 64 and one to six forms on it, drawn as
+    ``_drawn_forms`` draws them."""
+    group = draw(_GROUPS)
+    return group, draw(st.lists(_drawn_forms(group), min_size=1, max_size=6))
+
+
+class TestChunkedTables:
+    @settings(max_examples=200, deadline=None)
+    @given(_drawn_stacks())
+    def test_each_slice_is_the_form_own_tables(self, drawn):
+        # a stack of Gram matrices reduced mod M: slice i of G and T is
+        # what form i computes on its own, and its zero-row count decides
+        # nondegeneracy as the whole |A| x |A| table does
+        group, forms = drawn
+        M = forms[0].modulus
+        k = len(group.invariant_factors)
+        grams = np.array([[[e % M for e in row] for row in f.gram] for f in forms],
+                         dtype=np.int64).reshape(len(forms), k, k)
+        gmats, tvecs, zero_rows = pointed._form_tables(group._coords, grams, M)
+        for form, gmat, tvec, zeros in zip(forms, gmats, tvecs, zero_rows.tolist()):
+            own_gmat, own_tvec = form._tables
+            assert np.array_equal(gmat, own_gmat) and np.array_equal(tvec, own_tvec), form.gram
+            assert (zeros == 1) == full_table_nondegenerate(form), (
+                group.invariant_factors, form.gram)
+
+    def test_chunked_enumerator_matches_the_reference(self, monkeypatch):
+        # every group of order <= 32: the same forms in the same order as
+        # one candidate at a time, with the default chunk budget and with
+        # budgets for chunks of one and of three candidates; with three,
+        # a max_forms stop can fall inside a chunk, and a scan that ends
+        # before 256 forms ends on a partial chunk
+        default = pointed._CHUNK_INT64S
+        yielded = 0
+        for facs in _chains(32):
+            g = FiniteAbelianGroup(facs)
+            want = [f.gram for f in reference_enumerate(g)]
+            width = g.order * max(1, len(facs))
+            for budget, caps in ((default, (None, 1, 7, 256)), (width, (1, 7)),
+                                 (3 * width, (1, 7, 256))):
+                monkeypatch.setattr(pointed, "_CHUNK_INT64S", budget)
+                for cap in caps:
+                    got = [f.gram for f in enumerate_quadratic_forms(g, max_forms=cap)]
+                    assert got == want[:cap], (facs, budget, cap)
+                    yielded += len(got)
+        # 5605 forms in all, 3281 under the cap 256, 413 under the caps 1
+        # and 7 together
+        assert yielded == 5605 + 2 * 3281 + 3 * 413
+
+    def test_twists_exact_where_g_E_g_exceeds_int64(self):
+        # Z/(5 2^20) has M = 5 2^21, and g^T E g nears 2^68 at its
+        # largest elements with E = M - 1: T is summed from g^T E mod M,
+        # so it stays exact; rows of the group's element table suffice
+        M = 5 * 2**21
+        coords = np.arange(M // 2 - 50, M // 2, dtype=np.int64).reshape(-1, 1)
+        gram = np.array([[[M - 1]]], dtype=np.int64)
+        gmat, tvec, zero_rows = pointed._form_tables(coords, gram, M)
+        xs = coords[:, 0].tolist()
+        assert tvec[0].tolist() == [x * x * (M - 1) % M for x in xs]
+        assert gmat[0, :, 0].tolist() == [2 * x * (M - 1) for x in xs]
+        assert zero_rows.tolist() == [0]
+
+    def test_tables_at_another_modulus_refused(self):
+        g = FiniteAbelianGroup((2, 4))
+        form = canonical_form(g)
+        gmat, tvec = form._tables
+        with pytest.raises(ValueError, match="^tables computed at modulus 16, but the "
+                           "form's modulus is 8$"):
+            QuadraticFormSpec(g, form.gram)._take_tables(16, gmat, tvec, 1)
+        fresh = QuadraticFormSpec(g, form.gram)
+        fresh.__dict__["_zero_rows"] = (16, 1)
+        with pytest.raises(ValueError, match="^zero rows counted at modulus 16, but the "
+                           "form's modulus is 8$"):
+            fresh.is_nondegenerate()
 
 
 class TestBuild:
