@@ -34,7 +34,6 @@ from .pointed import (
     QuadraticFormSpec,
     build_pointed,
     canonical_form,
-    closed_form_counts,
     cyclic_subgroup_count,
 )
 from .families import fixture, fixture_names, fibonacci, ising, sl2_level_adjoint
@@ -74,7 +73,6 @@ __all__ = [
     "build_pointed",
     "canonical_form",
     "centralizer",
-    "closed_form_counts",
     "cyclic_subgroup_count",
     "cyclotomic_polynomial",
     "deligne_product",

@@ -175,16 +175,21 @@ def _images(num: np.ndarray, prime: SplitPrime) -> np.ndarray:
 
 class Residues:
     """The entries of s in Z[zeta_n] on the power basis, ``num`` of
-    shape (r, r, phi), copied to int64 from the coefficients given, with
-    L = ``l1``, the largest l1 norm of an entry's coefficients:
-    |sigma(s_xy)| <= L for every embedding sigma of Q(zeta_n) into C.
+    shape (r, r, phi) in int64, with L = ``l1``, the largest l1 norm of
+    an entry's coefficients: |sigma(s_xy)| <= L for every embedding
+    sigma of Q(zeta_n) into C.  A read-only int64 array of coefficients
+    is kept as given, so the view shares it with its owner (a datum's
+    ``ModularData._num``); any other input is copied to int64.
     ``at(prime)`` is the image of s at a split prime of n, built the
     first time it is asked for and kept as long as the view.  ``num``
     and the images are read-only, since every identity shares them."""
 
     def __init__(self, num, n: int):
-        self.num = np.array(num, dtype=np.int64)
-        self.num.flags.writeable = False
+        if not (isinstance(num, np.ndarray) and num.dtype == np.int64
+                and not num.flags.writeable):
+            num = np.array(num, dtype=np.int64)
+            num.flags.writeable = False
+        self.num = num
         self.n = n
         self.l1 = int(np.abs(self.num).sum(axis=-1).max())
         self._kept: dict[int, np.ndarray] = {}

@@ -8,14 +8,20 @@ index 0 (``reordered`` moves another object there).  Construction
 refuses any s-entry with a numerator or denominator of
 2^MAX_ENTRY_BITS or more, so every datum in memory, loaded or built,
 satisfies the bound the split-prime certificates and the sign oracle
-argue from.  Every refusal of construction raises
+argue from.  Construction checks each distinct entry object once, since
+a ``CycNum`` is immutable and the builders place one object at many
+positions.  The numerators of s are converted the same way, once per
+distinct object, into a read-only int64 array of shape (r, r, phi)
+(``_num``), gathered by position only where objects repeat and built
+when an identity first needs it.  Every refusal of construction raises
 ``InvalidModularData``, so the loader passes its message on unchanged.
 
 Everything here is exact or certified.  Every identity in the entries
 of s is checked over split primes (``_splitprime``), on one residue
-view per datum (``_residues``): s is imaged once per split prime, when
-an identity first asks for that prime, and every later identity of
-the datum reads the kept image, which lives and dies with the datum.
+view per datum (``_residues``), which reads that array without a
+copy: s is imaged once per split prime, when an identity first asks
+for that prime, and every later identity of the datum reads the kept
+image, which lives and dies with the datum.
 Here the fusion coefficients are read modulo a split prime and then
 certified by exact identities in every embedding slot of enough
 primes; a coefficient that is not a nonnegative rational integer is a
@@ -38,6 +44,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, wraps
 from itertools import accumulate, chain, product
+
+import numpy as np
 
 from ._splitprime import Residues, certified_verlinde
 from .cyclotomic import CycNum, _fold_terms, dot, root_of_unity, sign_of_real
@@ -119,19 +127,26 @@ class ModularData:
         r = self.rank
         if r < 1:
             raise InvalidModularData(f"rank must be >= 1, got {r}")
-        # the entries before the label and twist counts, the loader's
-        # order of messages
-        for x, row in enumerate(self.s):
-            if len(row) != r:
-                raise InvalidModularData("s is not square")
-            for y, entry in enumerate(row):
-                if entry.conductor != self.conductor:
-                    raise InvalidModularData("s entry conductor differs from declared conductor")
-                if max(entry.den, *map(abs, entry.num)).bit_length() > MAX_ENTRY_BITS:
-                    raise InvalidModularData(
-                        f"s-entry ({x},{y}) has a numerator or denominator of "
-                        f"2^{MAX_ENTRY_BITS} or more"
-                    )
+        # the loader's order of messages: the entries of the rows before
+        # the first short one, row-major, then that row, then the label
+        # and twist counts.  A CycNum is immutable, so an object at
+        # several positions is checked once, and the first failing
+        # position is the first position of the first failing object.
+        short = next((x for x, row in enumerate(self.s) if len(row) != r), len(self.s))
+        rows, bound = self.s[:short], 1 << MAX_ENTRY_BITS
+        for entry in {id(entry): entry for row in rows for entry in row}.values():
+            if entry.conductor != self.conductor:
+                raise InvalidModularData("s entry conductor differs from declared conductor")
+            num = entry.num
+            if entry.den >= bound or max(num) >= bound or min(num) <= -bound:
+                flat = [other is entry for row in rows for other in row]
+                x, y = divmod(flat.index(True), r)
+                raise InvalidModularData(
+                    f"s-entry ({x},{y}) has a numerator or denominator of "
+                    f"2^{MAX_ENTRY_BITS} or more"
+                )
+        if short < len(self.s):
+            raise InvalidModularData("s is not square")
         if len(self.labels) != r or len(self.s) != r or len(self.t_exponents) != r:
             raise InvalidModularData("rank does not match row/label/twist counts")
         object.__setattr__(
@@ -286,17 +301,36 @@ class ModularData:
         return tuple(failures)
 
     @cached_property
+    def _num(self) -> np.ndarray:
+        """The numerators of s on the power basis, a read-only int64 array
+        of shape (r, r, phi): each distinct entry object is converted
+        once, and the rows are gathered by position only where objects
+        repeat.  Construction bounds every numerator below
+        2^MAX_ENTRY_BITS, so each fits int64."""
+        flat = [entry for row in self.s for entry in row]
+        distinct = {id(entry): entry for entry in flat}
+        num = np.array([entry.num for entry in distinct.values()], dtype=np.int64)
+        if len(distinct) < len(flat):
+            slot = dict(zip(distinct, range(len(distinct))))
+            num = num[[slot[id(entry)] for entry in flat]]
+        num = num.reshape(self.rank, self.rank, -1)
+        num.flags.writeable = False
+        return num
+
+    @cached_property
     def _residues(self) -> Residues:
         """The residue view of s that every split-prime identity of this
         datum reads: the coefficients on the power basis as int64, shape
         (r, r, phi), and their image at each split prime, built once.
-        Raises the first failure of ``_table_preconditions``, without
-        which the coefficients are not those of s; with it, they are
-        integers below 2^MAX_ENTRY_BITS, as construction demands, and fit
-        int64."""
+        The coefficients are the read-only array ``_num``, which the view
+        shares rather than copies.  Raises the first failure of
+        ``_table_preconditions``, without which the numerators are not
+        the coefficients of s; with it, every entry has denominator 1, so
+        they are, and each is below 2^MAX_ENTRY_BITS, as construction
+        demands."""
         for failure in self._table_preconditions:
             raise InvalidModularData(failure)
-        return Residues([[v.num for v in row] for row in self.s], self.conductor)
+        return Residues(self._num, self.conductor)
 
     # -- Frobenius-Perron dimensions --------------------------------------
 

@@ -65,13 +65,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._numtheory import (
-    divisors,
-    is_prime,
-    permutation_orbits,
-    trial_factor,
-    unit_group_generators,
-)
+from ._numtheory import permutation_orbits, trial_factor, unit_group_generators
 from .cyclotomic import root_of_unity
 from .modular_data import ModularData
 
@@ -80,7 +74,6 @@ __all__ = [
     "QuadraticFormSpec",
     "build_pointed",
     "canonical_form",
-    "closed_form_counts",
     "cyclic_subgroup_count",
     "enumerate_quadratic_forms",
     "generator_partition",
@@ -396,7 +389,13 @@ def build_pointed(group: FiniteAbelianGroup, form: QuadraticFormSpec | None = No
     zeta_(M/c), and that division is exact for s as well as t:
     bmat[g, h] = G[g] . h = 2 g^T E h = q(g + h) - q(g) - q(h) (mod M), where
     q(g + h) is the twist of the element g + h because q is well
-    defined on A, and c divides M and every twist."""
+    defined on A, and c divides M and every twist.
+
+    The entries are taken from one table of the M / c roots of unity,
+    so s holds at most M / c distinct objects.  Construction checks each
+    once, and ``ModularData._num`` converts each once to the int64
+    numerator array that the residue view of the datum shares
+    read-only."""
     form = form or canonical_form(group)
     if form.group != group:
         raise ValueError("form was built for a different group")
@@ -407,7 +406,8 @@ def build_pointed(group: FiniteAbelianGroup, form: QuadraticFormSpec | None = No
     bmat = gmat @ group._coords.T % M
     c = math.gcd(M, *tvec.tolist())
     labels = tuple("(" + ",".join(map(str, x)) + ")" if x else "0" for x in group.elements())
-    s = tuple(tuple(root_of_unity(M // c, e) for e in row) for row in (bmat // c).tolist())
+    roots = [root_of_unity(M // c, e) for e in range(M // c)]
+    s = tuple(tuple(map(roots.__getitem__, row)) for row in (bmat // c).tolist())
     return ModularData(M // c, group.order, labels, s, tuple((tvec // c).tolist()))
 
 
@@ -511,34 +511,3 @@ def cyclic_subgroup_count(group: FiniteAbelianGroup) -> int:
             killed = grown
         total *= count
     return total
-
-
-def closed_form_counts(kind: str, p: int | None = None, n: int | None = None) -> int:
-    """Closed-form orbit counts:
-
-    - 'cyclic_divisors': orbit count of pointed Z/n data = d(n);
-    - 'elementary_abelian': 1 + (p^n - 1)/(p - 1);
-    - 'product_cyclic': |Orb(pointed Z/p^n (x) rank-(p-1)/2 transitive)|
-      = (n(p-1) + 2)/2, p >= 5 prime;
-    - 'product_elementary_abelian': (p^n + 1)/2, p >= 5 prime.
-    """
-    if kind == "cyclic_divisors":
-        if n is None or n < 1:
-            raise ValueError("need n >= 1")
-        return len(divisors(n))
-    if p is None or n is None or n < 1:
-        raise ValueError("need a prime p and n >= 1")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if kind == "elementary_abelian":
-        return 1 + (p**n - 1) // (p - 1)
-    if kind in ("product_cyclic", "product_elementary_abelian"):
-        if p < 5:
-            raise ValueError("product formulas need p >= 5")
-        if kind == "product_cyclic":
-            num = n * (p - 1) + 2
-        else:
-            num = p**n + 1
-        assert num % 2 == 0
-        return num // 2
-    raise ValueError(f"unknown kind {kind!r}")

@@ -15,7 +15,14 @@ matching whole columns of the |A| x |A| bicharacter table, as the
 library did before it matched the columns through their keys at the
 generators.  ``reference_enumerate`` enumerates the pointed forms one
 candidate at a time, each with its own tables, as the library did
-before it checked the candidates a chunk at a time."""
+before it checked the candidates a chunk at a time.
+``closed_form_counts`` states the closed-form orbit counts that the
+acceptance criteria compare against.  ``entry_numerators`` reads the
+numerators of s entry by entry, as ``ModularData._residues`` did before
+construction converted each distinct entry once, and
+``per_entry_pointed`` builds pointed data with one ``root_of_unity``
+call per entry, as ``build_pointed`` did before it shared one table of
+roots.  ``psi_e_matrix_check`` squares one matrix over Q(zeta_8)."""
 
 import itertools
 import math
@@ -27,12 +34,13 @@ import numpy as np
 from modgal._numtheory import (
     divisors,
     euler_phi,
+    is_prime,
     permutation_orbits,
     unit_group_generators,
     units_mod,
 )
 from modgal.cyclotomic import CycNum, dot, root_of_unity
-from modgal.modular_data import InvalidModularData
+from modgal.modular_data import InvalidModularData, ModularData
 from modgal.pointed import MAX_CANDIDATES, QuadraticFormSpec, gram_steps
 
 
@@ -152,6 +160,54 @@ def divisor_tuple_count(group) -> int:
         assert rest == 0
         total += term
     return total
+
+
+def closed_form_counts(kind: str, p: int | None = None, n: int | None = None) -> int:
+    """Closed-form orbit counts:
+
+    - 'cyclic_divisors': orbit count of pointed Z/n data = d(n);
+    - 'elementary_abelian': 1 + (p^n - 1)/(p - 1);
+    - 'product_cyclic': |Orb(pointed Z/p^n (x) rank-(p-1)/2 transitive)|
+      = (n(p-1) + 2)/2, p >= 5 prime;
+    - 'product_elementary_abelian': (p^n + 1)/2, p >= 5 prime.
+    """
+    if kind == "cyclic_divisors":
+        if n is None or n < 1:
+            raise ValueError("need n >= 1")
+        return len(divisors(n))
+    if p is None or n is None or n < 1:
+        raise ValueError("need a prime p and n >= 1")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if kind == "elementary_abelian":
+        return 1 + (p**n - 1) // (p - 1)
+    if kind in ("product_cyclic", "product_elementary_abelian"):
+        if p < 5:
+            raise ValueError("product formulas need p >= 5")
+        if kind == "product_cyclic":
+            num = n * (p - 1) + 2
+        else:
+            num = p**n + 1
+        assert num % 2 == 0
+        return num // 2
+    raise ValueError(f"unknown kind {kind!r}")
+
+
+def entry_numerators(data):
+    """The numerators of s as nested lists, one entry at a time."""
+    return [[v.num for v in row] for row in data.s]
+
+
+def per_entry_pointed(group, form):
+    """``build_pointed(group, form)`` with a ``root_of_unity`` call for
+    each of the |A|^2 entries."""
+    M = form.modulus
+    gmat, tvec = form._tables
+    bmat = gmat @ group._coords.T % M
+    c = math.gcd(M, *tvec.tolist())
+    labels = tuple("(" + ",".join(map(str, x)) + ")" if x else "0" for x in group.elements())
+    s = tuple(tuple(root_of_unity(M // c, e) for e in row) for row in (bmat // c).tolist())
+    return ModularData(M // c, group.order, labels, s, tuple((tvec // c).tolist()))
 
 
 def column_matching_partition(group, form):

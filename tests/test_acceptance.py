@@ -26,7 +26,6 @@ from modgal.modular_data import deligne_product, save_modular_data
 from modgal.pointed import (
     FiniteAbelianGroup,
     build_pointed,
-    closed_form_counts,
     cyclic_subgroup_count,
     enumerate_quadratic_forms,
     generator_partition,
@@ -39,7 +38,7 @@ from modgal.subcategories import (
     check_theorem_galois_closure,
 )
 from modgal.tspectra import rows_for_levels, verify_rows
-from reference import psi_e_matrix_check
+from reference import closed_form_counts, psi_e_matrix_check
 
 
 class _Clock:

@@ -15,8 +15,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import LADDER
-from reference import character_columns, numeric_value
+from conftest import DIFFERENTIAL, LADDER, PRODUCTS
+from reference import character_columns, entry_numerators, numeric_value
 from modgal.cyclotomic import CycNum, dot, root_of_unity
 from modgal.families import fibonacci, fixture_names, ising, sl2_level_adjoint
 from modgal.galois_action import galois_permutation, orbit_partition
@@ -30,6 +30,7 @@ from modgal.modular_data import (
     dump_modular_data,
     loads_modular_data,
 )
+from modgal.pointed import FiniteAbelianGroup, build_pointed
 from modgal.subcategories import all_subcategories
 
 
@@ -459,3 +460,79 @@ class TestFileFormat:
                    "s": [[[[1, 1, 0]] for _ in row] for row in s]}
             with pytest.raises(InvalidModularData, match=f"^{re.escape(message)}$"):
                 loads_modular_data(json.dumps(doc))
+
+
+# The data whose numerator array is compared with the entries: the
+# fixtures, their conjugates, the ladder and three pointed data, the
+# rank-12, 25 and 30 products, and two reordered data, one of whose
+# entries repeat
+NUMERATORS = {
+    **DIFFERENTIAL,
+    **PRODUCTS,
+    "sl2_7_reordered": lambda: sl2_level_adjoint(7).reordered((0, 2, 1)),
+    "Z2xZ4_reordered": lambda: build_pointed(FiniteAbelianGroup((2, 4))).reordered(
+        (0, 5, 3, 7, 1, 2, 4, 6)),
+}
+
+
+class TestNumerators:
+    @pytest.mark.parametrize("name", sorted(NUMERATORS))
+    def test_residues_hold_the_entry_numerators(self, name):
+        data = NUMERATORS[name]()
+        num = data._residues.num
+        assert num.dtype == np.int64
+        assert np.array_equal(num, np.array(entry_numerators(data)))
+
+    def test_residues_share_the_array_construction_made(self):
+        # one copy of the numerators per datum, read-only, at rank 64
+        data = build_pointed(FiniteAbelianGroup((64,)))
+        assert np.shares_memory(data._residues.num, data._num)
+        assert not data._num.flags.writeable
+
+    def test_a_shared_over_bound_entry_is_named_at_its_first_position(self):
+        one, big = CycNum.one(1), CycNum.rational(1 << MAX_ENTRY_BITS, 1)
+        other = CycNum.rational(-(1 << MAX_ENTRY_BITS), 1)
+        cases = [
+            # one object at (0,1) and (1,0)
+            (((one, big), (big, one)), (0, 1)),
+            # one object at (0,2) and (2,0), another at (1,1)
+            (((one, one, big), (one, other, one), (big, one, one)), (0, 2)),
+            # one object at (2,1) and (1,2), another first at (1,0)
+            (((one, one, one), (other, one, big), (other, big, one)), (1, 0)),
+        ]
+        for s, (x, y) in cases:
+            message = (rf"^s-entry \({x},{y}\) has a numerator or denominator of "
+                       rf"2\^{MAX_ENTRY_BITS} or more$")
+            with pytest.raises(InvalidModularData, match=message):
+                ModularData(1, len(s), tuple(map(str, range(len(s)))), s, (0,) * len(s))
+
+    def test_a_shared_entry_of_another_conductor(self):
+        one, five = CycNum.one(1), CycNum.one(5)
+        big = CycNum.rational(1 << MAX_ENTRY_BITS, 1)
+        conductor = "^s entry conductor differs from declared conductor$"
+        bound = rf"^s-entry \(1,1\) has a numerator or denominator of 2\^{MAX_ENTRY_BITS}"
+        for s, message in [
+            (((one, five), (five, one)), conductor),
+            # the first failing position decides, whichever check fails
+            (((one, five), (five, big)), conductor),
+            (((one, one), (one, big)), bound),
+            (((one, one, one), (one, big, five), (one, five, one)), bound),
+        ]:
+            with pytest.raises(InvalidModularData, match=message):
+                ModularData(1, len(s), tuple(map(str, range(len(s)))), s, (0,) * len(s))
+
+    def test_short_rows_keep_the_order_of_messages(self):
+        one, big = CycNum.one(1), CycNum.rational(1 << MAX_ENTRY_BITS, 1)
+        square = "^s is not square$"
+        bound = rf"^s-entry \(0,0\) has a numerator or denominator of 2\^{MAX_ENTRY_BITS}"
+        for s, message in [
+            # a short first row before any entry, shared or not
+            (((big,), (big, big)), square),
+            (((one,), (one, one)), square),
+            (((one, one), (big,)), square),
+            # the entries of the rows before a short row come first
+            (((big, big), (big,)), bound),
+        ]:
+            with pytest.raises(InvalidModularData, match=message):
+                ModularData(1, 2, ("0", "1"), s, (0, 0))
+

@@ -8,20 +8,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference import (
+    closed_form_counts,
     column_matching_partition,
     divisor_tuple_count,
+    entry_numerators,
     full_table_nondegenerate,
+    per_entry_pointed,
     reference_enumerate,
 )
 from modgal import pointed
 from modgal.cyclotomic import root_of_unity
 from modgal.galois_action import galois_permutation, orbit_partition
+from modgal.modular_data import dump_modular_data
 from modgal.pointed import (
     FiniteAbelianGroup,
     QuadraticFormSpec,
     build_pointed,
     canonical_form,
-    closed_form_counts,
     cyclic_subgroup_count,
     enumerate_quadratic_forms,
     generator_partition,
@@ -302,6 +305,36 @@ class TestBuild:
                         exponent = sum(e * hj for e, hj in zip(row, h))
                         assert data.s[x][y].embed(M) == root_of_unity(M, exponent), (
                             facs, form.gram, x, y)
+
+    def test_shared_roots_build_the_per_entry_datum(self):
+        # every group of order <= 64, with its canonical form and the
+        # first 4 enumerated forms: the datum built from one table of
+        # roots has the fields of one root_of_unity call per entry, so it
+        # dumps to the same bytes; with the canonical form, its residue
+        # view holds the numerators read entry by entry
+        builds = 0
+        for facs in _chains(64):
+            g = FiniteAbelianGroup(facs)
+            canonical = canonical_form(g)
+            for form in (canonical, *enumerate_quadratic_forms(g, max_forms=4)):
+                data, want = build_pointed(g, form), per_entry_pointed(g, form)
+                fields = [(d.conductor, d.rank, d.labels, d.s, d.t_exponents) for d in (data, want)]
+                assert fields[0] == fields[1], (facs, form.gram)
+                if form is canonical:
+                    num = data._residues.num
+                    assert num.dtype == np.int64
+                    assert np.array_equal(num, np.array(entry_numerators(want))), facs
+                builds += 1
+        assert builds > 2 * 117
+
+    @pytest.mark.parametrize("facs", [(4, 4), (2, 2, 2, 2), (8, 8), (2, 4, 8), (64,)])
+    def test_shared_roots_write_the_per_entry_file(self, facs):
+        # the groups that the benchmark's catalog builds in full, with
+        # their canonical forms and the first 4 enumerated forms
+        g = FiniteAbelianGroup(facs)
+        for form in (canonical_form(g), *enumerate_quadratic_forms(g, max_forms=4)):
+            assert dump_modular_data(build_pointed(g, form)) == dump_modular_data(
+                per_entry_pointed(g, form)), form.gram
 
     def test_bicharacter_is_the_polarisation_of_q(self):
         # every yielded form of every group of order <= 32:
