@@ -134,7 +134,8 @@ class ModularData:
         # position is the first position of the first failing object.
         short = next((x for x, row in enumerate(self.s) if len(row) != r), len(self.s))
         rows, bound = self.s[:short], 1 << MAX_ENTRY_BITS
-        for entry in {id(entry): entry for row in rows for entry in row}.values():
+        distinct = {id(entry): entry for row in rows for entry in row}
+        for entry in distinct.values():
             if entry.conductor != self.conductor:
                 raise InvalidModularData("s entry conductor differs from declared conductor")
             num = entry.num
@@ -152,6 +153,8 @@ class ModularData:
         object.__setattr__(
             self, "t_exponents", tuple(e % self.conductor for e in self.t_exponents)
         )
+        # every row was checked, so this counts the distinct objects of s
+        object.__setattr__(self, "_distinct_count", len(distinct))
 
     def reordered(self, order, labels=None) -> "ModularData":
         """The same datum with object ``order[i]`` at index i: s and t
@@ -281,23 +284,48 @@ class ModularData:
         return weights[::-1]
 
     @cached_property
+    def _entry_slots(self) -> tuple[list[CycNum], list[int] | None]:
+        """The distinct entry objects of s, in row-major order of first
+        appearance, and the index among them of the object at each
+        position, row-major; None in place of the indices when every
+        position holds an object of its own, which construction counted.
+        A CycNum is immutable, so whatever is read off an entry is read
+        once per object."""
+        flat = list(chain.from_iterable(self.s))
+        if self._distinct_count == len(flat):
+            return flat, None
+        ids = list(map(id, flat))
+        distinct = dict(zip(ids, flat))
+        slot = dict(zip(distinct, range(len(distinct))))
+        return list(distinct.values()), list(map(slot.__getitem__, ids))
+
+    @cached_property
     def _table_preconditions(self) -> tuple[str, ...]:
         """What the split-prime identities need of s beyond what
         construction checks: nonzero, real dimensions and entries in
         Z[zeta_N] (denominator 1 on the power basis).  Construction
         already bounds every coefficient below 2^MAX_ENTRY_BITS, so an
         entry that passes fits int64 (``_residues``).  The failures,
-        found once per datum."""
-        failures = []
-        for x, d in enumerate(self.dims):
-            if d.is_zero:
-                failures.append(f"zero dimension at index {x}")
-            elif d.conjugate() != d:
-                failures.append(f"dimension at index {x} is not real")
-        for x, row in enumerate(self.s):
-            for y, v in enumerate(row):
-                if v.den != 1:
-                    failures.append(f"s-entry ({x},{y}) is not in Z[zeta_N]")
+        found once per datum.  A CycNum is immutable, so each distinct
+        object is tested once, and every position of a failing one is
+        named: the dimensions in order, then the entries row-major."""
+        r = self.rank
+        entries, slots = self._entry_slots
+        positions = range(len(entries)) if slots is None else slots
+        failures, verdicts = [], {}
+        for x, n in enumerate(positions[:r]):
+            if n not in verdicts:
+                d = entries[n]
+                verdicts[n] = ("zero dimension at index {}" if d.is_zero else
+                               "dimension at index {} is not real" if d.conjugate() != d else None)
+            if verdicts[n]:
+                failures.append(verdicts[n].format(x))
+        fractional = {n for n, entry in enumerate(entries) if entry.den != 1}
+        if fractional:
+            failures.extend(
+                "s-entry ({},{}) is not in Z[zeta_N]".format(*divmod(pos, r))
+                for pos, n in enumerate(positions) if n in fractional
+            )
         return tuple(failures)
 
     @cached_property
@@ -307,12 +335,10 @@ class ModularData:
         once, and the rows are gathered by position only where objects
         repeat.  Construction bounds every numerator below
         2^MAX_ENTRY_BITS, so each fits int64."""
-        flat = [entry for row in self.s for entry in row]
-        distinct = {id(entry): entry for entry in flat}
-        num = np.array([entry.num for entry in distinct.values()], dtype=np.int64)
-        if len(distinct) < len(flat):
-            slot = dict(zip(distinct, range(len(distinct))))
-            num = num[[slot[id(entry)] for entry in flat]]
+        entries, slots = self._entry_slots
+        num = np.array([entry.num for entry in entries], dtype=np.int64)
+        if slots is not None:
+            num = num[slots]
         num = num.reshape(self.rank, self.rank, -1)
         num.flags.writeable = False
         return num
@@ -503,12 +529,19 @@ def _entry_terms(v: CycNum) -> list[list[int]]:
 
 
 def dump_modular_data(data: ModularData) -> str:
+    """The datum as one line of JSON.  The terms of each distinct entry
+    object are written out once and shared by its positions."""
+    entries, slots = data._entry_slots
+    terms = list(map(_entry_terms, entries))
+    if slots is not None:
+        terms = list(map(terms.__getitem__, slots))
+    r = data.rank
     doc = {
         "conductor": data.conductor,
-        "rank": data.rank,
+        "rank": r,
         "labels": list(data.labels),
         "t": list(data.t_exponents),
-        "s": [[_entry_terms(v) for v in row] for row in data.s],
+        "s": [terms[x * r:(x + 1) * r] for x in range(r)],
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 

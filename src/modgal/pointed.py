@@ -9,22 +9,39 @@ built s-matrix is s_{g,h} = b(g,h) with twists t_g = q(g).
 
 Well-definedness on A constrains the Gram entries to multiples of
 per-entry step sizes (``gram_steps``), checked on construction.
-Nondegeneracy means the radical {g : b(g, .) = 1} is trivial; it is
+Nondegeneracy means the radical R = {g : b(g, .) = 1} is trivial; it is
 decided by ``is_nondegenerate``, which ``build_pointed`` and the
 enumerator call.  b is a bicharacter, so
 b(g, h) = prod_j b(g, e_j)^(h_j) over the generators e_j, and
-b(g, .) = 1 iff b(g, e_j) = 1 for every j: the decision reads the |A| x k
-table of b(g, e_j), and the |A| x |A| table b(g, h) = G[g] . h mod M is
-built only for a form that is used.
+b(g, .) = 1 iff b(g, e_j) = 1 for every j, that is, iff row g of the
+|A| x k table G[g] = 2 g^T E vanishes mod M.  The |A| x |A| table
+b(g, h) = G[g] . h mod M is built only for a form that is used.
 
-One kernel, ``_form_tables``, computes the tables of a stack of Gram
-matrices at once: G (the exponents of b(g, e_j)), T (those of q) and
-the number of zero rows of G mod M, which decides nondegeneracy.  A
-single form passes it a stack of one.  ``enumerate_quadratic_forms``
-passes its candidates a chunk at a time, at most ``_CHUNK_INT64S``
-int64 entries of G each (32 KiB), so that NumPy's per-call cost is paid
-once per chunk instead of once per candidate; it still constructs, and
-so validates, every candidate and hands each its slice of the chunk.
+The decision reads only the rows of G at the socle: the identity and
+the elements of prime order (``FiniteAbelianGroup._socle``).  R is a
+subgroup, since b(g + g', .) = b(g, .) b(g', .).  By Cauchy's theorem a
+nontrivial finite group has an element of prime order, and an element
+of R has its order in R, so R is trivial iff it holds no element of
+prime order: iff the identity is the only socle row of G that vanishes
+mod M.  An element g of prime order p has p g = 0, so p divides |A|
+(Lagrange) and g lies in A[p] = {g : p g = 0}, whose coordinate j is a
+multiple of n_j / p where p divides n_j and 0 where it does not.  The
+socle is the union of these A[p]: sum_p (p^(r_p) - 1) + 1 rows, with r_p
+the number of n_j that p divides, against |A|; 8 rows for
+Z/2 + Z/4 + Z/8 (|A| = 64), 2 for Z/64, and all of A only where A is
+elementary abelian.
+
+Two kernels act on a stack of Gram matrices at once:
+``_socle_zero_rows`` counts the vanishing socle rows of each, and
+``_form_tables`` builds each one's G and T (the exponents of q).  A
+single form passes a stack of one, and builds its tables only when
+they are asked for.  ``enumerate_quadratic_forms`` counts its
+candidates a chunk at a time and builds the tables of the survivors,
+the nondegenerate ones, alone, so that NumPy's per-call cost is paid
+once per chunk instead of once per candidate; every array either
+kernel builds holds at most ``_CHUNK_INT64S`` int64 entries (32 KiB),
+or one form's.  It still constructs, and so validates, every candidate
+and hands each its count, and each survivor its tables.
 
 Orbit counting has two routes that the tests play against each other:
 
@@ -65,7 +82,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._numtheory import permutation_orbits, trial_factor, unit_group_generators
+from ._numtheory import factorize, permutation_orbits, trial_factor, unit_group_generators
 from .cyclotomic import root_of_unity
 from .modular_data import ModularData
 
@@ -85,9 +102,10 @@ __all__ = [
 # scans in full before it falls back to a sparser family.
 MAX_CANDIDATES = 200_000
 
-# int64 entries of G that ``_form_tables`` builds for one chunk of
-# ``enumerate_quadratic_forms``: a chunk holds at most this many over |A| k
-# candidates, and at least one.
+# int64 entries of the largest array that ``_socle_zero_rows`` or
+# ``_form_tables`` builds for ``enumerate_quadratic_forms``: a chunk holds
+# at most this many over (socle rows) k candidates, and a batch of its
+# survivors at most this many over |A| k, and each at least one.
 _CHUNK_INT64S = 2**12
 
 # Largest prime of the exponent that ``cyclic_subgroup_count`` counts
@@ -145,6 +163,29 @@ class FiniteAbelianGroup:
         return radix
 
     @cached_property
+    def _factor_array(self) -> np.ndarray:
+        """The invariant factors as a read-only int64 array."""
+        facs = np.array(self.invariant_factors, dtype=np.int64)
+        facs.flags.writeable = False
+        return facs
+
+    @cached_property
+    def _socle(self) -> np.ndarray:
+        """The identity and the elements of prime order, as the rows of
+        a read-only int64 array, the identity first: for each prime p
+        of the exponent (the primes of |A|), the nonzero elements of
+        A[p] = {g : p g = 0}, whose coordinate j is a multiple of n_j / p
+        where p divides n_j and 0 where it does not."""
+        facs = self.invariant_factors
+        rows = [(0,) * len(facs)]
+        for p, _ in factorize(self.exponent):
+            axes = [range(0, n, n // p) if n % p == 0 else (0,) for n in facs]
+            rows.extend(itertools.islice(itertools.product(*axes), 1, None))
+        socle = np.array(rows, dtype=np.int64)
+        socle.flags.writeable = False
+        return socle
+
+    @cached_property
     def _steps(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         """The answer of ``gram_steps``."""
         facs = self.invariant_factors
@@ -162,6 +203,21 @@ class FiniteAbelianGroup:
             steps.append(tuple(row))
         return M, tuple(steps)
 
+    @cached_property
+    def _flat_steps(self) -> tuple[int, ...]:
+        """The step sizes of ``gram_steps``, row-major in one tuple."""
+        _, steps = self._steps
+        return tuple(itertools.chain.from_iterable(steps))
+
+    @cached_property
+    def _unit_generators(self) -> np.ndarray:
+        """``unit_group_generators`` of the modulus of ``gram_steps``, as
+        a read-only int64 array."""
+        M, _ = self._steps
+        units = np.array(unit_group_generators(M), dtype=np.int64)
+        units.flags.writeable = False
+        return units
+
     def __str__(self) -> str:
         if self.is_trivial:
             return "Z/1"
@@ -175,14 +231,27 @@ def gram_steps(group: FiniteAbelianGroup) -> tuple[int, tuple[tuple[int, ...], .
     return group._steps
 
 
-def _form_tables(
-    coords: np.ndarray, grams: np.ndarray, M: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(G, T, zero rows) of a (c, k, k) int64 stack of Gram matrices E,
-    their entries already reduced mod M, over the elements ``coords``
-    (|A| x k): G[i, g] = 2 g^T E_i, left unreduced, of shape (c, |A|, k);
-    T[i, g] = g^T E_i g mod M, of shape (c, |A|); and, for each i, the
-    number of rows of G[i] that vanish mod M.
+def _socle_zero_rows(socle: np.ndarray, grams: np.ndarray, M: int) -> np.ndarray:
+    """For each matrix E_i of a (c, k, k) int64 stack of Gram matrices,
+    its entries already reduced mod M, the number of rows g of
+    ``socle`` (s x k) whose 2 g^T E_i vanishes mod M, of shape (c,).
+    With the group's socle, the identity among them, the count is 1 iff
+    the form is nondegenerate (module docstring).
+
+    Exact in int64 as G of ``_form_tables`` is: the socle rows are
+    elements of the group."""
+    twice = 2 * (socle @ grams) % M
+    # the entries are not negative, so a row vanishes iff its sum does;
+    # einsum sums the short last axis about three times faster than
+    # .any(axis=2) reduces it
+    return socle.shape[0] - np.count_nonzero(np.einsum("csj->cs", twice), axis=1)
+
+
+def _form_tables(coords: np.ndarray, grams: np.ndarray, M: int) -> tuple[np.ndarray, np.ndarray]:
+    """(G, T) of a (c, k, k) int64 stack of Gram matrices E, their
+    entries already reduced mod M, over the elements ``coords``
+    (|A| x k): G[i, g] = 2 g^T E_i, left unreduced, of shape (c, |A|, k),
+    and T[i, g] = g^T E_i g mod M, of shape (c, |A|).
 
     Exact in int64: a coordinate g_j lies below n_j <= M and an entry
     of E in [0, M), so an entry of g^T E lies in [0, k M^2) and one of
@@ -192,12 +261,18 @@ def _form_tables(
     1 GiB for a single form."""
     half = coords @ grams
     tvec = np.einsum("cgj,gj->cg", half % M, coords) % M
-    gmat = 2 * half
-    # the entries of G mod M are not negative, so a row vanishes iff its
-    # sum does; einsum sums the short last axis about three times faster
-    # than .any(axis=2) reduces it
-    zero_rows = coords.shape[0] - np.count_nonzero(np.einsum("cgj->cg", gmat % M), axis=1)
-    return gmat, tvec, zero_rows
+    return 2 * half, tvec
+
+
+def _survivor_tables(coords: np.ndarray, grams: np.ndarray, M: int, batch: int):
+    """The (G, T) of each Gram matrix of the stack, in order, built
+    ``batch`` matrices at a time as they are asked for.  Each pair is a
+    copy, so that a yielded form owns its tables rather than views that
+    keep the whole batch alive."""
+    for start in range(0, len(grams), batch):
+        gmats, tvecs = _form_tables(coords, grams[start:start + batch], M)
+        for gmat, tvec in zip(gmats, tvecs):
+            yield gmat.copy(), tvec.copy()
 
 
 @dataclass(frozen=True)
@@ -208,15 +283,14 @@ class QuadraticFormSpec:
     gram: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        gram = self.gram
-        k = len(self.group.invariant_factors)
-        if len(gram) != k or any(len(row) != k for row in gram):
+        gram, group = self.gram, self.group
+        k = len(group.invariant_factors)
+        if len(gram) != k or any(map(k.__ne__, map(len, gram))):
             raise ValueError("gram matrix shape does not match the group")
         if list(zip(*gram)) != list(map(tuple, gram)):
             raise ValueError("gram matrix must be symmetric")
-        _, steps = gram_steps(self.group)
-        flat = itertools.chain.from_iterable
-        if any(map(operator.mod, flat(gram), flat(steps))):
+        _, steps = gram_steps(group)
+        if any(map(operator.mod, itertools.chain.from_iterable(gram), group._flat_steps)):
             # name the first entry, in row-major order, that is off its step
             for i, (row, step_row) in enumerate(zip(gram, steps)):
                 for j, (entry, step) in enumerate(zip(row, step_row)):
@@ -239,6 +313,15 @@ class QuadraticFormSpec:
                 total += self.gram[i][j] * xi * xj
         return total % M
 
+    def _reduced_gram(self, M: int) -> np.ndarray:
+        """The Gram matrix as a (1, k, k) int64 stack, its entries reduced
+        mod M: q and b depend on them mod M only, and reduced as Python
+        ints they fit int64 whatever their size."""
+        k = len(self.gram)
+        return np.array(
+            [e % M for e in itertools.chain.from_iterable(self.gram)], dtype=np.int64
+        ).reshape(1, k, k)
+
     @property
     def _tables(self) -> tuple[np.ndarray, np.ndarray]:
         """(G, T) over the elements g, rows in ``elements`` order:
@@ -246,47 +329,47 @@ class QuadraticFormSpec:
         unreduced, and T[g] = g^T E g mod M, the exponent of q(g).
         b is a bicharacter, so b(g, h) = zeta_M^(G[g] . h mod M).
 
-        Both come from ``_form_tables`` on a stack of one Gram matrix,
-        unless ``enumerate_quadratic_forms`` handed the form its slice
-        of a chunk (at most ``_CHUNK_INT64S`` entries of G) through
-        ``_take_tables``.  Either way they are kept in the instance
-        ``__dict__`` with the zero-row count that ``is_nondegenerate``
-        reads, where ``functools.cached_property`` would take a lock on
-        each first access (Python 3.11)."""
+        Both come from ``_form_tables`` on a stack of one Gram matrix
+        at the first access, unless ``enumerate_quadratic_forms`` handed
+        them to the form through ``_take_tables``.  Either way they are
+        kept in the instance ``__dict__``, where
+        ``functools.cached_property`` would take a lock on each first
+        access (Python 3.11)."""
         memo = self.__dict__
         if "_tables_memo" not in memo:
             M = self.modulus
-            k = len(self.gram)
-            # q and b depend on the entries mod M only; reduced as Python
-            # ints, they fit int64 whatever their size
-            gram = np.array(
-                [e % M for e in itertools.chain.from_iterable(self.gram)], dtype=np.int64
-            ).reshape(1, k, k)
-            gmat, tvec, zero_rows = _form_tables(self.group._coords, gram, M)
+            gmat, tvec = _form_tables(self.group._coords, self._reduced_gram(M), M)
             memo["_tables_memo"] = (gmat[0], tvec[0])
-            memo["_zero_rows"] = (M, int(zero_rows[0]))
         return memo["_tables_memo"]
 
-    def _take_tables(self, M: int, gmat: np.ndarray, tvec: np.ndarray, zero_rows: int) -> None:
-        """Keep G, T and the zero-row count of G mod M that
-        ``_form_tables`` computed for this form's Gram matrix in a chunk
-        at modulus M, as ``_tables`` would."""
+    def _take_tables(
+        self, M: int, zero_rows: int, tables: tuple[np.ndarray, np.ndarray] | None
+    ) -> None:
+        """Keep the count of vanishing socle rows that
+        ``_socle_zero_rows`` computed for this form's Gram matrix in a
+        chunk at modulus M, as ``is_nondegenerate`` would, and the
+        (G, T) that ``_form_tables`` built for it there, if any, as
+        ``_tables`` would."""
         if M != self.modulus:
             raise ValueError(
                 f"tables computed at modulus {M}, but the form's modulus is {self.modulus}")
         memo = self.__dict__
-        memo["_tables_memo"] = (gmat, tvec)
         memo["_zero_rows"] = (M, zero_rows)
+        if tables is not None:
+            memo["_tables_memo"] = tables
 
     def is_nondegenerate(self) -> bool:
-        """Whether the radical {g : b(g, .) = 1} is the identity alone.
-        b(g, h) = prod_j b(g, e_j)^(h_j), so b(g, .) = 1 iff
-        b(g, e_j) = 1 for every generator e_j, that is, iff row g of G
-        is zero mod M.  The count of zero rows comes with the tables."""
+        """Whether the radical {g : b(g, .) = 1} is the identity alone:
+        whether the identity is the only socle row of G that vanishes
+        mod M (module docstring).  The count is computed at the first
+        call, with no tables, unless it was handed over with
+        ``_take_tables``."""
         M = self.modulus
-        if "_zero_rows" not in self.__dict__:
-            self._tables  # computes the count with the tables
-        counted_at, zero_rows = self.__dict__["_zero_rows"]
+        memo = self.__dict__
+        if "_zero_rows" not in memo:
+            zero_rows = _socle_zero_rows(self.group._socle, self._reduced_gram(M), M)
+            memo["_zero_rows"] = (M, int(zero_rows[0]))
+        counted_at, zero_rows = memo["_zero_rows"]
         if counted_at != M:
             raise ValueError(
                 f"zero rows counted at modulus {counted_at}, but the form's modulus is {M}")
@@ -321,11 +404,12 @@ def enumerate_quadratic_forms(group: FiniteAbelianGroup, max_forms: int | None =
     many, and otherwise the diagonal family.  ``max_forms`` caps the
     yield.
 
-    The candidates are checked a chunk at a time: one ``_form_tables``
-    call per chunk, then, for each candidate, the form is constructed
-    (and so validated), handed its slice, and asked
-    ``is_nondegenerate``.  ``max_forms`` is tested before each
-    candidate is constructed.
+    The candidates are checked a chunk at a time: one
+    ``_socle_zero_rows`` call per chunk, then, for each candidate, the
+    form is constructed (and so validated), handed its count, and its
+    tables if it survives, and asked ``is_nondegenerate``.  The
+    survivors' tables are built in batches as they are reached.
+    ``max_forms`` is tested before each candidate is constructed.
     """
     M, steps = gram_steps(group)
     k = len(group.invariant_factors)
@@ -349,25 +433,22 @@ def enumerate_quadratic_forms(group: FiniteAbelianGroup, max_forms: int | None =
     zero = len(positions)
     slots = [[index.get((min(i, j), max(i, j)), zero) for j in range(k)] for i in range(k)]
     flat_slots = list(itertools.chain.from_iterable(slots))
-    coords = group._coords
-    chunk = max(1, _CHUNK_INT64S // (group.order * k))
+    coords, socle = group._coords, group._socle
+    chunk = max(1, _CHUNK_INT64S // (len(socle) * k))
+    batch = max(1, _CHUNK_INT64S // (group.order * k))
     candidates = itertools.product(*rngs, (0,))
     seen: set[tuple[int, ...]] = set()
     for block in iter(lambda: list(itertools.islice(candidates, chunk)), []):
         # every value lies in [0, M): each range runs from 0 below M
         grams = np.array(block, dtype=np.int64)[:, flat_slots].reshape(-1, k, k)
-        gmats, tvecs, zero_rows = _form_tables(coords, grams, M)
-        for values, gmat, tvec, zeros in zip(block, gmats, tvecs, zero_rows.tolist()):
+        zero_rows = _socle_zero_rows(socle, grams, M)
+        tables = _survivor_tables(coords, grams[zero_rows == 1], M, batch)
+        for gram, zeros in zip(grams.tolist(), zero_rows.tolist()):
             if max_forms is not None and len(seen) >= max_forms:
                 return
             # symmetric, and each entry a multiple of its step, by construction
-            gram = tuple([tuple([values[n] for n in row]) for row in slots])
-            form = QuadraticFormSpec(group, gram)
-            if zeros == 1:
-                # a nondegenerate form may be yielded: it owns its tables
-                # rather than views that keep the whole chunk alive
-                gmat, tvec = gmat.copy(), tvec.copy()
-            form._take_tables(M, gmat, tvec, zeros)
+            form = QuadraticFormSpec(group, tuple(map(tuple, gram)))
+            form._take_tables(M, zeros, next(tables) if zeros == 1 else None)
             if not form.is_nondegenerate():
                 continue
             key = form.value_vector()
@@ -440,18 +521,17 @@ def pointed_orbit_partition(group: FiniteAbelianGroup, form: QuadraticFormSpec) 
         raise ValueError("form was built for a different group")
     gmat, _ = form._tables
     M = form.modulus
-    facs = group.invariant_factors
-    keys = gmat % M // (M // np.array(facs, dtype=np.int64))
+    facs, radix = group._factor_array, group._radix
+    keys = gmat % M // (M // facs)
     n = group.order
     column = np.full(n, -1, dtype=np.int64)
-    column[keys @ group._radix] = np.arange(n)
+    column[keys @ radix] = np.arange(n)
     if (column < 0).any():
         raise ValueError("bicharacter columns are not distinct (degenerate form)")
-    images = [
-        column[(u * keys % facs) @ group._radix].tolist()
-        for u in unit_group_generators(M)
-    ]
-    return permutation_orbits(n, images)
+    # the image keys of every unit generator at once, one row per generator
+    units = group._unit_generators
+    images = column[(units[:, None, None] * keys % facs) @ radix]
+    return permutation_orbits(n, images.tolist())
 
 
 def generator_partition(group: FiniteAbelianGroup) -> tuple[tuple[int, ...], ...]:
@@ -463,7 +543,7 @@ def generator_partition(group: FiniteAbelianGroup) -> tuple[tuple[int, ...], ...
     modulo the exponent (units modulo the exponent reduce onto the units
     modulo each of its divisors), so the parts are the orbits of the
     generators of (Z/exponent)^x acting on A by scaling."""
-    facs = group.invariant_factors
+    facs = group._factor_array
     images = [
         ((k * group._coords % facs) @ group._radix).tolist()
         for k in unit_group_generators(group.exponent)

@@ -22,9 +22,13 @@ numerators of s entry by entry, as ``ModularData._residues`` did before
 construction converted each distinct entry once, and
 ``per_entry_pointed`` builds pointed data with one ``root_of_unity``
 call per entry, as ``build_pointed`` did before it shared one table of
-roots.  ``psi_e_matrix_check`` squares one matrix over Q(zeta_8)."""
+roots.  ``per_position_preconditions`` and ``per_position_dump`` test
+and write s one position at a time, as ``ModularData._table_preconditions``
+and ``dump_modular_data`` did before they read each distinct entry
+object once.  ``psi_e_matrix_check`` squares one matrix over Q(zeta_8)."""
 
 import itertools
+import json
 import math
 from dataclasses import dataclass
 
@@ -196,6 +200,39 @@ def closed_form_counts(kind: str, p: int | None = None, n: int | None = None) ->
 def entry_numerators(data):
     """The numerators of s as nested lists, one entry at a time."""
     return [[v.num for v in row] for row in data.s]
+
+
+def per_position_preconditions(data) -> tuple[str, ...]:
+    """The failures of ``ModularData._table_preconditions``, each
+    dimension and each of the r^2 positions of s tested on its own."""
+    failures = []
+    for x, d in enumerate(data.s[0]):
+        if d.is_zero:
+            failures.append(f"zero dimension at index {x}")
+        elif d.conjugate() != d:
+            failures.append(f"dimension at index {x} is not real")
+    for x, row in enumerate(data.s):
+        for y, v in enumerate(row):
+            if v.den != 1:
+                failures.append(f"s-entry ({x},{y}) is not in Z[zeta_N]")
+    return tuple(failures)
+
+
+def per_position_dump(data) -> str:
+    """``dump_modular_data(data)`` with the terms of each of the r^2
+    positions of s written from its own gcds."""
+    def terms(v):
+        gcds = [math.gcd(a, v.den) for a in v.num]
+        return [[a // g, v.den // g, i] for i, (a, g) in enumerate(zip(v.num, gcds)) if a]
+
+    doc = {
+        "conductor": data.conductor,
+        "rank": data.rank,
+        "labels": list(data.labels),
+        "t": list(data.t_exponents),
+        "s": [[terms(v) for v in row] for row in data.s],
+    }
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def per_entry_pointed(group, form):

@@ -11,14 +11,21 @@ import json
 import re
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import DIFFERENTIAL, LADDER, PRODUCTS
-from reference import character_columns, entry_numerators, numeric_value
+from reference import (
+    character_columns,
+    entry_numerators,
+    numeric_value,
+    per_position_dump,
+    per_position_preconditions,
+)
 from modgal.cyclotomic import CycNum, dot, root_of_unity
-from modgal.families import fibonacci, fixture_names, ising, sl2_level_adjoint
+from modgal.families import catalog, fibonacci, fixture_names, ising, sl2_level_adjoint
 from modgal.galois_action import galois_permutation, orbit_partition
 from modgal.modular_data import (
     MAX_CONDUCTOR,
@@ -473,6 +480,63 @@ NUMERATORS = {
     "Z2xZ4_reordered": lambda: build_pointed(FiniteAbelianGroup((2, 4))).reordered(
         (0, 5, 3, 7, 1, 2, 4, 6)),
 }
+
+
+FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def _shared_failures():
+    """Rank-4 data at conductor 3 whose failing values fill several
+    positions each: w (not real) at dimensions 1 and 2, zero at 3, and
+    one half at seven entries; once with one object per value, and once
+    with an object of its own at every position."""
+    make = {"1": lambda: CycNum.one(3), "w": lambda: root_of_unity(3, 1),
+            "0": lambda: CycNum.zero(3), "h": lambda: CycNum.rational(Fraction(1, 2), 3)}
+    grid = ("1ww0", "wh1h", "w1h1", "0hhh")
+    shared = {name: new() for name, new in make.items()}
+    return [
+        ModularData(3, 4, ("a", "b", "c", "d"), tuple(tuple(map(value, row)) for row in grid),
+                    (0, 0, 0, 0))
+        for value in (shared.__getitem__, lambda name: make[name]())
+    ]
+
+
+class TestDistinctEntries:
+    def test_a_shared_failing_object_is_named_at_every_position(self):
+        # the same failure tuple as the walk over every position, in its
+        # order: the dimensions, then the entries row-major
+        shared, fresh = _shared_failures()
+        assert len(shared._entry_slots[0]) == 4 and fresh._entry_slots[1] is None
+        for data in (shared, fresh):
+            assert data._table_preconditions == per_position_preconditions(data) == (
+                "dimension at index 1 is not real",
+                "dimension at index 2 is not real",
+                "zero dimension at index 3",
+                "s-entry (1,1) is not in Z[zeta_N]",
+                "s-entry (1,3) is not in Z[zeta_N]",
+                "s-entry (2,2) is not in Z[zeta_N]",
+                "s-entry (3,1) is not in Z[zeta_N]",
+                "s-entry (3,2) is not in Z[zeta_N]",
+                "s-entry (3,3) is not in Z[zeta_N]",
+            )
+
+    def test_preconditions_match_the_per_position_walk(self, fixture_catalog):
+        data = [*fixture_catalog.values(), build_pointed(FiniteAbelianGroup((64,))),
+                *(f() for f in PRODUCTS.values())]
+        for datum in data:
+            assert datum._table_preconditions == per_position_preconditions(datum) == ()
+
+    def test_dumps_match_the_per_position_dump(self):
+        # built data, which share objects, the files the loader reads,
+        # which do not, and the data with failing entries above
+        data = [build_pointed(FiniteAbelianGroup((64,))), *catalog().values(),
+                *(loads_modular_data(path.read_text())
+                  for path in sorted(FIXTURE_DIR.glob("*.mtc"))),
+                *(f() for f in PRODUCTS.values()), *_shared_failures()]
+        assert len(data) > 2 * len(fixture_names())
+        assert {datum._entry_slots[1] is None for datum in data} == {True, False}
+        for datum in data:
+            assert dump_modular_data(datum) == per_position_dump(datum), datum.labels
 
 
 class TestNumerators:

@@ -173,17 +173,28 @@ class TestForms:
 
     def test_nondegeneracy_matches_the_full_table(self):
         # every well-defined form of every group of order <= 16, the
-        # degenerate ones included: the k generator columns decide as
-        # the whole |A| x |A| table does
-        degenerate = 0
+        # degenerate ones included, one at a time and as one stack: the
+        # socle rows of the k generator columns decide as the whole
+        # |A| x |A| table does, on the elementary abelian groups too,
+        # where the socle is all of A
+        degenerate = elementary = 0
         for facs in _chains(16):
             g = FiniteAbelianGroup(facs)
-            for gram in _gram_matrices(g):
+            M, _ = gram_steps(g)
+            k = len(facs)
+            grams = list(_gram_matrices(g))
+            stack = np.array([[e % M for row in gram for e in row] for gram in grams],
+                             dtype=np.int64).reshape(len(grams), k, k)
+            counts = pointed._socle_zero_rows(g._socle, stack, M).tolist()
+            for gram, count in zip(grams, counts):
                 form = QuadraticFormSpec(g, gram)
                 expected = full_table_nondegenerate(form)
-                assert form.is_nondegenerate() == expected, (facs, gram)
+                assert form.is_nondegenerate() == (count == 1) == expected, (facs, gram)
                 degenerate += not expected
+            elementary += len(g._socle) == g.order > 1
         assert degenerate > 0
+        # Z/2, Z/3, Z/5, Z/7, Z/11, Z/13, (2,2), (3,3), (2,2,2), (2,2,2,2)
+        assert elementary == 10
 
     @settings(max_examples=300, deadline=None)
     @given(_drawn_forms())
@@ -200,19 +211,41 @@ def _drawn_stacks(draw):
     return group, draw(st.lists(_drawn_forms(group), min_size=1, max_size=6))
 
 
+class TestSocle:
+    def test_socle_is_the_identity_and_the_elements_of_prime_order(self):
+        # every group of order <= 64: the rows are distinct, the
+        # identity first, and as a set they are {g : p g = 0 for some
+        # prime p dividing |A|}, by brute force over the elements, with
+        # the identity (the trivial group's order has no prime)
+        primes = [p for p in range(2, 65) if all(p % d for d in range(2, p))]
+        for facs in _chains(64):
+            g = FiniteAbelianGroup(facs)
+            rows = [tuple(row) for row in g._socle.tolist()]
+            want = {(0,) * len(facs)} | {
+                x for x in g.elements()
+                if any(g.order % p == 0 and all(p * xj % n == 0 for xj, n in zip(x, facs))
+                       for p in primes)
+            }
+            assert rows[0] == (0,) * len(facs) and len(set(rows)) == len(rows), facs
+            assert set(rows) == want, facs
+            assert not g._socle.flags.writeable
+
+
 class TestChunkedTables:
     @settings(max_examples=200, deadline=None)
     @given(_drawn_stacks())
     def test_each_slice_is_the_form_own_tables(self, drawn):
         # a stack of Gram matrices reduced mod M: slice i of G and T is
-        # what form i computes on its own, and its zero-row count decides
-        # nondegeneracy as the whole |A| x |A| table does
+        # what form i computes on its own, and its count of vanishing
+        # socle rows decides nondegeneracy as the whole |A| x |A| table
+        # does
         group, forms = drawn
         M = forms[0].modulus
         k = len(group.invariant_factors)
         grams = np.array([[[e % M for e in row] for row in f.gram] for f in forms],
                          dtype=np.int64).reshape(len(forms), k, k)
-        gmats, tvecs, zero_rows = pointed._form_tables(group._coords, grams, M)
+        gmats, tvecs = pointed._form_tables(group._coords, grams, M)
+        zero_rows = pointed._socle_zero_rows(group._socle, grams, M)
         for form, gmat, tvec, zeros in zip(forms, gmats, tvecs, zero_rows.tolist()):
             own_gmat, own_tvec = form._tables
             assert np.array_equal(gmat, own_gmat) and np.array_equal(tvec, own_tvec), form.gram
@@ -222,15 +255,17 @@ class TestChunkedTables:
     def test_chunked_enumerator_matches_the_reference(self, monkeypatch):
         # every group of order <= 32: the same forms in the same order as
         # one candidate at a time, with the default chunk budget and with
-        # budgets for chunks of one and of three candidates; with three,
-        # a max_forms stop can fall inside a chunk, and a scan that ends
-        # before 256 forms ends on a partial chunk
+        # budgets for chunks of one and of three candidates (a chunk is
+        # sized by the socle rows, and the survivors' tables then come
+        # one or a few at a time); with three, a max_forms stop can fall
+        # inside a chunk, and a scan that ends before 256 forms ends on a
+        # partial chunk
         default = pointed._CHUNK_INT64S
         yielded = 0
         for facs in _chains(32):
             g = FiniteAbelianGroup(facs)
             want = [f.gram for f in reference_enumerate(g)]
-            width = g.order * max(1, len(facs))
+            width = len(g._socle) * max(1, len(facs))
             for budget, caps in ((default, (None, 1, 7, 256)), (width, (1, 7)),
                                  (3 * width, (1, 7, 256))):
                 monkeypatch.setattr(pointed, "_CHUNK_INT64S", budget)
@@ -245,23 +280,31 @@ class TestChunkedTables:
     def test_twists_exact_where_g_E_g_exceeds_int64(self):
         # Z/(5 2^20) has M = 5 2^21, and g^T E g nears 2^68 at its
         # largest elements with E = M - 1: T is summed from g^T E mod M,
-        # so it stays exact; rows of the group's element table suffice
-        M = 5 * 2**21
-        coords = np.arange(M // 2 - 50, M // 2, dtype=np.int64).reshape(-1, 1)
+        # so it stays exact; rows of the group's element table suffice.
+        # Its socle, 0, n/2 and the multiples of n/5, is counted exactly
+        # too, with E = M - 1 (a unit mod n) and with E = 5 and E = 2,
+        # which n/5 and n/2 respectively reach in the radical
+        n = 5 * 2**20
+        M = 2 * n
+        coords = np.arange(n - 50, n, dtype=np.int64).reshape(-1, 1)
         gram = np.array([[[M - 1]]], dtype=np.int64)
-        gmat, tvec, zero_rows = pointed._form_tables(coords, gram, M)
+        gmat, tvec = pointed._form_tables(coords, gram, M)
         xs = coords[:, 0].tolist()
         assert tvec[0].tolist() == [x * x * (M - 1) % M for x in xs]
         assert gmat[0, :, 0].tolist() == [2 * x * (M - 1) for x in xs]
-        assert zero_rows.tolist() == [0]
+        socle = FiniteAbelianGroup((n,))._socle
+        assert socle[:, 0].tolist() == [0, n // 2, n // 5, 2 * n // 5, 3 * n // 5, 4 * n // 5]
+        grams = np.array([M - 1, 5, 2], dtype=np.int64).reshape(3, 1, 1)
+        assert pointed._socle_zero_rows(socle, grams, M).tolist() == [1, 5, 2]
 
     def test_tables_at_another_modulus_refused(self):
         g = FiniteAbelianGroup((2, 4))
         form = canonical_form(g)
         gmat, tvec = form._tables
-        with pytest.raises(ValueError, match="^tables computed at modulus 16, but the "
-                           "form's modulus is 8$"):
-            QuadraticFormSpec(g, form.gram)._take_tables(16, gmat, tvec, 1)
+        for tables in (None, (gmat, tvec)):
+            with pytest.raises(ValueError, match="^tables computed at modulus 16, but the "
+                               "form's modulus is 8$"):
+                QuadraticFormSpec(g, form.gram)._take_tables(16, 1, tables)
         fresh = QuadraticFormSpec(g, form.gram)
         fresh.__dict__["_zero_rows"] = (16, 1)
         with pytest.raises(ValueError, match="^zero rows counted at modulus 16, but the "
