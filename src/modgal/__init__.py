@@ -16,7 +16,6 @@ from .galois_action import (
     dims_ratio_check,
     galois_conjugate_data,
     galois_permutation,
-    is_transitive,
     orbit_partition,
     square_twist_consistency,
     verlinde_field_degree,
@@ -85,7 +84,6 @@ __all__ = [
     "galois_permutation",
     "generated_subcategory",
     "ising",
-    "is_transitive",
     "load_modular_data",
     "make_gamma",
     "make_gamma_res",

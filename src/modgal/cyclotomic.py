@@ -39,11 +39,17 @@ sign of S = sum_j num_j cos(2*pi*j/N).  Each conductor keeps, per
 precision p, integers K_j within 1 of cos(2*pi*j/N) 2^p, so the int
 T = sum_j num_j K_j is within sum_j |num_j| of S 2^p; the sign is
 certified once |T| exceeds that slack, and p doubles until it does.
-See :func:`sign_of_real`.
+See :func:`sign_of_real`.  The K_j are computed from Python ints alone,
+pi by Machin's formula and each cosine by its Taylor series at a halved
+angle followed by doublings, and ``_Field.cosines`` proves the bound.
+No floating-point or process-global precision setting is read or
+changed.
 
 Phi_N is computed by iterated exact division of x^N - 1 by Phi_d over
-the proper divisors d and memoized per process (thread-safe: the memo
-is an initialize-once cache and all values are immutable).
+the proper divisors d and memoized per process.  This is thread-safe:
+the memos (Phi_N, each field's tables and its cosines per precision)
+are initialize-once caches whose values are immutable and depend on
+their key alone, so a race at worst computes one value twice.
 
 The integer number theory (``divisors``, ``euler_phi``, ``units_mod``,
 ``unit_group_generators``) lives in ``modgal._numtheory`` and is
@@ -56,9 +62,6 @@ import functools
 import math
 import operator
 from fractions import Fraction
-
-import mpmath
-from mpmath.libmp import to_fixed
 
 from ._numtheory import divisors, euler_phi, unit_group_generators, units_mod
 
@@ -121,7 +124,9 @@ class _Field:
     :func:`root_of_unity_order` looks up.  ``terms[e]`` holds the nonzero
     entries of ``rows[e]`` as (index, coefficient) pairs, which the
     product fold and ``_fold_terms`` loop over.  ``cosines(prec)`` is
-    the fixed-point cosine table the sign oracle sums against.
+    the fixed-point cosine table the sign oracle sums against: integers
+    within 1 of cos(2*pi*j/n) 2^prec, from Python ints alone, kept per
+    precision in ``_cosines``.
     """
 
     __slots__ = ("n", "phi", "poly", "rows", "terms", "_cosines")
@@ -157,27 +162,89 @@ class _Field:
         """Integers K_j with |cos(2*pi*j/n) * 2^prec - K_j| <= 1 for
         0 <= j < phi, computed once per precision and kept.
 
-        Each cosine c is enclosed in an interval [lo, hi] at prec + 8
-        bits, which is narrower than 2^-prec, so the floors of lo 2^prec
-        and hi 2^prec differ by at most 1 (asserted).  With f the first,
-        f <= c 2^prec <= hi 2^prec < f + 2, and K = f + 1 is within 1 of
-        c 2^prec.  The floors are taken exactly on the raw endpoints
-        (``to_fixed``): a detour through a 53-bit float would lose the
-        low bits of every K_j beyond prec = 53."""
+        Only Python ints are used.  Write p = prec, L = p.bit_length(),
+        r = 3 + isqrt(p // 2), g = 2r + L + 8, w = p + g and u = 2^-w;
+        an error "in ulps" is in units of u.  cos(2*pi*j/n) =
+        cos(theta) with theta = 2*pi*m/n, m = min(j, n - j), 2m <= n;
+        m = 0 gives K = 2^p exactly, and each m > 0 is computed once.
+
+        pi.  A(x) = ``_atan_inv(x, w)`` sums (-1)^k floor(2^w / ((2k+1)
+        x^(2k+1))) over the D terms with floor(2^w / x^(2k+1)) > 0 (the
+        nested floors of the loop are one floor: floor(floor(a) / b) =
+        floor(a / b) for an int b > 0).  Each term is off by less than
+        1, and the dropped tail of the alternating, decreasing series
+        atan(1/x) 2^w is below its first term, which is below 1; so A(x)
+        is within D + 1 ulps of atan(1/x).  5^(2k+1) > 2^(4k+2), so
+        D < w/4 + 1 for x = 5 and for x = 239.  P = 16 A(5) - 4 A(239)
+        is then within E = 20 (w/4 + 2) = 5w + 40 ulps of pi (Machin).
+
+        Argument.  X = floor(2mP / (n 2^r)) and x = X u.  As 2m <= n,
+        |2^r X - theta 2^w| < 2^r + E, and x <= (pi + E u) / 2^r < 1/2
+        since r >= 3 and E u < 1/4 (w >= 16).
+
+        Taylor.  With Y = floor(X^2 u), x^2 - u < Y u <= x^2, the terms
+        are t_0 = 2^w and t_i = floor(t_(i-1) Y u / c_i), c_i = (2i-1)
+        2i, against the exact T_i = 2^w x^(2i) / (2i)! = T_(i-1) rho_i,
+        rho_i = x^2 / c_i < 1/8.  By induction t_i <= T_i, and
+        t_i > t_(i-1) rho_i - t_(i-1) u / c_i - 1 >= t_(i-1) rho_i - 3/2,
+        as t_(i-1) <= 2^w and c_i >= 2; so e_i = T_i - t_i <
+        rho_i e_(i-1) + 3/2 < 12/7 < 2.  Also t_i <= T_i < 2^(w - 2i), so
+        the first zero term t_I has I <= w/2 + 1/2, and every later term
+        is zero.  C_0 = sum_(i<I) (-1)^i t_i is within sum_(0<i<I) e_i +
+        T_I < 2I <= w + 1 ulps of cos(x) 2^w, the tail of the exact
+        alternating, decreasing series being below T_I = e_I.  The t_i
+        do not increase, so 0 <= C_0 <= 2^w.
+
+        Doublings.  C_(h+1) = floor(2 C_h^2 u) - 2^w follows
+        cos(2a) = 2 cos(a)^2 - 1, r times.  By induction |C_h| <= 2^w,
+        and with gamma_h = cos(2^h x) and d_h = |C_h u - gamma_h|,
+        d_(h+1) <= 2 d_h |C_h u + gamma_h| + u <= 4 d_h + u: the error
+        grows 4 times per doubling plus one floor.  So d_r < 4^r (d_0 +
+        u/3) < 4^r (w + 2) u, and |cos(2^r x) - cos(theta)| <=
+        |2^r x - theta| < (2^r + E) u adds the argument's error.
+
+        Rounding.  K = floor(C_r 2^-g + 1/2) is within 1/2 of C_r 2^-g,
+        and 2^r + E + 4^r (w + 2) <= 4^r (6w + 43), so |K - 2^p
+        cos(theta)| < 1/2 + 2^(p - w) 4^r (6w + 43) = 1/2 + (6w + 43) /
+        2^(L+8).  From isqrt(p // 2) <= p/2, w <= 2p + L + 14 < 2^(L+1)
+        + L + 14, and 6w + 43 < 12 2^L + 6L + 127 <= 2^(L+7) for L >= 1,
+        so the bound is 1.
+
+        The halvings trade r squarings against about w / (2(r - 2))
+        Taylor terms (x < 2^(2-r)), one product each; the two counts meet
+        near r - 2 = sqrt(w/2), about sqrt(p/2), hence r.  g pays the 2r
+        bits of the doublings and the L + 8 bits of the error sums."""
         found = self._cosines.get(prec)
         if found is None:
-            iv = mpmath.iv
-            saved = iv.prec
-            try:
-                iv.prec = prec + 8
-                two_pi = 2 * iv.pi
-                ends = [iv.cos(two_pi * j / self.n)._mpi_ for j in range(self.phi)]
-            finally:
-                iv.prec = saved
-            floors = [(to_fixed(lo, prec), to_fixed(hi, prec)) for lo, hi in ends]
-            assert all(hi - lo <= 1 for lo, hi in floors), "cosine enclosure too wide"
-            found = self._cosines[prec] = tuple(lo + 1 for lo, _ in floors)
+            n, r = self.n, 3 + math.isqrt(prec // 2)
+            g = 2 * r + prec.bit_length() + 8
+            w = prec + g
+            one, pi = 1 << w, 16 * _atan_inv(5, w) - 4 * _atan_inv(239, w)
+            by_m = {0: 1 << prec}
+            for m in {min(j, n - j) for j in range(1, self.phi)}:
+                x = 2 * m * pi // (n << r)
+                y, c, term, k = x * x >> w, one, one, 0
+                while term:  # Taylor: t_i, k = 2i
+                    k += 2
+                    term = (term * y >> w) // ((k - 1) * k)
+                    c += -term if k & 2 else term
+                for _ in range(r):  # doublings
+                    c = (c * c >> w - 1) - one
+                by_m[m] = c + (1 << g - 1) >> g
+            found = self._cosines[prec] = tuple(by_m[min(j, n - j)] for j in range(self.phi))
         return found
+
+
+def _atan_inv(x: int, w: int) -> int:
+    """atan(1/x) 2^w within D + 1, the series summed over its D nonzero
+    floors (``_Field.cosines``)."""
+    total, power, k = 0, (1 << w) // x, 1
+    while power:
+        term = power // k
+        total += term if k % 4 == 1 else -term
+        power //= x * x
+        k += 2
+    return total
 
 
 @functools.lru_cache(maxsize=None)
@@ -538,8 +605,10 @@ def sign_of_real(a: CycNum) -> int:
     a = Re(a) = (sum_j num_j cos(2*pi*j/N)) / den, so a has the sign of
     S = sum_j num_j cos(2*pi*j/N).  With the integers K_j of
     ``_Field.cosines`` at prec bits, T = sum_j num_j K_j is an exact
-    int and each term is within |num_j| of num_j cos(2*pi*j/N) 2^prec,
-    so |S 2^prec - T| <= slack = sum_j |num_j|.  Hence T > slack proves
+    int and each term is within |num_j| of num_j cos(2*pi*j/N) 2^prec
+    (``_Field.cosines`` proves |K_j - cos(2*pi*j/N) 2^prec| <= 1 for
+    its integer-only Machin and Taylor construction, which reads no
+    global precision), so |S 2^prec - T| <= slack = sum_j |num_j|.  Hence T > slack proves
     S > 0 and T < -slack proves S < 0; otherwise the precision doubles,
     from ``_PREC_START`` up to ``_PREC_CAP`` = 2^16 bits.
 

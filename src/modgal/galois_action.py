@@ -50,7 +50,6 @@ __all__ = [
     "dims_ratio_check",
     "galois_conjugate_data",
     "galois_permutation",
-    "is_transitive",
     "orbit_partition",
     "square_twist_consistency",
     "verlinde_field_degree",
@@ -118,10 +117,6 @@ def orbit_partition(data: ModularData) -> GaloisOrbitPartition:
     orbit-stabilizer holds at every object, as for any group action."""
     perms = {g: galois_permutation(data, g) for g in unit_group_generators(data.conductor)}
     return GaloisOrbitPartition(permutation_orbits(data.rank, perms.values()), perms)
-
-
-def is_transitive(data: ModularData) -> bool:
-    return orbit_partition(data).count == 1
 
 
 def verlinde_field_degree(data: ModularData, x: int) -> int:

@@ -305,14 +305,6 @@ class QuadraticFormSpec:
         M, _ = gram_steps(self.group)
         return M
 
-    def q_exponent(self, x) -> int:
-        M = self.modulus
-        total = 0
-        for i, xi in enumerate(x):
-            for j, xj in enumerate(x):
-                total += self.gram[i][j] * xi * xj
-        return total % M
-
     def _reduced_gram(self, M: int) -> np.ndarray:
         """The Gram matrix as a (1, k, k) int64 stack, its entries reduced
         mod M: q and b depend on them mod M only, and reduced as Python

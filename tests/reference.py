@@ -25,7 +25,9 @@ call per entry, as ``build_pointed`` did before it shared one table of
 roots.  ``per_position_preconditions`` and ``per_position_dump`` test
 and write s one position at a time, as ``ModularData._table_preconditions``
 and ``dump_modular_data`` did before they read each distinct entry
-object once.  ``psi_e_matrix_check`` squares one matrix over Q(zeta_8)."""
+object once.  ``psi_e_matrix_check`` squares one matrix over Q(zeta_8).
+``q_exponent`` reads q(x) off the Gram matrix entry by entry, as
+``QuadraticFormSpec.q_exponent`` did before it moved here."""
 
 import itertools
 import json
@@ -137,6 +139,16 @@ def counting2_degrees(data, sub, cent, perms):
         joint = len(fix_kd) * len(fix_lx) // len(fix_kd & fix_lx)
         degrees.append(len(units) // joint)
     return degrees
+
+
+def q_exponent(form, x) -> int:
+    """x^T gram x mod M, the exponent of q(x) on zeta_M, in Python ints one
+    entry at a time: the reference for the value vector T."""
+    total = 0
+    for i, xi in enumerate(x):
+        for j, xj in enumerate(x):
+            total += form.gram[i][j] * xi * xj
+    return total % form.modulus
 
 
 def full_table_nondegenerate(form) -> bool:

@@ -1,5 +1,6 @@
 import math
 import random
+import types
 from fractions import Fraction
 
 import mpmath
@@ -11,6 +12,7 @@ from reference import numeric_value
 from modgal.cyclotomic import (
     ConductorMismatch,
     CycNum,
+    _Field,
     _field,
     cyclotomic_polynomial,
     divisors,
@@ -22,6 +24,7 @@ from modgal.cyclotomic import (
     unit_group_generators,
     units_mod,
 )
+from modgal.modular_data import MAX_CONDUCTOR
 
 
 def zeta(n, k=1):
@@ -206,9 +209,49 @@ class TestSign:
             for j, k in enumerate(table):
                 assert abs(mpmath.cos(2 * mpmath.pi * j / n) * scale - k) <= 1, j
 
+    @pytest.mark.parametrize("prec", [64, 128])
+    def test_cosine_table_bound_at_every_conductor(self, prec):
+        # ``cosines`` reads n, phi and its memo alone; a stand-in with
+        # those spares building each field's reduction tables
+        for n in range(1, MAX_CONDUCTOR + 1):
+            field = types.SimpleNamespace(n=n, phi=euler_phi(n), _cosines={})
+            assert _far_from_reference(_Field.cosines(field, prec), n, prec) == [], n
+
+    # n = 1021 at 16,384 bits takes about 12 s to build (510 cosines)
+    @pytest.mark.parametrize(
+        "n,prec", [(5, 4096), (7, 4096), (16, 4096), (1021, 4096), (5, 16384), (7, 16384), (16, 16384)]
+    )
+    def test_cosine_table_bound_at_high_precision(self, n, prec):
+        assert _far_from_reference(_field(n).cosines(prec), n, prec) == []
+
     def test_non_real_raises(self):
         with pytest.raises(ValueError):
             sign_of_real(zeta(5))
+
+
+def _reference_cosines(n: int, count: int, w: int) -> list[int]:
+    """cos(2 pi j / n) 2^w for 0 <= j < count, each within 3j + 1 of
+    the exact value: mpmath rounds cos and sin of 2 pi / n at w + 32
+    bits to ints, and each step rotates (c, s) by that angle with one
+    floor per coordinate, which adds at most 3 to the error."""
+    with mpmath.workprec(w + 32):
+        angle = 2 * mpmath.pi / n
+        c1, s1 = (int(mpmath.nint(mpmath.ldexp(f(angle), w))) for f in (mpmath.cos, mpmath.sin))
+    c, s, out = 1 << w, 0, []
+    for _ in range(count):
+        out.append(c)
+        c, s = (c * c1 - s * s1) >> w, (s * c1 + c * s1) >> w
+    return out
+
+
+def _far_from_reference(table, n: int, prec: int) -> list[int]:
+    """The j at which K_j is not proved within 1 of cos(2 pi j / n)
+    2^prec: the reference at prec + 64 bits is within 3 * 1024 + 1 <
+    2^12 of its exact value for j < 1024, so |K_j 2^64 - ref_j| <= 2^64
+    - 2^12 proves the bound."""
+    assert len(table) == euler_phi(n) < 1 << 10
+    ref = _reference_cosines(n, len(table), prec + 64)
+    return [j for j, (k, r) in enumerate(zip(table, ref)) if abs((k << 64) - r) > (1 << 64) - (1 << 12)]
 
 
 class TestRootOrder:

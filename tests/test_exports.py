@@ -3,14 +3,16 @@
 name a module imports is read, so a deletion that leaves an import
 behind fails here too; every name a docstring or comment cites
 resolves, so a deletion that leaves a citation behind fails as well;
-only ``_splitprime`` reads the split-prime images of s; and inside it
-only ``refuted`` sizes a certificate."""
+only ``_splitprime`` reads the split-prime images of s; inside it only
+``refuted`` sizes a certificate; and every third-party module the
+package imports is a declared dependency."""
 
 import ast
 import importlib
 import io
 import pkgutil
 import re
+import sys
 import tokenize
 from pathlib import Path
 
@@ -23,6 +25,33 @@ MODULES = ["modgal"] + [f"modgal.{m.name}" for m in pkgutil.iter_modules(modgal.
 TESTS = Path(__file__).resolve().parent
 PACKAGE = sorted(Path(modgal.__file__).resolve().parent.rglob("*.py"))
 SOURCES = PACKAGE + sorted(TESTS.rglob("*.py"))
+
+
+def _third_party_imports(tree: ast.Module) -> set[str]:
+    """The top-level modules outside the standard library and the
+    package that the module imports, in a function body or not."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return {m for m in found if m not in sys.stdlib_module_names and m != "modgal"}
+
+
+def _declared_dependencies() -> set[str]:
+    """The names in ``[project] dependencies`` of pyproject.toml, read as
+    text: ``tomllib`` needs Python 3.11 and the package supports 3.10."""
+    text = (TESTS.parent / "pyproject.toml").read_text()
+    block = re.search(r"^dependencies = \[(.*?)^\]", text, re.M | re.S).group(1)
+    return {re.match(r"[\w.-]+", spec).group(0).lower() for spec in re.findall(r'"([^"]+)"', block)}
+
+
+def test_every_third_party_import_is_a_dependency():
+    # each dependency is imported under its distribution name
+    imported = set().union(*(_third_party_imports(ast.parse(p.read_text())) for p in PACKAGE))
+    assert imported
+    assert imported - _declared_dependencies() == set()
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -20,7 +20,6 @@ from modgal.families import (
 from modgal.galois_action import (
     dims_ratio_check,
     galois_conjugate_data,
-    is_transitive,
     orbit_partition,
     square_twist_consistency,
 )
@@ -151,7 +150,7 @@ class TestSl2Adjoint:
     def test_transitive_with_trivial_pointed_part(self):
         for p in (5, 7, 11, 13):
             data = sl2_level_adjoint(p)
-            assert is_transitive(data)
+            assert orbit_partition(data).count == 1
             assert pointed_part(data).rank == 1
 
     def test_galois_variant(self):
@@ -248,7 +247,7 @@ class TestCatalogContract:
 
 def _square_orbit_count(data):
     """|Orb(T (x) T)| for a transitive T."""
-    assert is_transitive(data)
+    assert orbit_partition(data).count == 1
     return orbit_partition(deligne_product(data, data)).count
 
 
@@ -265,7 +264,7 @@ class TestTransitiveSquares:
 
     def test_coprime_product_transitive(self):
         prod = deligne_product(fibonacci(0), sl2_level_adjoint(7))
-        assert is_transitive(prod)
+        assert orbit_partition(prod).count == 1
 
 
 class TestGoldenFiles:

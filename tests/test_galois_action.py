@@ -11,7 +11,6 @@ from modgal.galois_action import (
     dims_ratio_check,
     galois_conjugate_data,
     galois_permutation,
-    is_transitive,
     orbit_partition,
     square_twist_consistency,
     verlinde_field_degree,
@@ -88,21 +87,21 @@ class TestOrbits:
 
 class TestTransitivity:
     def test_fibonacci_transitive(self, fixture_catalog):
-        assert is_transitive(fixture_catalog["fibonacci"])
+        assert orbit_partition(fixture_catalog["fibonacci"]).count == 1
 
     def test_ising_not(self, fixture_catalog):
         data = fixture_catalog["ising"]
-        assert not is_transitive(data)
+        assert orbit_partition(data).count != 1
         assert sorted(orbit_partition(data).sizes) == [1, 2]
 
     def test_pointed_z2_not(self, fixture_catalog):
-        assert not is_transitive(fixture_catalog["semion"])
+        assert orbit_partition(fixture_catalog["semion"]).count != 1
 
     def test_coprime_product_of_transitive(self, fixture_catalog):
         prod = deligne_product(
             fixture_catalog["fibonacci"], fixture_catalog["sl2_7_ad"]
         )
-        assert is_transitive(prod)
+        assert orbit_partition(prod).count == 1
 
 
 class TestFieldDegrees:
